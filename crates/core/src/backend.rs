@@ -108,27 +108,22 @@ fn nd_occupancy_threshold(d: usize) -> f64 {
     ND_OCCUPANCY_THRESHOLD_3D / (1u64 << (d.saturating_sub(3)).min(32)) as f64
 }
 
-/// Deterministic sampled ε-cell statistics: `(cv, mean_occupancy)` over
-/// non-empty cells of the strided sample, occupancy scaled by the stride
-/// so it estimates full-database points per cell.
-fn sampled_cell_stats(data: &[Point2], eps: f64) -> (f64, f64) {
-    let stride = (data.len() / MAX_STAT_SAMPLE).max(1);
+/// Deterministic sampled ε-cell statistics over `n` points:
+/// `(cv, mean_occupancy)` of the non-empty cells of a strided sample,
+/// occupancy scaled by the stride so it estimates full-database points
+/// per cell. `cell_of(i)` is point `i`'s ε-cell key; the key order is the
+/// bin order, which fixes the float accumulations below.
+fn sampled_cell_stats<K: Ord>(n: usize, cell_of: impl Fn(usize) -> K) -> (f64, f64) {
+    let stride = (n / MAX_STAT_SAMPLE).max(1);
     // BTreeMap, not HashMap: iteration order must be deterministic or
     // the float accumulations below would vary run to run.
-    let mut bins: BTreeMap<(i64, i64), u64> = BTreeMap::new();
+    let mut bins: BTreeMap<K, u64> = BTreeMap::new();
     let mut sampled = 0u64;
-    let mut i = 0;
-    while i < data.len() {
-        let p = &data[i];
-        let key = (
-            (p.y / eps).floor() as i64, //
-            (p.x / eps).floor() as i64,
-        );
-        *bins.entry(key).or_insert(0) += 1;
+    for i in (0..n).step_by(stride) {
+        *bins.entry(cell_of(i)).or_insert(0) += 1;
         sampled += 1;
-        i += stride;
     }
-    if bins.is_empty() || sampled == 0 {
+    if bins.is_empty() {
         return (0.0, 0.0);
     }
     let k = bins.len() as f64;
@@ -145,87 +140,58 @@ fn sampled_cell_stats(data: &[Point2], eps: f64) -> (f64, f64) {
     (cv, mean * stride as f64)
 }
 
-/// Deterministic sampled cell statistics for `D`-dimensional data — the
-/// ND generalization of [`sampled_cell_stats`], keyed by the full
-/// `D`-tuple of ε-cell coordinates.
-fn sampled_cell_stats_nd<const D: usize>(data: &[spatial::PointN<D>], eps: f64) -> (f64, f64) {
-    let stride = (data.len() / MAX_STAT_SAMPLE).max(1);
-    let mut bins: BTreeMap<[i64; D], u64> = BTreeMap::new();
-    let mut sampled = 0u64;
-    let mut i = 0;
-    while i < data.len() {
-        let p = &data[i];
-        let key = std::array::from_fn(|k| (p.coords[k] / eps).floor() as i64);
-        *bins.entry(key).or_insert(0) += 1;
-        sampled += 1;
-        i += stride;
-    }
-    if bins.is_empty() || sampled == 0 {
-        return (0.0, 0.0);
-    }
-    let k = bins.len() as f64;
-    let mean = sampled as f64 / k;
-    let var = bins
-        .values()
-        .map(|&c| {
-            let d = c as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / k;
-    let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-    (cv, mean * stride as f64)
-}
-
-/// Resolve the configured backend for a `D`-dimensional workload.
+/// Resolve `requested` for a `d`-dimensional workload; `stats` computes
+/// the sampled `(cv, mean_occupancy)` and runs only for `Auto`.
 ///
 /// The `Auto` policy folds dimensionality in: in d ≥ 3 the grid's 3^d
 /// stencil (27, 81 sparse binary-search probes per point) loses to the
-/// tree's (2ε)^d candidate volume at much milder density, so the
-/// occupancy bar drops with the dimension; in 2-D the thresholds match
-/// [`select_backend`].
+/// tree's (2ε)^d candidate volume at much milder density, so only the
+/// occupancy bar applies and it drops with the dimension; in 2-D the
+/// tree must also see strongly varying occupancy.
+fn decide(
+    requested: IndexBackend,
+    d: usize,
+    stats: impl FnOnce() -> (f64, f64),
+) -> BackendDecision {
+    let (chosen, cell_cv, mean_occupancy, reason) = match requested {
+        IndexBackend::Grid => (ChosenBackend::Grid, 0.0, 0.0, "requested"),
+        IndexBackend::Tree => (ChosenBackend::Tree, 0.0, 0.0, "requested"),
+        IndexBackend::Auto => {
+            let (cv, occ) = stats();
+            let tree = if d >= 3 {
+                occ >= nd_occupancy_threshold(d)
+            } else {
+                cv >= CV_THRESHOLD && occ >= OCCUPANCY_THRESHOLD
+            };
+            let chosen = if tree {
+                ChosenBackend::Tree
+            } else {
+                ChosenBackend::Grid
+            };
+            (chosen, cv, occ, "auto")
+        }
+    };
+    BackendDecision {
+        requested,
+        chosen,
+        cell_cv,
+        mean_occupancy,
+        reason,
+    }
+}
+
+/// Resolve the configured backend for a `D`-dimensional workload, binning
+/// the sample by the full `D`-tuple of ε-cell coordinates.
 pub fn select_backend_nd<const D: usize>(
     requested: IndexBackend,
     data: &[spatial::PointN<D>],
     eps: f64,
 ) -> BackendDecision {
-    match requested {
-        IndexBackend::Grid => BackendDecision {
-            requested,
-            chosen: ChosenBackend::Grid,
-            cell_cv: 0.0,
-            mean_occupancy: 0.0,
-            reason: "requested",
-        },
-        IndexBackend::Tree => BackendDecision {
-            requested,
-            chosen: ChosenBackend::Tree,
-            cell_cv: 0.0,
-            mean_occupancy: 0.0,
-            reason: "requested",
-        },
-        IndexBackend::Auto => {
-            let (cv, occ) = sampled_cell_stats_nd(data, eps);
-            let chosen = if D >= 3 {
-                if occ >= nd_occupancy_threshold(D) {
-                    ChosenBackend::Tree
-                } else {
-                    ChosenBackend::Grid
-                }
-            } else if cv >= CV_THRESHOLD && occ >= OCCUPANCY_THRESHOLD {
-                ChosenBackend::Tree
-            } else {
-                ChosenBackend::Grid
-            };
-            BackendDecision {
-                requested,
-                chosen,
-                cell_cv: cv,
-                mean_occupancy: occ,
-                reason: "auto",
-            }
-        }
-    }
+    decide(requested, D, || {
+        sampled_cell_stats(data.len(), |i| {
+            data[i].coords.map(|c| (c / eps).floor() as i64)
+        })
+    })
 }
 
 /// Resolve the configured backend for a 2-D workload.
@@ -247,37 +213,13 @@ pub fn select_backend(
             reason: "shared-kernel",
         };
     }
-    match requested {
-        IndexBackend::Grid => BackendDecision {
-            requested,
-            chosen: ChosenBackend::Grid,
-            cell_cv: 0.0,
-            mean_occupancy: 0.0,
-            reason: "requested",
-        },
-        IndexBackend::Tree => BackendDecision {
-            requested,
-            chosen: ChosenBackend::Tree,
-            cell_cv: 0.0,
-            mean_occupancy: 0.0,
-            reason: "requested",
-        },
-        IndexBackend::Auto => {
-            let (cv, occ) = sampled_cell_stats(data, eps);
-            let chosen = if cv >= CV_THRESHOLD && occ >= OCCUPANCY_THRESHOLD {
-                ChosenBackend::Tree
-            } else {
-                ChosenBackend::Grid
-            };
-            BackendDecision {
-                requested,
-                chosen,
-                cell_cv: cv,
-                mean_occupancy: occ,
-                reason: "auto",
-            }
-        }
-    }
+    // Bins keyed (row, column): this order fixes the `cell_cv` bits.
+    decide(requested, 2, || {
+        sampled_cell_stats(data.len(), |i| {
+            let p = &data[i];
+            [(p.y / eps).floor() as i64, (p.x / eps).floor() as i64]
+        })
+    })
 }
 
 #[cfg(test)]

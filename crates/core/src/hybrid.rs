@@ -18,6 +18,16 @@
 //! DBSCAN(T, minpts) — possibly many times with different minpts
 //! ```
 //!
+//! The table build runs as six stages: prepare (validation, pre-sort,
+//! backend selection, host index) → upload → estimate → plan (Equation 1
+//! fitted to device memory) → execute (the stream workers, with exact-|R|
+//! replanning on overflow) → finalize (the modeled schedule, telemetry
+//! and the handle). Prepare, upload and estimate are the dimension-
+//! specific front half — [`HybridDbscan::build_table`] for 2-D and
+//! [`HybridDbscan::build_table_nd`] for d > 2 — and plan, execute and
+//! finalize see only `n`, ε, the [`HybridConfig`] and a per-batch kernel
+//! launcher, so every dimension shares one batching pipeline.
+//!
 //! The *functional* work executes eagerly (kernels really compute the
 //! pairs, the sort really sorts, the builder really assembles `T`); the
 //! *device timing* is modeled, and the per-batch operation chains are
@@ -30,11 +40,14 @@
 //! determinism policy"). Only the host DBSCAN stage and the explicitly
 //! named `wall_time` fields are wall-clock measurements.
 
-use crate::backend::{select_backend, BackendDecision, ChosenBackend, IndexBackend};
+use crate::backend::{
+    select_backend, select_backend_nd, BackendDecision, ChosenBackend, IndexBackend,
+};
 use crate::batch::{BatchConfig, BatchPlan};
 use crate::dbscan::{Clustering, Dbscan, TableSource};
 use crate::kernels::{
-    GpuCalcGlobal, GpuCalcShared, GpuCalcTree, NeighborCountKernel, NeighborPair, TreeCountKernel,
+    GpuCalcGlobal, GpuCalcGridNd, GpuCalcShared, GpuCalcTree, GridNdCountKernel,
+    NeighborCountKernel, NeighborPair, TreeCountKernel,
 };
 use crate::table::{NeighborTable, NeighborTableBuilder};
 use gpu_sim::device::Device;
@@ -46,12 +59,17 @@ use gpu_sim::stream::{schedule_chains, OpSpec};
 use gpu_sim::thrust;
 use gpu_sim::time::{SimDuration, SimTime};
 use gpu_sim::timeline::{Engine, Timeline};
-use obs::Recorder;
+use gpu_sim::KernelReport;
+use obs::{Recorder, SpanGuard};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spatial::grid::{CellRange, CellsView};
-use spatial::presort::spatial_sort_permutation;
-use spatial::{GridIndex, PackedKdTree, Point2, PointStore, PointsViewN, TreeView};
+use spatial::nd::{apply_permutation_nd, spatial_sort_permutation_nd};
+use spatial::presort::{spatial_sort_permutation, SortPermutation};
+use spatial::{
+    CellsViewN, GridIndex, GridIndexN, PackedKdTree, Point2, PointN, PointStore, PointStoreN,
+    PointsViewN, TreeView,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,11 +96,9 @@ pub struct HybridConfig {
     pub block_dim: u32,
     /// Batching-scheme tunables.
     pub batch: BatchConfig,
-    /// Host threads ingesting batch results into `T` (paper: the 3
-    /// batching threads double as constructors).
-    pub host_lanes: usize,
-    /// Overflow-recovery retries (each doubles `n_b`). The published α
-    /// makes retries unnecessary; this guards adversarial estimates.
+    /// Overflow-recovery retries (each replans `n_b` from the exact
+    /// counted |R|). The published α makes retries unnecessary; this
+    /// guards adversarial estimates.
     pub max_retries: usize,
 }
 
@@ -93,11 +109,17 @@ impl Default for HybridConfig {
             backend: IndexBackend::Grid,
             block_dim: 256,
             batch: BatchConfig::default(),
-            host_lanes: 3,
             max_retries: 4,
         }
     }
 }
+
+/// Host lanes ingesting batch results into `T` (paper: the 3 batching
+/// threads double as constructors).
+const HOST_LANES: usize = 3;
+
+/// Bytes of one result pair in the device and staging buffers.
+const PAIR_BYTES: usize = std::mem::size_of::<NeighborPair>();
 
 /// Sustained host-lane ingest throughput, pairs per second: one pass of
 /// run detection over the sorted keys plus a memcpy-class copy of the
@@ -112,7 +134,7 @@ const INGEST_OVERHEAD_US: f64 = 5.0;
 /// forbids wall-measured durations in the scheduled op chains, since the
 /// schedule's makespan feeds [`GpuPhaseReport::modeled_time`], which must
 /// be bitwise identical across runs and thread counts.
-pub(crate) fn ingest_time_model(n: usize) -> SimDuration {
+fn ingest_time_model(n: usize) -> SimDuration {
     SimDuration::from_micros(INGEST_OVERHEAD_US)
         + SimDuration::from_secs(n as f64 / INGEST_PAIRS_PER_SEC)
 }
@@ -127,7 +149,7 @@ pub struct GpuPhaseReport {
     /// Host wall-clock time actually spent (for honesty in reports).
     pub wall_time: std::time::Duration,
     /// The batch plan actually executed. If overflow retries occurred this
-    /// is the *retried* plan (doubled `n_batches`), not the initial one —
+    /// is the *retried* plan (replanned `n_batches`), not the initial one —
     /// post-retry telemetry must describe the run that produced the
     /// results, and `plan.n_batches` always equals [`Self::n_batches`].
     pub plan: BatchPlan,
@@ -216,11 +238,14 @@ pub struct TableHandle {
 #[derive(Debug)]
 pub enum HybridError {
     Device(DeviceError),
-    /// The result buffers kept overflowing even after doubling `n_b`
-    /// `max_retries` times.
+    /// The result buffers kept overflowing after `max_retries` replans.
     RetriesExhausted {
         attempts: usize,
     },
+    /// The input cannot be indexed: empty data, ε not positive and
+    /// finite, a non-finite coordinate, or more points than `u32` ids.
+    /// Nothing was uploaded.
+    InvalidInput(String),
 }
 
 impl std::fmt::Display for HybridError {
@@ -230,6 +255,7 @@ impl std::fmt::Display for HybridError {
             HybridError::RetriesExhausted { attempts } => {
                 write!(f, "batch buffers overflowed after {attempts} attempts")
             }
+            HybridError::InvalidInput(why) => write!(f, "invalid input: {why}"),
         }
     }
 }
@@ -240,6 +266,52 @@ impl From<DeviceError> for HybridError {
     fn from(e: DeviceError) -> Self {
         HybridError::Device(e)
     }
+}
+
+/// The prepare stage's input check, run before the pre-sort: a NaN would
+/// break the pre-sort's total order and the grid's cell mapping, and
+/// point ids are `u32` on the device.
+fn validate_input<const D: usize>(
+    eps: f64,
+    mut points: impl ExactSizeIterator<Item = [f64; D]>,
+) -> Result<(), HybridError> {
+    let n = points.len();
+    let why = if n == 0 {
+        "cannot cluster an empty database".to_string()
+    } else if n > u32::MAX as usize {
+        format!("{n} points exceed the u32 point-id space")
+    } else if !(eps > 0.0 && eps.is_finite()) {
+        format!("eps must be positive and finite, got {eps}")
+    } else if let Some(i) = points.position(|p| !p.iter().all(|c| c.is_finite())) {
+        format!("point {i} has a non-finite coordinate")
+    } else {
+        return Ok(());
+    };
+    Err(HybridError::InvalidInput(why))
+}
+
+/// `visit_order[original id] = sorted position`: the inverse of `perm`.
+fn visit_order(perm: &[u32]) -> Vec<u32> {
+    let mut order = vec![0u32; perm.len()];
+    for (k, &orig) in perm.iter().enumerate() {
+        order[orig as usize] = k as u32;
+    }
+    order
+}
+
+/// DBSCAN over a table in sorted-id space: points are visited in the
+/// caller's original order (via `visit_order`) and the labels mapped back
+/// through `perm`, so the result is *identical* to the reference
+/// implementation's — not merely equivalent.
+pub(crate) fn cluster_sorted_table(
+    table: &NeighborTable,
+    perm: &[u32],
+    visit_order: &[u32],
+    minpts: usize,
+) -> Clustering {
+    Dbscan::new(minpts)
+        .run_with_order(&TableSource::new(table), Some(visit_order))
+        .unpermute(perm)
 }
 
 /// Output of one batch pass: the filled builder, per-batch operation
@@ -273,18 +345,42 @@ enum BatchPass {
     },
 }
 
-/// Device-resident `G`, in either layout. Dense is the single flat range
-/// array (one H2D transfer, exactly as before the sparse layout existed);
-/// sparse uploads the non-empty keys and their ranges as two buffers —
-/// O(|D|) device memory instead of O(nx·ny).
+/// Device-resident sorted cell keys and their ranges: the sparse `G` of
+/// the 2-D grid (`u32` keys) and of the N-D grid (`u64` keys) — O(|D|)
+/// device memory instead of one range per cell of the bounding box.
+pub(crate) struct SparseCells<K: Copy> {
+    keys: DeviceBuffer<K>,
+    ranges: DeviceBuffer<CellRange>,
+}
+
+impl<K: Copy> SparseCells<K> {
+    fn upload(
+        device: &Device,
+        keys: &[K],
+        ranges: &[CellRange],
+    ) -> Result<(Self, SimDuration), DeviceError> {
+        let (keys, t_k) = DeviceBuffer::from_host(device, keys, false)?;
+        let (ranges, t_r) = DeviceBuffer::from_host(device, ranges, false)?;
+        Ok((SparseCells { keys, ranges }, t_k + t_r))
+    }
+}
+
+impl SparseCells<u64> {
+    /// The device-resident N-D `G` as the kernels' view.
+    fn view(&self) -> CellsViewN<'_> {
+        CellsViewN {
+            keys: self.keys.as_slice(),
+            ranges: self.ranges.as_slice(),
+        }
+    }
+}
+
+/// Device-resident 2-D `G`, in either layout. Dense is the single flat
+/// range array (one H2D transfer, exactly as before the sparse layout
+/// existed); sparse uploads the non-empty keys and their ranges.
 pub(crate) enum GridBuffers {
-    Dense {
-        ranges: DeviceBuffer<CellRange>,
-    },
-    Sparse {
-        keys: DeviceBuffer<u32>,
-        ranges: DeviceBuffer<CellRange>,
-    },
+    Dense { ranges: DeviceBuffer<CellRange> },
+    Sparse(SparseCells<u32>),
 }
 
 impl GridBuffers {
@@ -299,15 +395,8 @@ impl GridBuffers {
                 Ok((GridBuffers::Dense { ranges: buf }, t))
             }
             CellsView::Sparse { keys, ranges } => {
-                let (k_buf, t_k) = DeviceBuffer::from_host(device, keys, false)?;
-                let (r_buf, t_r) = DeviceBuffer::from_host(device, ranges, false)?;
-                Ok((
-                    GridBuffers::Sparse {
-                        keys: k_buf,
-                        ranges: r_buf,
-                    },
-                    t_k + t_r,
-                ))
+                let (cells, t) = SparseCells::upload(device, keys, ranges)?;
+                Ok((GridBuffers::Sparse(cells), t))
             }
         }
     }
@@ -316,9 +405,9 @@ impl GridBuffers {
     pub(crate) fn view(&self) -> CellsView<'_> {
         match self {
             GridBuffers::Dense { ranges } => CellsView::Dense(ranges.as_slice()),
-            GridBuffers::Sparse { keys, ranges } => CellsView::Sparse {
-                keys: keys.as_slice(),
-                ranges: ranges.as_slice(),
+            GridBuffers::Sparse(cells) => CellsView::Sparse {
+                keys: cells.keys.as_slice(),
+                ranges: cells.ranges.as_slice(),
             },
         }
     }
@@ -326,7 +415,7 @@ impl GridBuffers {
 
 /// Device-resident packed kd-tree: the four SoA node-pool buffers
 /// (splits, axes, leaf ranges, reordered ids — the tree's `A`).
-pub(crate) struct TreeBuffers {
+struct TreeBuffers {
     splits: DeviceBuffer<f64>,
     axes: DeviceBuffer<u32>,
     ranges: DeviceBuffer<CellRange>,
@@ -335,9 +424,9 @@ pub(crate) struct TreeBuffers {
 
 impl TreeBuffers {
     /// Upload the node pool, returning the summed H2D transfer time.
-    pub(crate) fn upload(
+    fn upload<const D: usize>(
         device: &Device,
-        tree: &PackedKdTree<2>,
+        tree: &PackedKdTree<D>,
     ) -> Result<(Self, SimDuration), DeviceError> {
         let v = tree.view();
         let (splits, t0) = DeviceBuffer::from_host(device, v.splits, false)?;
@@ -355,7 +444,7 @@ impl TreeBuffers {
         ))
     }
 
-    pub(crate) fn view(&self) -> TreeView<'_> {
+    fn view(&self) -> TreeView<'_> {
         TreeView {
             splits: self.splits.as_slice(),
             axes: self.axes.as_slice(),
@@ -365,70 +454,112 @@ impl TreeBuffers {
     }
 }
 
-/// The host-side ε-search index plus its device-resident buffers — one
-/// variant per backend. Built once per `build_table` call; the batch
-/// loop dispatches kernels on the borrowed [`SearchView`].
-enum SearchIndex {
-    Grid {
-        grid: GridIndex,
-        g_buf: GridBuffers,
-        a_buf: DeviceBuffer<u32>,
-    },
-    Tree {
-        #[allow(dead_code)] // owns the host copy backing the buffers
-        tree: PackedKdTree<2>,
-        bufs: TreeBuffers,
-    },
+/// A host grid the upload stage can place on the device together with
+/// its lookup array `A`: the 2-D [`GridIndex`] or the N-D [`GridIndexN`].
+trait UploadGrid {
+    /// The device-resident `G`.
+    type Cells;
+    /// Upload `G` then `A`, returning the summed H2D transfer time.
+    fn upload(
+        &self,
+        device: &Device,
+    ) -> Result<(Self::Cells, DeviceBuffer<u32>, SimDuration), DeviceError>;
 }
 
-/// Borrowed, `Copy` kernel-facing view of the active search structure.
-#[derive(Clone, Copy)]
-enum SearchView<'a> {
-    Grid {
-        cells: CellsView<'a>,
-        lookup: &'a [u32],
-        geom: spatial::GridGeometry,
-    },
-    Tree {
-        tree: TreeView<'a>,
-    },
-}
-
-impl SearchIndex {
-    fn view(&self) -> SearchView<'_> {
-        match self {
-            SearchIndex::Grid { grid, g_buf, a_buf } => SearchView::Grid {
-                cells: g_buf.view(),
-                lookup: a_buf.as_slice(),
-                geom: grid.geometry(),
-            },
-            SearchIndex::Tree { bufs, .. } => SearchView::Tree { tree: bufs.view() },
-        }
+impl UploadGrid for GridIndex {
+    type Cells = GridBuffers;
+    fn upload(
+        &self,
+        device: &Device,
+    ) -> Result<(GridBuffers, DeviceBuffer<u32>, SimDuration), DeviceError> {
+        let (cells, t_g) = GridBuffers::upload(device, self)?;
+        let (lookup, t_a) = DeviceBuffer::from_host(device, self.lookup(), false)?;
+        Ok((cells, lookup, t_g + t_a))
     }
 }
 
-/// The host-side index before its device upload — split from
-/// [`SearchIndex`] so `ConstructIndex` stays inside the `index_build`
+impl<const D: usize> UploadGrid for GridIndexN<D> {
+    type Cells = SparseCells<u64>;
+    fn upload(
+        &self,
+        device: &Device,
+    ) -> Result<(SparseCells<u64>, DeviceBuffer<u32>, SimDuration), DeviceError> {
+        let g = self.cells();
+        let (cells, t_g) = SparseCells::upload(device, g.keys, g.ranges)?;
+        let (lookup, t_a) = DeviceBuffer::from_host(device, self.lookup(), false)?;
+        Ok((cells, lookup, t_g + t_a))
+    }
+}
+
+/// The prepare stage's host index, before its device upload — split from
+/// [`DeviceIndex`] so `ConstructIndex` stays inside the `index_build`
 /// span while the H2D transfers land in `h2d_upload`.
-enum HostIndex {
-    Grid(GridIndex),
-    Tree(PackedKdTree<2>),
+enum HostIndex<G, const D: usize> {
+    Grid(G),
+    Tree(PackedKdTree<D>),
 }
 
-impl HostIndex {
-    fn upload(self, device: &Device) -> Result<(SearchIndex, SimDuration), DeviceError> {
-        match self {
-            HostIndex::Grid(grid) => {
-                let (g_buf, up_g) = GridBuffers::upload(device, &grid)?;
-                let (a_buf, up_a) = DeviceBuffer::from_host(device, grid.lookup(), false)?;
-                Ok((SearchIndex::Grid { grid, g_buf, a_buf }, up_g + up_a))
-            }
-            HostIndex::Tree(tree) => {
-                let (bufs, up_t) = TreeBuffers::upload(device, &tree)?;
-                Ok((SearchIndex::Tree { tree, bufs }, up_t))
-            }
-        }
-    }
+/// The search index after the upload stage: the host grid (its geometry
+/// drives the kernels) with `G` and `A` on the device, or the uploaded
+/// kd-tree node pool.
+enum DeviceIndex<G: UploadGrid> {
+    Grid {
+        grid: G,
+        cells: G::Cells,
+        lookup: DeviceBuffer<u32>,
+    },
+    Tree(TreeBuffers),
+}
+
+/// What the upload stage leaves on the device.
+struct Uploaded<P: Copy, G: UploadGrid> {
+    /// `D`, held for device-memory accounting.
+    _points: DeviceBuffer<P>,
+    index: DeviceIndex<G>,
+    /// Summed H2D time of `D` and the index.
+    time: SimDuration,
+}
+
+/// The prepare stage's output: points `P` with their SoA mirror `S`
+/// and the chosen backend's host index over grid type `G`.
+struct Prepared<P, S, G, const D: usize> {
+    perm: SortPermutation,
+    sorted: Vec<P>,
+    /// The SoA coordinate mirror the kernels' inner loops scan (host-side
+    /// layout only — the device upload stays the one point array).
+    store: S,
+    decision: BackendDecision,
+    index: HostIndex<G, D>,
+}
+
+/// The estimate stage's output.
+struct Estimate {
+    report: KernelReport,
+    /// Estimation-kernel sample count `e_b`.
+    e_b: u64,
+}
+
+/// The execute stage's output: the filled builder and the batch facts
+/// the finalize stage schedules and reports.
+struct Executed {
+    /// The executed (post-retry) plan.
+    plan: BatchPlan,
+    builder: NeighborTableBuilder,
+    chains: Vec<Vec<OpSpec>>,
+    /// Batch kernels only; finalize folds in the estimation launch.
+    profile: KernelProfile,
+    per_batch_pairs: Vec<usize>,
+    pinned_alloc_time: SimDuration,
+    retries: usize,
+    discarded_batches: usize,
+    discarded_pairs: usize,
+}
+
+/// The whole-build wall clock and `build_table` span, opened by
+/// [`HybridDbscan::begin`] and closed by the finalize stage.
+struct BuildScope<'r> {
+    wall_start: Instant,
+    span: Option<SpanGuard<'r>>,
 }
 
 /// The Hybrid-DBSCAN engine (Algorithm 4).
@@ -515,199 +646,419 @@ impl HybridDbscan {
     /// Run DBSCAN over an existing table handle (the data-reuse path,
     /// scenario S3). Returns labels in caller order plus the measured
     /// DBSCAN duration.
-    ///
-    /// The table lives in sorted-id space; DBSCAN walks it in the caller's
-    /// original point order (via [`TableHandle::visit_order`]) and the
-    /// labels are mapped back, so the result is *identical* to the
-    /// reference implementation's — not merely equivalent.
     pub fn cluster_with_table(handle: &TableHandle, minpts: usize) -> (Clustering, SimDuration) {
         let t0 = Instant::now();
-        let clustering = Dbscan::new(minpts)
-            .run_with_order(&TableSource::new(&handle.table), Some(&handle.visit_order));
-        let dbscan_time: SimDuration = t0.elapsed().into();
-        (clustering.unpermute(&handle.perm), dbscan_time)
+        let clustering =
+            cluster_sorted_table(&handle.table, &handle.perm, &handle.visit_order, minpts);
+        (clustering, t0.elapsed().into())
     }
 
     /// Construct the neighbor table `T` for `data` at `eps` (lines 2-8 of
-    /// Algorithm 4, including the batching scheme of Section VI).
+    /// Algorithm 4, including the batching scheme of Section VI): the 2-D
+    /// front half of the stage pipeline (see the module docs).
     pub fn build_table(&self, data: &[Point2], eps: f64) -> Result<TableHandle, HybridError> {
-        assert!(!data.is_empty(), "cannot cluster an empty database");
-        assert!(
-            eps > 0.0 && eps.is_finite(),
-            "eps must be positive and finite"
-        );
-        let wall_start = Instant::now();
-        let cfg = &self.config;
-        let rec = self.recorder.as_deref();
-        let mut table_span = rec.map(|r| {
-            let mut s = r.span("build_table", "hybrid");
-            s.arg("n_points", data.len()).arg("eps", eps);
-            s
-        });
+        let scope = self.begin(data.len(), eps);
+        let prep = self.prepare(data, eps)?;
+        let up = self.upload(&prep.sorted, prep.index)?;
+        let (n, points, block_dim) = (data.len(), prep.store.view(), self.config.block_dim);
+        let dev = &self.device;
+        let est = self.estimate(n, |stride, counter| match &up.index {
+            DeviceIndex::Grid {
+                grid,
+                cells,
+                lookup,
+            } => {
+                let k = NeighborCountKernel {
+                    points,
+                    grid: cells.view(),
+                    lookup: lookup.as_slice(),
+                    geom: grid.geometry(),
+                    eps,
+                    stride,
+                    counter,
+                };
+                dev.launch(k.launch_config(block_dim), &k)
+            }
+            DeviceIndex::Tree(tree) => {
+                let k = TreeCountKernel {
+                    points: PointsViewN::from(points),
+                    tree: tree.view(),
+                    eps,
+                    stride,
+                    counter,
+                };
+                dev.launch(k.launch_config(block_dim), &k)
+            }
+        })?;
+        let mut plan = self.plan(est.e_b, n)?;
+        let shared_batches = match (&up.index, self.config.kernel) {
+            (DeviceIndex::Grid { grid, .. }, KernelChoice::Shared) => {
+                Some(self.pack_shared(grid, &mut plan)?)
+            }
+            _ => None,
+        };
+        let executed = self.execute(
+            n,
+            eps,
+            plan,
+            |batch, n_batches, result: &DeviceAppendBuffer<NeighborPair>| match &up.index {
+                DeviceIndex::Tree(tree) => {
+                    let k = GpuCalcTree {
+                        points: PointsViewN::from(points),
+                        tree: tree.view(),
+                        eps,
+                        batch,
+                        n_batches,
+                        result,
+                    };
+                    Some(dev.launch(k.launch_config(block_dim), &k))
+                }
+                DeviceIndex::Grid {
+                    grid,
+                    cells,
+                    lookup,
+                } => match &shared_batches {
+                    None => {
+                        let k = GpuCalcGlobal {
+                            points,
+                            grid: cells.view(),
+                            lookup: lookup.as_slice(),
+                            geom: grid.geometry(),
+                            eps,
+                            batch,
+                            n_batches,
+                            result,
+                            skip_dense_at: None,
+                        };
+                        Some(dev.launch(k.launch_config(block_dim), &k))
+                    }
+                    // An empty shared batch launches nothing.
+                    Some(batches) if batches[batch].is_empty() => None,
+                    Some(batches) => {
+                        let k = GpuCalcShared {
+                            points,
+                            grid: cells.view(),
+                            lookup: lookup.as_slice(),
+                            geom: grid.geometry(),
+                            eps,
+                            schedule: &batches[batch],
+                            result,
+                        };
+                        Some(dev.launch(k.launch_config(block_dim), &k))
+                    }
+                },
+            },
+        )?;
+        Ok(self.finalize(scope, prep.perm, prep.decision, up.time, est, executed))
+    }
 
+    /// Construct the neighbor table for `D`-dimensional `data` at `eps`:
+    /// the N-D front half — the [`GpuCalcGridNd`] / [`GpuCalcTree`]
+    /// kernel pair over the sparse N-D grid or the kd-tree — on the same
+    /// plan, execute and finalize stages as [`Self::build_table`].
+    /// Identical tables for every backend: both kernels enumerate the
+    /// exact closed ε-ball with the same rounding order, the count
+    /// kernels make `e_b` (hence the plan) equal, and the canonical device
+    /// sort erases append-order differences. The shared kernel is 2-D
+    /// only, so `config.kernel` does not apply here.
+    pub fn build_table_nd<const D: usize>(
+        &self,
+        data: &[PointN<D>],
+        eps: f64,
+    ) -> Result<TableHandle, HybridError> {
+        let scope = self.begin(data.len(), eps);
+        let prep = self.prepare_nd(data, eps)?;
+        let up = self.upload(&prep.sorted, prep.index)?;
+        let (n, points, block_dim) = (data.len(), prep.store.view(), self.config.block_dim);
+        let dev = &self.device;
+        let est = self.estimate(n, |stride, counter| match &up.index {
+            DeviceIndex::Grid {
+                grid,
+                cells,
+                lookup,
+            } => {
+                let k = GridNdCountKernel {
+                    points,
+                    cells: cells.view(),
+                    lookup: lookup.as_slice(),
+                    geom: *grid.geometry(),
+                    eps,
+                    stride,
+                    counter,
+                };
+                dev.launch(k.launch_config(block_dim), &k)
+            }
+            DeviceIndex::Tree(tree) => {
+                let k = TreeCountKernel {
+                    points,
+                    tree: tree.view(),
+                    eps,
+                    stride,
+                    counter,
+                };
+                dev.launch(k.launch_config(block_dim), &k)
+            }
+        })?;
+        let plan = self.plan(est.e_b, n)?;
+        let executed = self.execute(
+            n,
+            eps,
+            plan,
+            |batch, n_batches, result: &DeviceAppendBuffer<NeighborPair>| match &up.index {
+                DeviceIndex::Grid {
+                    grid,
+                    cells,
+                    lookup,
+                } => {
+                    let k = GpuCalcGridNd {
+                        points,
+                        cells: cells.view(),
+                        lookup: lookup.as_slice(),
+                        geom: *grid.geometry(),
+                        eps,
+                        batch,
+                        n_batches,
+                        result,
+                    };
+                    Some(dev.launch(k.launch_config(block_dim), &k))
+                }
+                DeviceIndex::Tree(tree) => {
+                    let k = GpuCalcTree {
+                        points,
+                        tree: tree.view(),
+                        eps,
+                        batch,
+                        n_batches,
+                        result,
+                    };
+                    Some(dev.launch(k.launch_config(block_dim), &k))
+                }
+            },
+        )?;
+        Ok(self.finalize(scope, prep.perm, prep.decision, up.time, est, executed))
+    }
+
+    /// A host-category span on the attached recorder, if any.
+    fn span(&self, name: &'static str) -> Option<SpanGuard<'_>> {
+        self.recorder.as_deref().map(|r| r.span(name, "host"))
+    }
+
+    /// Open a table build: start its wall clock and `build_table` span.
+    fn begin(&self, n: usize, eps: f64) -> BuildScope<'_> {
+        BuildScope {
+            wall_start: Instant::now(),
+            span: self.recorder.as_deref().map(|r| {
+                let mut s = r.span("build_table", "hybrid");
+                s.arg("n_points", n).arg("eps", eps);
+                s
+            }),
+        }
+    }
+
+    /// Prepare stage (2-D): validate, pre-sort, select the backend, and
+    /// build the host index.
+    fn prepare(
+        &self,
+        data: &[Point2],
+        eps: f64,
+    ) -> Result<Prepared<Point2, PointStore, GridIndex, 2>, HybridError> {
+        validate_input(eps, data.iter().map(|p| [p.x, p.y]))?;
+        let _span = self.span("index_build");
         // Spatial pre-sort (Section IV): improves locality and makes the
         // strided batch assignment a uniform spatial sample.
-        let index_span = rec.map(|r| r.span("index_build", "host"));
         let perm = spatial_sort_permutation(data);
-        let sorted: Vec<Point2> = perm.apply(data);
-
-        // ε-search backend selection (grid vs packed kd-tree). Both
-        // backends enumerate the exact closed ε-ball, so the pair set —
-        // and therefore the table — is bitwise identical either way; the
-        // choice only moves modeled cost. `Auto` decides from sampled
-        // cell-occupancy statistics; the shared kernel is cell-driven and
-        // always forces the grid.
-        let decision = select_backend(
-            cfg.backend,
-            matches!(cfg.kernel, KernelChoice::Shared),
-            &sorted,
-            eps,
-        );
-
-        // ConstructIndex(D, eps) on the host, plus the SoA coordinate
-        // mirror the kernels' inner loops scan (host-side layout only —
-        // the device upload below stays the one Point2 array).
+        let sorted = perm.apply(data);
+        // Both backends enumerate the exact closed ε-ball, so the table
+        // is bitwise identical either way; the choice only moves modeled
+        // cost. The cell-driven shared kernel always forces the grid.
+        let shared_kernel = self.config.kernel == KernelChoice::Shared;
+        let decision = select_backend(self.config.backend, shared_kernel, &sorted, eps);
         let store = PointStore::from_points(&sorted);
-        let host_index = match decision.chosen {
+        let index = match decision.chosen {
             ChosenBackend::Grid => HostIndex::Grid(GridIndex::build(&sorted, eps)),
             ChosenBackend::Tree => {
                 HostIndex::Tree(PackedKdTree::build(PointsViewN::from(store.view())))
             }
         };
-        drop(index_span);
+        Ok(Prepared {
+            perm,
+            sorted,
+            store,
+            decision,
+            index,
+        })
+    }
 
-        // H2D uploads of D plus the search index — (G, A) for the grid,
-        // the four SoA node-pool arrays for the tree (pageable: one-off
-        // inputs). D stays one Point2 transfer — the SoA mirror is
-        // host-side layout only — and the buffer is held for
-        // device-memory accounting.
-        let upload_span = rec.map(|r| r.span("h2d_upload", "host"));
-        let (_d_buf, up_d) = DeviceBuffer::from_host(&self.device, &sorted, false)?;
-        let (index, up_index) = host_index.upload(&self.device)?;
-        drop(upload_span);
-        let search = index.view();
+    /// Prepare stage (N-D): validate, pre-sort, select the backend, and
+    /// build the host index.
+    fn prepare_nd<const D: usize>(
+        &self,
+        data: &[PointN<D>],
+        eps: f64,
+    ) -> Result<Prepared<PointN<D>, PointStoreN<D>, GridIndexN<D>, D>, HybridError> {
+        validate_input(eps, data.iter().map(|p| p.coords))?;
+        let _span = self.span("index_build");
+        let perm = spatial_sort_permutation_nd(data);
+        let sorted = apply_permutation_nd(&perm, data);
+        let decision = select_backend_nd(self.config.backend, &sorted, eps);
+        let store = PointStoreN::from_points(&sorted);
+        let index = match decision.chosen {
+            ChosenBackend::Grid => HostIndex::Grid(GridIndexN::build(&sorted, eps)),
+            ChosenBackend::Tree => HostIndex::Tree(PackedKdTree::build(store.view())),
+        };
+        Ok(Prepared {
+            perm,
+            sorted,
+            store,
+            decision,
+            index,
+        })
+    }
 
-        // Result-size estimation kernel over the f-sample. Both count
-        // kernels are exact at a given stride, so `e_b` — and with it the
-        // batch plan — is identical across backends.
-        let est_span = rec.map(|r| r.span("estimation_kernel", "host"));
+    /// Upload stage: H2D of the sorted points `D` plus the search index —
+    /// `(G, A)` for the grid, the four node-pool arrays for the tree
+    /// (pageable: one-off inputs).
+    fn upload<P: Copy, G: UploadGrid, const D: usize>(
+        &self,
+        sorted: &[P],
+        index: HostIndex<G, D>,
+    ) -> Result<Uploaded<P, G>, HybridError> {
+        let _span = self.span("h2d_upload");
+        let (points, up_d) = DeviceBuffer::from_host(&self.device, sorted, false)?;
+        let (index, up_index) = match index {
+            HostIndex::Grid(grid) => {
+                let (cells, lookup, t) = grid.upload(&self.device)?;
+                (
+                    DeviceIndex::Grid {
+                        grid,
+                        cells,
+                        lookup,
+                    },
+                    t,
+                )
+            }
+            HostIndex::Tree(tree) => {
+                let (bufs, t) = TreeBuffers::upload(&self.device, &tree)?;
+                (DeviceIndex::Tree(bufs), t)
+            }
+        };
+        Ok(Uploaded {
+            _points: points,
+            index,
+            time: up_d + up_index,
+        })
+    }
+
+    /// Estimate stage: run the result-size count kernel `count(stride,
+    /// counter)` over the configured sample. Both backends' count kernels
+    /// are exact at a given stride, so `e_b` — and with it the batch plan
+    /// — is backend-independent.
+    fn estimate(
+        &self,
+        n: usize,
+        count: impl FnOnce(usize, &DeviceCounter) -> Result<KernelReport, DeviceError>,
+    ) -> Result<Estimate, HybridError> {
+        let span = self.span("estimation_kernel");
         let counter = DeviceCounter::new(&self.device)?;
         // The stride and the estimate scaling must come from the same
         // place (BatchConfig), or the realized sample fraction and the
         // assumed one drift apart and bias a_b.
-        let stride = cfg.batch.stride_for(sorted.len());
-        let est_report = match search {
-            SearchView::Grid {
-                cells,
-                lookup,
-                geom,
-            } => {
-                let count_kernel = NeighborCountKernel {
-                    points: store.view(),
-                    grid: cells,
-                    lookup,
-                    geom,
-                    eps,
-                    stride,
-                    counter: &counter,
-                };
-                self.device
-                    .launch(count_kernel.launch_config(cfg.block_dim), &count_kernel)?
-            }
-            SearchView::Tree { tree } => {
-                let count_kernel = TreeCountKernel {
-                    points: PointsViewN::from(store.view()),
-                    tree,
-                    eps,
-                    stride,
-                    counter: &counter,
-                };
-                self.device
-                    .launch(count_kernel.launch_config(cfg.block_dim), &count_kernel)?
-            }
-        };
+        let stride = self.config.batch.stride_for(n);
+        let report = count(stride, &counter)?;
         let e_b = counter.get();
-        drop(counter);
-        if let Some(mut s) = est_span {
+        if let Some(mut s) = span {
             s.arg("e_b", e_b).arg("stride", stride);
         }
+        Ok(Estimate { report, e_b })
+    }
 
-        // Batch plan (Equation 1), fitted to the remaining device memory
-        // with a small headroom. The plan scales e_b by the realized
-        // sample size, not by 1/f (see BatchConfig::estimate_total).
-        let mut plan = cfg.batch.plan(e_b, sorted.len());
-        let n_buffers = cfg.batch.n_streams.min(plan.n_batches).max(1);
-        let headroom = self.device.available_bytes() / 10;
-        plan = plan
-            .fit_to_memory(
-                self.device.available_bytes().saturating_sub(headroom),
-                std::mem::size_of::<NeighborPair>(),
-                n_buffers,
-            )
-            .ok_or(DeviceError::OutOfMemory {
-                requested_bytes: std::mem::size_of::<NeighborPair>(),
-                available_bytes: self.device.available_bytes(),
-            })?;
+    /// Device result buffers (and pinned staging buffers) for `plan`: one
+    /// per stream, never more than there are batches.
+    fn n_buffers(&self, plan: &BatchPlan) -> usize {
+        self.config.batch.n_streams.min(plan.n_batches).max(1)
+    }
 
-        // For the shared kernel, batches are load-bound cell packings
-        // rather than point strides; one dense cell may force a larger
-        // buffer than Equation 1 chose.
-        let shared_batches: Option<Vec<Vec<u32>>> = match cfg.kernel {
-            KernelChoice::Global => None,
-            KernelChoice::Shared => {
-                let SearchIndex::Grid { grid, .. } = &index else {
-                    unreachable!("shared kernel always runs on the grid backend")
-                };
-                let (batches, required) = pack_shared_cells(grid, plan.buffer_items);
-                if required > plan.buffer_items {
-                    let budget = self
-                        .device
-                        .available_bytes()
-                        .saturating_sub(self.device.available_bytes() / 10);
-                    let pair = std::mem::size_of::<NeighborPair>();
-                    if required * pair * n_buffers > budget {
-                        return Err(HybridError::Device(DeviceError::OutOfMemory {
-                            requested_bytes: required * pair * n_buffers,
-                            available_bytes: budget,
-                        }));
-                    }
-                    plan.buffer_items = required;
-                }
-                plan.n_batches = batches.len().max(1);
-                Some(batches)
+    /// Plan stage: Equation 1 over `e_b`, fitted to the remaining device
+    /// memory with a 10 % headroom. The plan scales `e_b` by the realized
+    /// sample size, not by 1/f (see `BatchConfig::estimate_total`).
+    fn plan(&self, e_b: u64, n: usize) -> Result<BatchPlan, HybridError> {
+        let plan = self.config.batch.plan(e_b, n);
+        let available = self.device.available_bytes();
+        plan.fit_to_memory(
+            available.saturating_sub(available / 10),
+            PAIR_BYTES,
+            self.n_buffers(&plan),
+        )
+        .ok_or(HybridError::Device(DeviceError::OutOfMemory {
+            requested_bytes: PAIR_BYTES,
+            available_bytes: available,
+        }))
+    }
+
+    /// The shared kernel's batches: load-bound cell packings rather than
+    /// point strides (see [`pack_shared_cells`]). One dense cell may force
+    /// a larger buffer than Equation 1 chose; `plan` is updated to the
+    /// packing's buffer size and batch count.
+    fn pack_shared(
+        &self,
+        grid: &GridIndex,
+        plan: &mut BatchPlan,
+    ) -> Result<Vec<Vec<u32>>, HybridError> {
+        let (batches, required) = pack_shared_cells(grid, plan.buffer_items);
+        if required > plan.buffer_items {
+            let available = self.device.available_bytes();
+            let budget = available.saturating_sub(available / 10);
+            let requested_bytes = required * PAIR_BYTES * self.n_buffers(plan);
+            if requested_bytes > budget {
+                return Err(HybridError::Device(DeviceError::OutOfMemory {
+                    requested_bytes,
+                    available_bytes: budget,
+                }));
             }
-        };
+            plan.buffer_items = required;
+        }
+        plan.n_batches = batches.len().max(1);
+        Ok(batches)
+    }
 
-        // Pinned staging buffers, one per stream.
-        let n_buffers = cfg.batch.n_streams.min(plan.n_batches).max(1);
-        let pinned: Vec<PinnedBuffer<NeighborPair>> = (0..n_buffers)
-            .map(|_| PinnedBuffer::new(&self.device, plan.buffer_items))
-            .collect();
+    /// Execute stage: allocate one pinned staging buffer and one device
+    /// result buffer per stream, run every batch through `launch(batch,
+    /// n_batches, result)` (`None`: an empty batch, nothing launched) and,
+    /// on overflow, replan from the exact counted |R| and rerun.
+    fn execute<L>(
+        &self,
+        n: usize,
+        eps: f64,
+        mut plan: BatchPlan,
+        launch: L,
+    ) -> Result<Executed, HybridError>
+    where
+        L: Fn(
+                usize,
+                usize,
+                &DeviceAppendBuffer<NeighborPair>,
+            ) -> Option<Result<KernelReport, DeviceError>>
+            + Sync,
+    {
+        let n_buffers = self.n_buffers(&plan);
+        let alloc = |items: usize| -> Result<_, DeviceError> {
+            let pinned: Vec<PinnedBuffer<NeighborPair>> = (0..n_buffers)
+                .map(|_| PinnedBuffer::new(&self.device, items))
+                .collect();
+            let dev: Vec<DeviceAppendBuffer<NeighborPair>> = (0..n_buffers)
+                .map(|_| DeviceAppendBuffer::new(&self.device, items))
+                .collect::<Result<_, _>>()?;
+            Ok((pinned, dev))
+        };
+        let (mut pinned, mut dev_buffers) = alloc(plan.buffer_items)?;
         let pinned_alloc_time: SimDuration = pinned.iter().map(|p| p.alloc_time()).sum();
 
-        // Device result buffers, one per stream, reused across batches.
-        let mut dev_buffers: Vec<DeviceAppendBuffer<NeighborPair>> = (0..n_buffers)
-            .map(|_| DeviceAppendBuffer::new(&self.device, plan.buffer_items))
-            .collect::<Result<_, _>>()?;
-
-        // Execute batches, replanning from the exact counted |R| on
-        // overflow.
-        let batch_span = rec.map(|r| r.span("batch_loop", "host"));
-        let mut pinned = pinned;
-        let mut attempt_plan = plan;
+        let span = self.span("batch_loop");
         let mut retries = 0;
         let mut discarded_batches = 0usize;
         let mut discarded_pairs = 0usize;
         let (builder, chains, profile, per_batch_pairs) = loop {
-            match self.run_batches(
-                &store,
-                search,
-                eps,
-                &attempt_plan,
-                shared_batches.as_deref(),
-                &mut dev_buffers,
-                &mut pinned,
-            )? {
+            match self.run_batches(n, eps, &plan, &launch, &mut dev_buffers, &mut pinned)? {
                 BatchPass::Complete(out) => break out,
                 BatchPass::Overflowed {
                     required_total,
@@ -718,10 +1069,10 @@ impl HybridDbscan {
                     retries += 1;
                     discarded_batches += batches;
                     discarded_pairs += produced_pairs;
-                    if retries > cfg.max_retries {
+                    if retries > self.config.max_retries {
                         return Err(HybridError::RetriesExhausted { attempts: retries });
                     }
-                    if attempt_plan.n_batches < sorted.len() {
+                    if plan.n_batches < n {
                         // The failed pass counted every append attempt,
                         // so |R| is known exactly: apply Equation 1 to
                         // the true total with a small safety margin.
@@ -730,49 +1081,61 @@ impl HybridDbscan {
                         // executed n_b monotone in the configured α.
                         // Per-batch skew can still defeat the uniform-
                         // batch assumption; fall back to doubling then.
-                        let margin = attempt_plan.effective_alpha.max(cfg.batch.alpha).max(0.05);
-                        let replanned = attempt_plan.replan_for_total(required_total, margin);
-                        attempt_plan = if replanned.n_batches > attempt_plan.n_batches {
+                        let margin = plan.effective_alpha.max(self.config.batch.alpha).max(0.05);
+                        let replanned = plan.replan_for_total(required_total, margin);
+                        plan = if replanned.n_batches > plan.n_batches {
                             replanned
                         } else {
-                            attempt_plan.with_doubled_batches()
+                            plan.with_doubled_batches()
                         };
                         // More batches than points is pure overhead.
-                        attempt_plan.n_batches = attempt_plan.n_batches.min(sorted.len());
+                        plan.n_batches = plan.n_batches.min(n);
                     } else {
                         // Already one point per batch and still
                         // overflowing: the buffer is smaller than a
                         // single ε-neighborhood, and no batch split can
                         // fix that. Grow the buffers to the exact
                         // largest requirement — deterministic success
-                        // on the next pass, where the old blind
-                        // doubling could under-size and overflow again.
-                        attempt_plan.buffer_items =
-                            attempt_plan.buffer_items.max(max_required).max(1);
-                        dev_buffers = (0..n_buffers)
-                            .map(|_| {
-                                DeviceAppendBuffer::new(&self.device, attempt_plan.buffer_items)
-                            })
-                            .collect::<Result<_, _>>()?;
-                        pinned = (0..n_buffers)
-                            .map(|_| PinnedBuffer::new(&self.device, attempt_plan.buffer_items))
-                            .collect();
+                        // on the next pass.
+                        plan.buffer_items = plan.buffer_items.max(max_required).max(1);
+                        (pinned, dev_buffers) = alloc(plan.buffer_items)?;
                     }
                 }
             }
         };
-        if let Some(mut s) = batch_span {
-            s.arg("n_batches", attempt_plan.n_batches)
-                .arg("retries", retries);
+        if let Some(mut s) = span {
+            s.arg("n_batches", plan.n_batches).arg("retries", retries);
         }
-        let total_pairs: usize = per_batch_pairs.iter().sum();
+        Ok(Executed {
+            plan,
+            builder,
+            chains,
+            profile,
+            per_batch_pairs,
+            pinned_alloc_time,
+            retries,
+            discarded_batches,
+            discarded_pairs,
+        })
+    }
 
-        // Modeled GPU-phase time: serial preamble (uploads, estimation,
-        // pinned allocation) + the overlapped 3-stream batch schedule.
-        let mut timeline = Timeline::new(cfg.host_lanes.max(1));
-        let schedule = schedule_chains(&mut timeline, &chains, cfg.batch.n_streams);
+    /// Finalize stage: replay the batch chains through the 3-stream
+    /// scheduler for the modeled GPU-phase time (serial preamble —
+    /// uploads, estimation, pinned allocation — plus the overlapped batch
+    /// makespan), finalize `T`, record telemetry, and close the build.
+    fn finalize(
+        &self,
+        scope: BuildScope<'_>,
+        perm: SortPermutation,
+        decision: BackendDecision,
+        upload_time: SimDuration,
+        est: Estimate,
+        ex: Executed,
+    ) -> TableHandle {
+        let mut timeline = Timeline::new(HOST_LANES);
+        let schedule = schedule_chains(&mut timeline, &ex.chains, self.config.batch.n_streams);
         let sum_label = |label: &str| -> SimDuration {
-            chains
+            ex.chains
                 .iter()
                 .flatten()
                 .filter(|op| op.label == label)
@@ -780,9 +1143,9 @@ impl HybridDbscan {
                 .sum()
         };
         let breakdown = GpuPhaseBreakdown {
-            upload_time: up_d + up_index,
-            estimation_time: est_report.duration,
-            pinned_alloc_time,
+            upload_time,
+            estimation_time: est.report.duration,
+            pinned_alloc_time: ex.pinned_alloc_time,
             batch_schedule_time: schedule.makespan,
             kernel_time: sum_label("kernel"),
             sort_time: sum_label("sort"),
@@ -790,87 +1153,51 @@ impl HybridDbscan {
             ingest_time: sum_label("ingest"),
         };
         let modeled_time =
-            up_d + up_index + est_report.duration + pinned_alloc_time + schedule.makespan;
-
-        let table = builder.finalize();
-        let mut kernel_profile = profile;
-        if let Some(r) = rec {
-            self.record_gpu_phase(
-                r,
-                &schedule,
-                &breakdown,
-                &est_report,
-                &kernel_profile,
-                &attempt_plan,
-                &per_batch_pairs,
-                &decision,
-                e_b,
-                retries,
-                discarded_batches,
-                discarded_pairs,
-            );
-        }
-        kernel_profile.record(&est_report);
-
-        let gpu = GpuPhaseReport {
+            upload_time + est.report.duration + ex.pinned_alloc_time + schedule.makespan;
+        let table = ex.builder.finalize();
+        let mut gpu = GpuPhaseReport {
             modeled_time,
-            wall_time: wall_start.elapsed(),
-            plan: attempt_plan,
-            n_batches: attempt_plan.n_batches,
-            result_pairs: total_pairs,
-            per_batch_pairs,
-            kernel_profile,
-            e_b,
+            wall_time: std::time::Duration::ZERO,
+            plan: ex.plan,
+            n_batches: ex.plan.n_batches,
+            result_pairs: ex.per_batch_pairs.iter().sum(),
+            per_batch_pairs: ex.per_batch_pairs,
+            kernel_profile: ex.profile,
+            e_b: est.e_b,
             backend: decision,
-            retries,
-            discarded_batches,
-            discarded_pairs,
+            retries: ex.retries,
+            discarded_batches: ex.discarded_batches,
+            discarded_pairs: ex.discarded_pairs,
             breakdown,
             schedule,
         };
-        if let Some(s) = table_span.as_mut() {
+        if let Some(r) = self.recorder.as_deref() {
+            self.record_gpu_phase(r, &gpu, &est.report);
+        }
+        gpu.kernel_profile.record(&est.report);
+        gpu.wall_time = scope.wall_start.elapsed();
+        if let Some(mut s) = scope.span {
             s.arg("backend", decision.chosen.name());
             s.arg("modeled_ms", format!("{:.3}", modeled_time.as_millis()));
             s.set_sim(SimTime::ZERO, modeled_time);
         }
-        drop(table_span);
-        // visit_order[original id] = sorted position.
-        let perm_slice = perm.as_slice();
-        let mut visit_order = vec![0u32; perm_slice.len()];
-        for (k, &orig) in perm_slice.iter().enumerate() {
-            visit_order[orig as usize] = k as u32;
-        }
-        Ok(TableHandle {
+        let perm = perm.as_slice().to_vec();
+        TableHandle {
             table,
-            perm: perm_slice.to_vec(),
-            visit_order,
+            visit_order: visit_order(&perm),
+            perm,
             gpu,
-        })
+        }
     }
 
     /// Record the GPU phase into an [`obs::Recorder`]: the device-timeline
     /// track (preamble + overlapped batch schedule, same labels as
     /// [`gpu_sim::stream::Schedule::render_gantt`]) and the batching /
-    /// kernel metrics.
-    #[allow(clippy::too_many_arguments)]
-    fn record_gpu_phase(
-        &self,
-        r: &Recorder,
-        schedule: &gpu_sim::stream::Schedule,
-        breakdown: &GpuPhaseBreakdown,
-        est_report: &gpu_sim::KernelReport,
-        batch_profile: &KernelProfile,
-        plan: &BatchPlan,
-        per_batch_pairs: &[usize],
-        decision: &BackendDecision,
-        e_b: u64,
-        retries: usize,
-        discarded_batches: usize,
-        discarded_pairs: usize,
-    ) {
+    /// kernel metrics. `gpu.kernel_profile` holds the batch kernels only.
+    fn record_gpu_phase(&self, r: &Recorder, gpu: &GpuPhaseReport, est_report: &KernelReport) {
         // Device track: the serial preamble occupies its engines back to
         // back, then the batch schedule replays shifted past it.
-        let dev = self.trace_device;
+        let (dev, breakdown, schedule) = (self.trace_device, &gpu.breakdown, &gpu.schedule);
         let mut t = SimTime::ZERO;
         r.record_device_op_on(dev, Engine::H2D, "upload", 0, 0, t, breakdown.upload_time);
         t = t + breakdown.upload_time;
@@ -898,17 +1225,16 @@ impl HybridDbscan {
 
         // Batching-scheme telemetry: how good was the estimate, and how
         // much of the overestimated buffers did the batches actually use?
-        let m = r.metrics();
-        let actual: usize = per_batch_pairs.iter().sum();
-        m.counter_add("batch.e_b", e_b);
+        let (m, plan, actual) = (r.metrics(), &gpu.plan, gpu.result_pairs);
+        m.counter_add("batch.e_b", gpu.e_b);
         m.gauge_set(
             "estimation.sample_fraction",
             self.config.batch.sample_fraction,
         );
-        m.counter_add("batch.batches_run", per_batch_pairs.len() as u64);
-        m.counter_add("batch.retries", retries as u64);
-        m.counter_add("batch.discarded_batches", discarded_batches as u64);
-        m.counter_add("batch.discarded_pairs", discarded_pairs as u64);
+        m.counter_add("batch.batches_run", gpu.per_batch_pairs.len() as u64);
+        m.counter_add("batch.retries", gpu.retries as u64);
+        m.counter_add("batch.discarded_batches", gpu.discarded_batches as u64);
+        m.counter_add("batch.discarded_pairs", gpu.discarded_pairs as u64);
         m.counter_add("batch.result_pairs", actual as u64);
         m.gauge_set("batch.estimated_total", plan.estimated_total as f64);
         m.gauge_set("batch.overestimation_factor", 1.0 + plan.effective_alpha);
@@ -918,9 +1244,9 @@ impl HybridDbscan {
                 actual as f64 / plan.estimated_total as f64,
             );
         }
-        let capacity = (plan.buffer_items * per_batch_pairs.len()).max(1);
+        let capacity = (plan.buffer_items * gpu.per_batch_pairs.len()).max(1);
         m.gauge_set("batch.buffer_utilization", actual as f64 / capacity as f64);
-        for &pairs in per_batch_pairs {
+        for &pairs in &gpu.per_batch_pairs {
             m.observe("batch.pairs", pairs as f64);
             m.observe(
                 "batch.fill_fraction",
@@ -930,6 +1256,7 @@ impl HybridDbscan {
 
         // Backend-selection telemetry: what ran and what the sampled
         // statistics said (zeros when the decision didn't need stats).
+        let decision = &gpu.backend;
         m.counter_add(
             match decision.chosen {
                 ChosenBackend::Grid => "backend.grid_runs",
@@ -947,7 +1274,7 @@ impl HybridDbscan {
             (ChosenBackend::Grid, KernelChoice::Global) => "gpucalc_global",
             (ChosenBackend::Grid, KernelChoice::Shared) => "gpucalc_shared",
         };
-        obs::bench::record_kernel_profile(m, kernel_name, batch_profile);
+        obs::bench::record_kernel_profile(m, kernel_name, &gpu.kernel_profile);
         m.counter_add("kernel.estimation.launches", 1);
         m.gauge_set("kernel.estimation.occupancy", est_report.occupancy);
         let est_secs = est_report.duration.as_secs();
@@ -997,26 +1324,31 @@ impl HybridDbscan {
     /// yields bit-identical tables, profiles, and `modeled_time` at every
     /// thread count, including 1 (where the workers simply run one after
     /// another).
-    #[allow(clippy::too_many_arguments)]
-    fn run_batches(
+    fn run_batches<L>(
         &self,
-        store: &PointStore,
-        search: SearchView<'_>,
+        n: usize,
         eps: f64,
         plan: &BatchPlan,
-        shared_batches: Option<&[Vec<u32>]>,
+        launch: &L,
         dev_buffers: &mut [DeviceAppendBuffer<NeighborPair>],
         pinned: &mut [PinnedBuffer<NeighborPair>],
-    ) -> Result<BatchPass, HybridError> {
-        let cfg = &self.config;
-        let n_b = shared_batches.map_or(plan.n_batches, |b| b.len().max(1));
+    ) -> Result<BatchPass, HybridError>
+    where
+        L: Fn(
+                usize,
+                usize,
+                &DeviceAppendBuffer<NeighborPair>,
+            ) -> Option<Result<KernelReport, DeviceError>>
+            + Sync,
+    {
+        let n_b = plan.n_batches;
         let n_buffers = dev_buffers.len();
-        let builder = NeighborTableBuilder::new(eps, store.len(), n_b);
+        let builder = NeighborTableBuilder::new(eps, n, n_b);
 
         /// What one batch hands from its stream worker to the drain loop.
         struct BatchOutcome {
-            /// `None` marks an empty shared-kernel batch (no launch).
-            report: Option<gpu_sim::KernelReport>,
+            /// `None` marks an empty batch (no launch).
+            report: Option<KernelReport>,
             sort_time: SimDuration,
             d2h_time: SimDuration,
             staged_len: usize,
@@ -1042,77 +1374,9 @@ impl HybridDbscan {
 
                 // Kernel launch (functional execution + modeled duration);
                 // the device's compute engine admits one kernel at a time.
-                let launched = match (search, cfg.kernel) {
-                    (SearchView::Tree { tree }, _) => {
-                        let kernel = GpuCalcTree {
-                            points: PointsViewN::from(store.view()),
-                            tree,
-                            eps,
-                            batch: l,
-                            n_batches: n_b,
-                            result: buf,
-                        };
-                        Some(
-                            self.device
-                                .launch(kernel.launch_config(cfg.block_dim), &kernel),
-                        )
-                    }
-                    (
-                        SearchView::Grid {
-                            cells,
-                            lookup,
-                            geom,
-                        },
-                        KernelChoice::Global,
-                    ) => {
-                        let kernel = GpuCalcGlobal {
-                            points: store.view(),
-                            grid: cells,
-                            lookup,
-                            geom,
-                            eps,
-                            batch: l,
-                            n_batches: n_b,
-                            result: buf,
-                            skip_dense_at: None,
-                        };
-                        Some(
-                            self.device
-                                .launch(kernel.launch_config(cfg.block_dim), &kernel),
-                        )
-                    }
-                    (
-                        SearchView::Grid {
-                            cells,
-                            lookup,
-                            geom,
-                        },
-                        KernelChoice::Shared,
-                    ) => {
-                        let batch_cells: &[u32] =
-                            &shared_batches.expect("shared kernel requires a cell packing")[l];
-                        if batch_cells.is_empty() {
-                            None
-                        } else {
-                            let kernel = GpuCalcShared {
-                                points: store.view(),
-                                grid: cells,
-                                lookup,
-                                geom,
-                                eps,
-                                schedule: batch_cells,
-                                result: buf,
-                            };
-                            Some(
-                                self.device
-                                    .launch(kernel.launch_config(cfg.block_dim), &kernel),
-                            )
-                        }
-                    }
-                };
-                let report = match launched {
+                let report = match launch(l, n_b, buf) {
                     None => {
-                        // Empty shared batch: no launch, empty chain.
+                        // Empty batch: no launch, empty chain.
                         *outcomes[l].lock() = Some(BatchOutcome {
                             report: None,
                             sort_time: SimDuration::ZERO,
@@ -1271,7 +1535,7 @@ impl HybridDbscan {
                         OpSpec::new(Engine::Compute, out.sort_time, "sort"),
                         OpSpec::new(Engine::D2H, out.d2h_time, "d2h"),
                         OpSpec::new(
-                            Engine::Host(chains.len() % cfg.host_lanes.max(1)),
+                            Engine::Host(chains.len() % HOST_LANES),
                             ingest_time,
                             "ingest",
                         ),
@@ -1474,40 +1738,44 @@ mod tests {
         assert!(r.clustering.equivalent_to(&direct));
     }
 
-    #[test]
-    fn executed_batches_monotone_entering_retry_free_region() {
-        // Regression for the α-sweep anomaly: a retry at a small α used
-        // to *double* n_b, making the executed batch count jump far above
-        // what a slightly larger (retry-free) α needs (the ablation
-        // showed 310 + retry at α=0.00 vs 162 at α=0.05). With the exact
-        // replan, the executed n_b must be non-increasing until the sweep
-        // enters the retry-free region (beyond that it legitimately grows
-        // with α, since buffers are fixed and Equation 1 scales with it).
-        //
-        // Calibration (all deterministic): |R| = 33,314 at eps 0.35, so
-        // with b_b = 980 the α=0.00 plan of 34 batches has a max fill of
-        // 985 (0.5% skew vs 0.02% headroom — overflow), while every
-        // α ≥ 0.01 plan fits. The replan executes ceil(1.05·|R|/980) =
-        // 36 batches; the old doubling executed 68.
-        let data = gradient_line_points(4000);
-        let device = Device::k20c();
-        let mut executed: Vec<(f64, usize, usize)> = Vec::new();
-        for alpha in [0.0, 0.01, 0.05, 0.2, 0.5] {
-            let cfg = HybridConfig {
-                batch: BatchConfig {
-                    alpha,
-                    sample_fraction: 1.0, // exact estimate: a_b = |R|
-                    static_threshold: 0,
-                    static_buffer_items: 980,
-                    n_streams: 3,
-                },
-                max_retries: 8,
-                ..HybridConfig::default()
-            };
-            let hybrid = HybridDbscan::new(&device, cfg);
-            let r = hybrid.run(&data, 0.35, 4).unwrap();
-            executed.push((alpha, r.gpu.retries, r.gpu.n_batches));
+    /// A `side³` unit lattice whose middle third along x is compressed
+    /// to spacing 0.7 — the 3-D analogue of [`gradient_line_points`].
+    fn gradient_lattice_points(side: usize) -> Vec<spatial::PointN<3>> {
+        let mut points = Vec::with_capacity(side * side * side);
+        for y in 0..side {
+            for z in 0..side {
+                let mut x = 0.0f64;
+                for k in 0..side {
+                    x += if (side / 3..2 * side / 3).contains(&k) {
+                        0.7
+                    } else {
+                        1.0
+                    };
+                    points.push(spatial::PointN::new([x, y as f64, z as f64]));
+                }
+            }
         }
+        points
+    }
+
+    /// The α-sweep static buffers: exact estimate (`a_b = |R|`), fixed
+    /// `b_b`, so Equation 1 alone sets `n_b`.
+    fn sweep_batch_config(alpha: f64, buffer_items: usize) -> BatchConfig {
+        BatchConfig {
+            alpha,
+            sample_fraction: 1.0,
+            static_threshold: 0,
+            static_buffer_items: buffer_items,
+            n_streams: 3,
+        }
+    }
+
+    /// Check an α sweep of `(α, retries, executed n_b)`: the executed
+    /// n_b must be non-increasing until the sweep enters the retry-free
+    /// region (beyond that it legitimately grows with α, since buffers
+    /// are fixed and Equation 1 scales with it), and no retried α may
+    /// overshoot the first retry-free count by power-of-two doubling.
+    fn assert_monotone_alpha_sweep(executed: &[(f64, usize, usize)]) {
         assert!(
             executed.iter().any(|&(_, retries, _)| retries > 0),
             "sweep must exercise the retry path: {executed:?}"
@@ -1523,8 +1791,8 @@ mod tests {
                  retry-free region: {executed:?}"
             );
         }
-        // No power-of-two overshoot: a retried α may not execute more
-        // than ~25% above the first retry-free batch count.
+        // A retried α may not execute more than ~25% above the first
+        // retry-free batch count.
         let baseline = executed[first_retry_free].2 as f64;
         for &(alpha, retries, n) in &executed[..first_retry_free] {
             assert!(
@@ -1532,6 +1800,35 @@ mod tests {
                 "α={alpha}: executed {n} vs retry-free {baseline}: {executed:?}"
             );
         }
+    }
+
+    #[test]
+    fn executed_batches_monotone_entering_retry_free_region() {
+        // Regression for the α-sweep anomaly: a retry at a small α used
+        // to *double* n_b, making the executed batch count jump far above
+        // what a slightly larger (retry-free) α needs (the ablation
+        // showed 310 + retry at α=0.00 vs 162 at α=0.05). With the exact
+        // replan the sweep stays monotone into the retry-free region.
+        //
+        // Calibration (all deterministic): |R| = 33,314 at eps 0.35, so
+        // with b_b = 980 the α=0.00 plan of 34 batches has a max fill of
+        // 985 (0.5% skew vs 0.02% headroom — overflow), while every
+        // α ≥ 0.01 plan fits. The replan executes ceil(1.05·|R|/980) =
+        // 36 batches; the old doubling executed 68.
+        let data = gradient_line_points(4000);
+        let device = Device::k20c();
+        let mut executed: Vec<(f64, usize, usize)> = Vec::new();
+        for alpha in [0.0, 0.01, 0.05, 0.2, 0.5] {
+            let cfg = HybridConfig {
+                batch: sweep_batch_config(alpha, 980),
+                max_retries: 8,
+                ..HybridConfig::default()
+            };
+            let hybrid = HybridDbscan::new(&device, cfg);
+            let r = hybrid.run(&data, 0.35, 4).unwrap();
+            executed.push((alpha, r.gpu.retries, r.gpu.n_batches));
+        }
+        assert_monotone_alpha_sweep(&executed);
         // Pin the executed sweep shape (deterministic pipeline).
         let shape: Vec<(usize, usize)> = executed.iter().map(|&(_, r, n)| (r, n)).collect();
         assert_eq!(
@@ -1539,6 +1836,96 @@ mod tests {
             vec![(1, 36), (0, 35), (0, 36), (0, 41), (0, 51)],
             "{executed:?}"
         );
+
+        // The same sweep in 3-D through `build_table_nd`, which shares
+        // the execute stage. |R| = 29,520 at eps 1.5: with b_b = 1000
+        // the α ≤ 0.01 plans of 30 batches overflow and replan to
+        // ceil(1.05·|R|/1000) = 31, the first retry-free plan (α = 0.05)
+        // also runs 31; doubling would have run 60. A retry always ends
+        // above the Equation 1 count, which is how it is detected here.
+        let data = gradient_lattice_points(12);
+        let mut executed: Vec<(f64, usize, usize)> = Vec::new();
+        for alpha in [0.0, 0.01, 0.05, 0.2, 0.5] {
+            let cfg = sweep_batch_config(alpha, 1000);
+            let h = crate::nd::build_table_nd(&device, &data, 1.5, IndexBackend::Grid, &cfg, 256)
+                .unwrap();
+            let retried = h.n_batches > cfg.plan(h.e_b, data.len()).n_batches;
+            executed.push((alpha, retried as usize, h.n_batches));
+        }
+        assert_monotone_alpha_sweep(&executed);
+        let shape: Vec<(usize, usize)> = executed.iter().map(|&(_, r, n)| (r, n)).collect();
+        assert_eq!(
+            shape,
+            vec![(1, 31), (1, 31), (0, 31), (0, 36), (0, 45)],
+            "{executed:?}"
+        );
+    }
+
+    /// Build a 2-D and a 3-D table from the same `(x, y)` points (z = 0)
+    /// and return both errors; both builds must fail.
+    fn invalid_in_2d_and_3d(points: &[(f64, f64)], eps: f64) -> [HybridError; 2] {
+        let device = Device::k20c();
+        let d2: Vec<Point2> = points.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        let d3: Vec<spatial::PointN<3>> = points
+            .iter()
+            .map(|&(x, y)| spatial::PointN::new([x, y, 0.0]))
+            .collect();
+        let e2 = HybridDbscan::new(&device, HybridConfig::default())
+            .build_table(&d2, eps)
+            .err()
+            .expect("2-D build must fail");
+        let e3 = crate::nd::build_table_nd(
+            &device,
+            &d3,
+            eps,
+            IndexBackend::Auto,
+            &BatchConfig::default(),
+            256,
+        )
+        .err()
+        .expect("3-D build must fail");
+        assert_eq!(device.used_bytes(), 0, "nothing may stay uploaded");
+        [e2, e3]
+    }
+
+    fn assert_invalid_input(errors: [HybridError; 2], needle: &str) {
+        for e in errors {
+            assert!(
+                matches!(&e, HybridError::InvalidInput(why) if why.contains(needle)),
+                "expected InvalidInput({needle}..), got {e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_input_is_a_typed_error() {
+        assert_invalid_input(invalid_in_2d_and_3d(&[], 1.0), "empty");
+    }
+
+    #[test]
+    fn bad_eps_is_a_typed_error() {
+        let points = [(0.0, 0.0), (1.0, 1.0)];
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_invalid_input(invalid_in_2d_and_3d(&points, eps), "eps");
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinate_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let points = [(0.0, 0.0), (1.0, 1.0), (2.0, bad), (3.0, 3.0)];
+            assert_invalid_input(invalid_in_2d_and_3d(&points, 1.0), "point 2");
+        }
+    }
+
+    #[test]
+    fn point_count_beyond_u32_ids_is_a_typed_error() {
+        // Checked before any coordinate is read, so the iterators below
+        // are never walked.
+        let n = u32::MAX as usize + 1;
+        let e2 = validate_input(1.0, (0..n).map(|_| [0.0; 2]));
+        let e3 = validate_input(1.0, (0..n).map(|_| [0.0; 3]));
+        assert_invalid_input([e2.unwrap_err(), e3.unwrap_err()], "u32");
     }
 
     #[test]

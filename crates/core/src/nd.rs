@@ -1,39 +1,20 @@
 //! Dimension-generic neighbor-table construction (d > 2).
 //!
-//! The same shape as [`crate::hybrid::HybridDbscan::build_table`] —
-//! spatial pre-sort, backend selection, H2D uploads, exact result-size
-//! estimation, Equation 1 batch plan, per-batch kernel → canonical sort →
-//! D2H → ingest — generalized over the const dimension `D` with the
-//! [`crate::kernels::GpuCalcGridNd`] / [`crate::kernels::GpuCalcTree`]
-//! kernel pair. The 2-D pipeline keeps its own path (it carries the
-//! shared-memory kernel, stream pipelining, and the full provenance
-//! surface); this one is the measurement and differential harness for
-//! d ∈ {3, 4}, where the backend contest actually changes winners.
-//!
-//! Batches run serially here, so the modeled GPU-phase time is the
-//! *serial* sum of the chain (no 3-stream overlap). Both backends are
-//! measured under the same model, which is what the backend ablation
-//! compares. Determinism: everything is a pure function of the input —
-//! the pre-sort is a total order, kernels and the device sort are exact,
-//! and no wall-clock measurement enters `modeled_time`.
+//! The public N-D entry points over [`HybridDbscan::build_table_nd`],
+//! the `D`-specific front half (pre-sort, backend selection, host index,
+//! upload and estimation over `PointN<D>`) of the one stage pipeline in
+//! [`crate::hybrid`]. N-D builds therefore share the 2-D plan, the
+//! stream-pipelined batches with exact-|R| replanning on overflow, and
+//! the overlapped 3-stream modeled time.
 
-use crate::backend::{select_backend_nd, BackendDecision, ChosenBackend, IndexBackend};
+use crate::backend::{BackendDecision, IndexBackend};
 use crate::batch::BatchConfig;
-use crate::dbscan::{Clustering, Dbscan, TableSource};
-use crate::hybrid::{ingest_time_model, HybridError};
-use crate::kernels::{
-    GpuCalcGridNd, GpuCalcTree, GridNdCountKernel, NeighborPair, TreeCountKernel,
-};
-use crate::table::{NeighborTable, NeighborTableBuilder};
+use crate::dbscan::Clustering;
+use crate::hybrid::{cluster_sorted_table, HybridConfig, HybridDbscan, HybridError};
+use crate::table::NeighborTable;
 use gpu_sim::device::Device;
-use gpu_sim::error::DeviceError;
-use gpu_sim::hostmem::PinnedBuffer;
-use gpu_sim::memory::{DeviceAppendBuffer, DeviceBuffer, DeviceCounter};
-use gpu_sim::thrust;
 use gpu_sim::time::SimDuration;
-use spatial::grid::CellRange;
-use spatial::nd::{apply_permutation_nd, spatial_sort_permutation_nd};
-use spatial::{CellsViewN, GridGeometryN, GridIndexN, PackedKdTree, PointN, PointStoreN};
+use spatial::PointN;
 
 /// The finished `D`-dimensional table plus the facts the bench and
 /// differential layers consume.
@@ -42,67 +23,20 @@ pub struct NdTableHandle {
     /// `perm[k]` = original id at sorted position `k`; table ids are in
     /// sorted order.
     pub perm: Vec<u32>,
+    /// `visit_order[i]` = sorted position of original id `i`.
+    pub visit_order: Vec<u32>,
     pub backend: BackendDecision,
     pub e_b: u64,
     pub n_batches: usize,
     pub result_pairs: usize,
-    /// Serial modeled GPU-phase time: uploads + estimation + Σ per batch
-    /// (kernel + sort + D2H + ingest).
+    /// Modeled GPU-phase time: uploads + estimation + pinned allocation +
+    /// the overlapped 3-stream batch schedule.
     pub modeled_time: SimDuration,
 }
 
-/// Device-resident sparse ND grid `(keys, ranges, A)`.
-struct NdGridBuffers {
-    keys: DeviceBuffer<u64>,
-    ranges: DeviceBuffer<CellRange>,
-    lookup: DeviceBuffer<u32>,
-}
-
-impl NdGridBuffers {
-    fn cells(&self) -> CellsViewN<'_> {
-        CellsViewN {
-            keys: self.keys.as_slice(),
-            ranges: self.ranges.as_slice(),
-        }
-    }
-}
-
-/// Device-resident packed kd node pool (the ND twin of the 2-D
-/// `TreeBuffers` in `hybrid`).
-struct NdTreeBuffers {
-    splits: DeviceBuffer<f64>,
-    axes: DeviceBuffer<u32>,
-    ranges: DeviceBuffer<CellRange>,
-    ids: DeviceBuffer<u32>,
-}
-
-impl NdTreeBuffers {
-    fn view(&self) -> spatial::TreeView<'_> {
-        spatial::TreeView {
-            splits: self.splits.as_slice(),
-            axes: self.axes.as_slice(),
-            ranges: self.ranges.as_slice(),
-            ids: self.ids.as_slice(),
-        }
-    }
-}
-
-/// The uploaded search structure the batch loop dispatches on.
-enum NdSearch<const D: usize> {
-    Grid {
-        geom: GridGeometryN<D>,
-        bufs: NdGridBuffers,
-    },
-    Tree {
-        bufs: NdTreeBuffers,
-    },
-}
-
 /// Build the ε-neighbor table for `D`-dimensional `data` on the simulated
-/// device, with the configured index backend. Identical tables for every
-/// backend: both kernels enumerate the exact closed ε-ball with the same
-/// rounding order, the count kernels make `e_b` (hence the plan) equal,
-/// and the canonical device sort erases append-order differences.
+/// device with the `requested` index backend; every backend yields the
+/// same table (see [`HybridDbscan::build_table_nd`]).
 pub fn build_table_nd<const D: usize>(
     device: &Device,
     data: &[PointN<D>],
@@ -111,193 +45,38 @@ pub fn build_table_nd<const D: usize>(
     batch_cfg: &BatchConfig,
     block_dim: u32,
 ) -> Result<NdTableHandle, HybridError> {
-    assert!(!data.is_empty(), "cannot cluster an empty database");
-    assert!(
-        eps > 0.0 && eps.is_finite(),
-        "eps must be positive and finite"
-    );
-    let perm = spatial_sort_permutation_nd(data);
-    let sorted = apply_permutation_nd(&perm, data);
-    let n = sorted.len();
-
-    let decision = select_backend_nd(requested, &sorted, eps);
-    let store = PointStoreN::from_points(&sorted);
-
-    // H2D uploads: D plus the chosen index's arrays.
-    let (_d_buf, up_d) = DeviceBuffer::from_host(device, &sorted, false)?;
-    let (search, up_index) = match decision.chosen {
-        ChosenBackend::Grid => {
-            let grid = GridIndexN::<D>::build(&sorted, eps);
-            let cells = grid.cells();
-            let (keys, t0) = DeviceBuffer::from_host(device, cells.keys, false)?;
-            let (ranges, t1) = DeviceBuffer::from_host(device, cells.ranges, false)?;
-            let (lookup, t2) = DeviceBuffer::from_host(device, grid.lookup(), false)?;
-            (
-                NdSearch::Grid {
-                    geom: *grid.geometry(),
-                    bufs: NdGridBuffers {
-                        keys,
-                        ranges,
-                        lookup,
-                    },
-                },
-                t0 + t1 + t2,
-            )
-        }
-        ChosenBackend::Tree => {
-            let tree = PackedKdTree::<D>::build(store.view());
-            let v = tree.view();
-            let (splits, t0) = DeviceBuffer::from_host(device, v.splits, false)?;
-            let (axes, t1) = DeviceBuffer::from_host(device, v.axes, false)?;
-            let (ranges, t2) = DeviceBuffer::from_host(device, v.ranges, false)?;
-            let (ids, t3) = DeviceBuffer::from_host(device, v.ids, false)?;
-            (
-                NdSearch::Tree {
-                    bufs: NdTreeBuffers {
-                        splits,
-                        axes,
-                        ranges,
-                        ids,
-                    },
-                },
-                t0 + t1 + t2 + t3,
-            )
-        }
+    let config = HybridConfig {
+        backend: requested,
+        block_dim,
+        batch: *batch_cfg,
+        ..HybridConfig::default()
     };
-
-    // Exact-at-stride result-size estimation; e_b is backend-independent.
-    let counter = DeviceCounter::new(device)?;
-    let stride = batch_cfg.stride_for(n);
-    let est_report = match &search {
-        NdSearch::Grid { geom, bufs } => {
-            let kernel = GridNdCountKernel {
-                points: store.view(),
-                cells: bufs.cells(),
-                lookup: bufs.lookup.as_slice(),
-                geom: *geom,
-                eps,
-                stride,
-                counter: &counter,
-            };
-            device.launch(kernel.launch_config(block_dim), &kernel)?
-        }
-        NdSearch::Tree { bufs } => {
-            let kernel = TreeCountKernel {
-                points: store.view(),
-                tree: bufs.view(),
-                eps,
-                stride,
-                counter: &counter,
-            };
-            device.launch(kernel.launch_config(block_dim), &kernel)?
-        }
-    };
-    let e_b = counter.get();
-    drop(counter);
-
-    // Batch plan, fitted to device memory with the same headroom rule as
-    // the 2-D pipeline.
-    let mut plan = batch_cfg.plan(e_b, n);
-    let headroom = device.available_bytes() / 10;
-    plan = plan
-        .fit_to_memory(
-            device.available_bytes().saturating_sub(headroom),
-            std::mem::size_of::<NeighborPair>(),
-            1,
-        )
-        .ok_or(DeviceError::OutOfMemory {
-            requested_bytes: std::mem::size_of::<NeighborPair>(),
-            available_bytes: device.available_bytes(),
-        })?;
-
-    // Serial batch loop with overflow recovery: double n_b (or grow the
-    // buffer once a batch is a single point) and rerun the pass.
-    let max_retries = 4usize;
-    let mut retries = 0usize;
-    'attempt: loop {
-        let mut buf = DeviceAppendBuffer::<NeighborPair>::new(device, plan.buffer_items)?;
-        let mut stage = PinnedBuffer::<NeighborPair>::new(device, plan.buffer_items);
-        let builder = NeighborTableBuilder::new(eps, n, plan.n_batches);
-        let mut batch_time = SimDuration::ZERO;
-        let mut result_pairs = 0usize;
-        for l in 0..plan.n_batches {
-            buf.reset();
-            let report = match &search {
-                NdSearch::Grid { geom, bufs } => {
-                    let kernel = GpuCalcGridNd {
-                        points: store.view(),
-                        cells: bufs.cells(),
-                        lookup: bufs.lookup.as_slice(),
-                        geom: *geom,
-                        eps,
-                        batch: l,
-                        n_batches: plan.n_batches,
-                        result: &buf,
-                    };
-                    device.launch(kernel.launch_config(block_dim), &kernel)?
-                }
-                NdSearch::Tree { bufs } => {
-                    let kernel = GpuCalcTree {
-                        points: store.view(),
-                        tree: bufs.view(),
-                        eps,
-                        batch: l,
-                        n_batches: plan.n_batches,
-                        result: &buf,
-                    };
-                    device.launch(kernel.launch_config(block_dim), &kernel)?
-                }
-            };
-            if buf.overflowed() {
-                retries += 1;
-                if retries > max_retries {
-                    return Err(HybridError::RetriesExhausted { attempts: retries });
-                }
-                if plan.n_batches < n {
-                    plan = plan.with_doubled_batches();
-                    plan.n_batches = plan.n_batches.min(n);
-                } else {
-                    plan.buffer_items = plan.buffer_items.max(buf.len() + buf.rejected()).max(1);
-                }
-                continue 'attempt;
-            }
-            let sort_time = thrust::sort_by_key(device, buf.as_filled_mut_slice());
-            let (staged_len, d2h_time) = buf.download_into(&mut stage);
-            builder.ingest_batch(l, &stage.as_slice()[..staged_len]);
-            result_pairs += staged_len;
-            batch_time =
-                batch_time + report.duration + sort_time + d2h_time + ingest_time_model(staged_len);
-        }
-        let modeled_time = up_d + up_index + est_report.duration + stage.alloc_time() + batch_time;
-        return Ok(NdTableHandle {
-            table: builder.finalize(),
-            perm: perm.as_slice().to_vec(),
-            backend: decision,
-            e_b,
-            n_batches: plan.n_batches,
-            result_pairs,
-            modeled_time,
-        });
-    }
+    let h = HybridDbscan::new(device, config).build_table_nd(data, eps)?;
+    Ok(NdTableHandle {
+        table: h.table,
+        perm: h.perm,
+        visit_order: h.visit_order,
+        backend: h.gpu.backend,
+        e_b: h.gpu.e_b,
+        n_batches: h.gpu.n_batches,
+        result_pairs: h.gpu.result_pairs,
+        modeled_time: h.gpu.modeled_time,
+    })
 }
 
 /// Host DBSCAN over an ND table, labels returned in caller order — the
-/// ND twin of [`crate::hybrid::HybridDbscan::cluster_with_table`].
+/// same walk as [`HybridDbscan::cluster_with_table`].
 pub fn cluster_table_nd(handle: &NdTableHandle, minpts: usize) -> Clustering {
-    let mut visit_order = vec![0u32; handle.perm.len()];
-    for (k, &orig) in handle.perm.iter().enumerate() {
-        visit_order[orig as usize] = k as u32;
-    }
-    Dbscan::new(minpts)
-        .run_with_order(&TableSource::new(&handle.table), Some(&visit_order))
-        .unpermute(&handle.perm)
+    cluster_sorted_table(&handle.table, &handle.perm, &handle.visit_order, minpts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::{clustering_fingerprint, table_fingerprint};
-    use spatial::nd::brute_force_neighbors_nd;
+    use spatial::nd::{
+        apply_permutation_nd, brute_force_neighbors_nd, spatial_sort_permutation_nd,
+    };
 
     fn nd_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
         (0..n)

@@ -18,9 +18,9 @@ pub struct Options {
     /// Restrict to these datasets (uppercase names); empty = defaults per
     /// experiment.
     pub datasets: Vec<String>,
-    /// Trials to average response times over (paper: 3).
+    /// Trials to average response times over (paper: 3); at least 1.
     pub trials: usize,
-    /// Untimed warmup runs before the timed trials (`bench` only).
+    /// Untimed warmup runs before the timed trials (measurement suite).
     pub warmup: usize,
     /// Baseline document to compare the benchmark suite against
     /// (`bench --compare <path>`; regressions are advisory unless
@@ -80,6 +80,9 @@ impl Options {
                 "--trials" => {
                     let v = args.get(i + 1).ok_or("--trials needs a value")?;
                     opts.trials = v.parse().map_err(|_| format!("bad trials '{v}'"))?;
+                    if opts.trials == 0 {
+                        return Err("--trials must be at least 1".into());
+                    }
                     i += 2;
                 }
                 "--warmup" => {
@@ -221,15 +224,21 @@ impl DatasetCache {
 
     /// Get (generating on first use) the named dataset.
     pub fn get(&mut self, name: &str) -> &Dataset {
-        let key = name.to_uppercase();
-        self.cache.entry(key.clone()).or_insert_with(|| {
-            let spec = spec::by_name(&key).unwrap_or_else(|| panic!("unknown dataset '{key}'"));
+        self.get_scaled(name, 1.0)
+    }
+
+    /// [`Self::get`] at `factor` × the cache's scale (capped at 1).
+    pub fn get_scaled(&mut self, name: &str, factor: f64) -> &Dataset {
+        let name = name.to_uppercase();
+        let scale = (self.scale * factor).min(1.0);
+        let key = format!("{name}@{scale}");
+        self.cache.entry(key).or_insert_with(|| {
+            let spec = spec::by_name(&name).unwrap_or_else(|| panic!("unknown dataset '{name}'"));
             eprintln!(
-                "# generating {key} at scale {} ({} points)…",
-                self.scale,
-                (spec.full_size as f64 * self.scale).round() as usize
+                "# generating {name} at scale {scale} ({} points)…",
+                (spec.full_size as f64 * scale).round() as usize
             );
-            spec.generate(self.scale)
+            spec.generate(scale)
         })
     }
 }
@@ -292,24 +301,31 @@ impl TextTable {
 
 impl Options {
     /// Write experiment rows as `<name>.csv` under `--csv`, if requested.
+    /// A failed write is reported; the table was already printed.
     pub fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
-        let Some(dir) = &self.csv_dir else { return };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("# csv: cannot create {}: {e}", dir.display());
+        if self.csv_dir.is_none() {
             return;
         }
-        let path = dir.join(format!("{name}.csv"));
-        let mut out = String::new();
-        out.push_str(&header.join(","));
-        out.push('\n');
+        let mut out = header.join(",") + "\n";
         for row in rows {
             out.push_str(&row.join(","));
             out.push('\n');
         }
-        match std::fs::write(&path, out) {
-            Ok(()) => eprintln!("# csv: wrote {}", path.display()),
-            Err(e) => eprintln!("# csv: cannot write {}: {e}", path.display()),
+        if let Err(e) = self.write_artifact(&format!("{name}.csv"), &out) {
+            eprintln!("# {e}");
         }
+    }
+
+    /// The one artifact writer: `name` under `--csv DIR` (created on
+    /// demand) or the working directory. The error names the path.
+    pub fn write_artifact(&self, name: &str, contents: &str) -> Result<PathBuf, String> {
+        let dir = self.csv_dir.clone().unwrap_or_else(|| PathBuf::from("."));
+        let path = dir.join(name);
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("# wrote {}", path.display());
+        Ok(path)
     }
 }
 
@@ -319,5 +335,41 @@ pub fn fmt_secs(s: f64) -> String {
         format!("{:.1} ms", s * 1e3)
     } else {
         format!("{s:.2} s")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_trials_is_a_usage_error() {
+        let err = parse(&["--trials", "0"]).unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
+        assert_eq!(parse(&["--trials", "3"]).unwrap().trials, 3);
+        assert_eq!(parse(&[]).unwrap().trials, 1);
+    }
+
+    #[test]
+    fn artifact_writer_creates_the_dir_and_reports_failures() {
+        let dir = std::env::temp_dir().join(format!("repro-common-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = Options {
+            csv_dir: Some(dir.join("nested")),
+            ..Options::default()
+        };
+        let path = opts.write_artifact("a.json", "{}").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
+        let opts = Options {
+            csv_dir: Some(path),
+            ..Options::default()
+        };
+        let err = opts.write_artifact("b.json", "{}").unwrap_err();
+        assert!(err.contains("cannot write"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

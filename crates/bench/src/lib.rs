@@ -6,21 +6,15 @@
 //! comparisons (EXPERIMENTS.md) can be regenerated with one command.
 
 pub mod ablations;
-pub mod backend_ablation;
 pub mod common;
 pub mod figure2;
 pub mod figure3;
 pub mod figure4;
 pub mod figure5;
 pub mod figure6;
-pub mod micro;
-pub mod profile;
-pub mod regress;
-pub mod report;
 pub mod scenarios;
 pub mod schedule;
-pub mod shard;
 pub mod stats;
+pub mod suite;
 pub mod table1;
 pub mod table2;
-pub mod threads;

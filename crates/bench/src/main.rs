@@ -13,17 +13,17 @@
 //!   figure5   response time vs threads with table reuse, S3
 //!   figure6   reuse speedup over per-variant reference, S3
 //!   schedule  Gantt chart of the overlapped 3-stream batch schedule
-//!   threads   host-pool scaling sweep on S1 (writes BENCH_threads.json)
-//!   shard     sharded-vs-unsharded fingerprint smoke (fatal on mismatch)
-//!   backend   grid/tree/auto ε-search ablation smoke (fatal on table
-//!             mismatch; auto-selector accuracy gated by BENCH_STRICT=1)
 //!   bench     continuous-benchmark suite with regression gating
 //!             (writes BENCH_suite.json; --compare <baseline.json>)
+//!   threads   host-pool scaling sweep on S1 (writes BENCH_threads.json)
 //!   profile   suite workloads under the pool profiler at 1/2/4/8
 //!             threads: serial fraction, Amdahl ceiling, per-worker
 //!             utilization, critical path (writes PROFILE.json)
+//!   shard     sharded-vs-unsharded fingerprint smoke
+//!             (writes SHARD_fingerprints.json)
+//!   backend   grid/tree/auto ε-search ablation smoke
 //!   report    cross-run trend report over the run ledger
-//!             (writes REPORT.html; TREND_STRICT=1 to gate)
+//!             (writes REPORT.html)
 //!   ablations bandwidth / stream-count / block-size / index / alpha / split
 //!   all       everything above in paper order
 //! ```
@@ -31,11 +31,15 @@
 //! `--scale` sizes the synthetic datasets (default 0.02 of the published
 //! sizes; the domain shrinks with sqrt(scale) so densities — and the
 //! published ε values — stay meaningful). `--quick` is `--scale 0.005`.
+//!
+//! `bench`, `threads`, `profile`, `shard` and `backend` are presets of one
+//! measurement suite ([`bench::suite`]); they and `report` share one gate,
+//! strict under `BENCH_STRICT=1`.
 
 use bench::common::Options;
+use bench::suite::presets;
 use bench::{
-    ablations, backend_ablation, figure2, figure3, figure4, figure5, figure6, profile, regress,
-    report, scenarios, schedule, shard, table1, table2, threads,
+    ablations, figure2, figure3, figure4, figure5, figure6, scenarios, schedule, table1, table2,
 };
 
 fn run_ablations(opts: &Options) {
@@ -62,7 +66,7 @@ fn main() {
     };
     if cmd == "--help" || cmd == "-h" || cmd == "help" {
         println!(
-            "repro <table1|table2|figure2|figure3|figure4|figure5|figure6|schedule|threads|shard|backend|bench|profile|report|ablations|all>\n      [--scale X] [--datasets A,B] [--trials N] [--warmup N] [--quick] [--csv DIR]\n      [--trace [FILE]] [--metrics [FILE]] [--compare BASELINE] [--ledger DIR]\n\n--trace writes a Chrome trace-event JSON (default trace.json; open with\nhttps://ui.perfetto.dev); --metrics writes a metrics snapshot JSON\n(default metrics.json). Instrumented experiments: table2, figure4,\nschedule, profile.\n\nthreads sweeps the rayon pool over {{1, 2, 4, all}} on the S1 workload and\nwrites BENCH_threads.json (set the process-wide default pool size with\nRAYON_NUM_THREADS).\n\nbench runs the fixed S1/S2/S3 benchmark suite (--warmup untimed runs,\nthen --trials timed trials per workload) and writes BENCH_suite.json\n(median/MAD/IQR per stage plus device counters). --compare BASELINE\nflags stages whose median regressed beyond the baseline's noise\nthreshold; advisory unless BENCH_STRICT=1. Baselines live under\nresults/baselines/ (see DESIGN.md, \"Benchmark methodology\").\n\nprofile runs each suite workload under the pool profiler at 1/2/4/8\nthreads and writes PROFILE.json: per-stage serial fraction and Amdahl\nmax speedup, per-worker utilization, dispatch hotspots, device critical\npath. Exits nonzero if profiling perturbs modeled time bits (the\ndeterminism policy) or PROFILE.json fails round-trip validation.\n\nbench/threads/profile/shard append one provenance-stamped record per\nrun to the run ledger (results/ledger/ or --ledger DIR). report loads\nthe ledger, runs cross-run step/bits-change detection, and writes the\nREPORT.html dashboard; trend regressions are advisory unless\nTREND_STRICT=1. Set LEDGER_BASELINE_REFRESH=1 on a run that\nintentionally changes modeled time bits."
+            "repro <table1|table2|figure2|figure3|figure4|figure5|figure6|schedule|bench|threads|profile|shard|backend|report|ablations|all>\n      [--scale X] [--datasets A,B] [--trials N] [--warmup N] [--quick] [--csv DIR]\n      [--trace [FILE]] [--metrics [FILE]] [--compare BASELINE] [--ledger DIR]\n\n--trace writes a Chrome trace-event JSON (default trace.json; open with\nhttps://ui.perfetto.dev); --metrics writes a metrics snapshot JSON\n(default metrics.json). Instrumented experiments: table2, figure4,\nschedule, threads, profile.\n\nbench, threads, profile, shard and backend are presets of one measurement\nsuite: --warmup untimed rounds, then --trials timed rounds interleaved\nacross the preset's thread counts, median/MAD per stage.\n  bench    S1/S2/S3, micro, shard-scaling and backend rows; writes\n           BENCH_suite.json; --compare BASELINE flags modeled-stage\n           regressions (baselines live under results/baselines/)\n  threads  the S1 row at {{1, 2, 4, all}} pool threads (RAYON_NUM_THREADS\n           sets all); writes BENCH_threads.json\n  profile  the S1/S2/S3 rows at 1/2/4/8 threads, each with one pass under\n           the pool profiler; writes PROFILE.json (serial fraction, Amdahl\n           ceiling, per-worker utilization, critical path)\n  shard    unsharded vs k=2/k=4 sharded builds; writes\n           SHARD_fingerprints.json\n  backend  grid vs tree vs auto epsilon-search on 2-D and 3-D/4-D data\nreport loads the run ledger every preset but backend appends to\n(results/ledger/ or --ledger DIR), runs cross-run step/bits-change\ndetection, and writes the REPORT.html dashboard. Set\nLEDGER_BASELINE_REFRESH=1 on a run that intentionally changes modeled\ntime bits.\n\nOne gate: always fatal are equivalence mismatches (fingerprints or\nmodeled bits across backends, shards, thread counts, trials and the\nprofiled pass), artifacts that fail their round trip or cannot be\nwritten, an unreadable ledger and an invalid dashboard. BENCH_STRICT=1\nalso fails on a modeled-stage regression or unreadable baseline, an auto\nselector match rate below 90%, a 4-thread build_table speedup below\n1.8x, and gating trend findings; without it they are advisory."
         );
         return;
     }
@@ -88,41 +92,12 @@ fn main() {
         "figure5" => figure5::print(&opts),
         "figure6" => figure6::print(&opts),
         "schedule" => schedule::print(&opts),
-        "threads" => {
-            let code = threads::print(&opts);
-            if code != 0 {
-                std::process::exit(code);
-            }
-        }
-        "report" => {
-            let code = report::print(&opts);
-            if code != 0 {
-                std::process::exit(code);
-            }
-        }
-        "shard" => {
-            let code = shard::print(&opts);
-            if code != 0 {
-                std::process::exit(code);
-            }
-        }
-        "backend" => {
-            let code = backend_ablation::print(&opts);
-            if code != 0 {
-                std::process::exit(code);
-            }
-        }
-        "bench" => {
-            let code = regress::print(&opts);
-            if code != 0 {
-                std::process::exit(code);
-            }
-        }
-        "profile" => {
-            let code = profile::print(&opts);
-            if code != 0 {
-                std::process::exit(code);
-            }
+        "bench" | "threads" | "profile" | "shard" | "backend" | "report" => {
+            let code = match cmd.as_str() {
+                "report" => presets::report(&opts),
+                preset => presets::run(preset, &opts),
+            };
+            std::process::exit(code);
         }
         "ablations" => run_ablations(&opts),
         "all" => {

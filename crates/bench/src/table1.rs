@@ -44,7 +44,7 @@ pub fn run(opts: &Options) -> Vec<Row> {
         let data = cache.get(name).points.clone();
         let mut fracs = Vec::new();
         let mut totals = Vec::new();
-        for _ in 0..opts.trials.max(1) {
+        for _ in 0..opts.trials {
             let report = ReferenceDbscan::new(eps, 4).run(&data);
             fracs.push(report.search_fraction());
             totals.push(report.total_time.as_secs());

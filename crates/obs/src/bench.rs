@@ -1,7 +1,8 @@
-//! Schema for the continuous-benchmark documents (`BENCH_suite.json` and
-//! the baselines under `results/baselines/`).
+//! Schema for the measurement-suite documents (`BENCH_suite.json`,
+//! `BENCH_threads.json`, `SHARD_fingerprints.json`, and the baselines
+//! under `results/baselines/`).
 //!
-//! The benchmark harness (`crates/bench::regress`) produces a
+//! The measurement suite (`crates/bench::suite`) produces a
 //! [`BenchDoc`] per run: one [`WorkloadResult`] per suite workload, each
 //! carrying per-stage wall/modeled statistics ([`StageStats`]), per-kernel
 //! device counters (re-using [`gpu_sim::profiler::ProfileStats`], the
@@ -62,6 +63,11 @@ pub struct WorkloadResult {
     /// seconds), serialized as a hex string. `None` on v1 documents and on
     /// workloads without a single modeled time.
     pub modeled_time_bits: Option<u64>,
+    /// FNV fingerprints of the neighbor table and of the clustering (hex
+    /// strings, like the bits): the equivalence witness of shard and
+    /// backend rows. `None` on rows that build no table.
+    pub table_fingerprint: Option<u64>,
+    pub clustering_fingerprint: Option<u64>,
     /// Stage name → summary (`build_table`, `dbscan`, `disjoint_set`,
     /// `modeled`).
     pub stages: BTreeMap<String, StageStats>,
@@ -110,10 +116,16 @@ impl BenchDoc {
             w.field_float("eps", wl.eps);
             w.field_uint("minpts", wl.minpts);
             w.field_uint("points", wl.points);
-            if let Some(bits) = wl.modeled_time_bits {
-                // Hex string, not a number: the shared parser stores
-                // numbers as f64, which cannot hold a 64-bit pattern.
-                w.field_str("modeled_time_bits", &format!("{bits:016x}"));
+            // Hex strings, not numbers: the shared parser stores numbers
+            // as f64, which cannot hold a 64-bit pattern.
+            for (key, v) in [
+                ("modeled_time_bits", wl.modeled_time_bits),
+                ("table_fingerprint", wl.table_fingerprint),
+                ("clustering_fingerprint", wl.clustering_fingerprint),
+            ] {
+                if let Some(v) = v {
+                    w.field_str(key, &format!("{v:016x}"));
+                }
             }
             w.key("stages");
             w.begin_object();
@@ -195,14 +207,9 @@ impl BenchDoc {
                 eps: req_f64(wl, "eps")?,
                 minpts: req_u64(wl, "minpts")?,
                 points: req_u64(wl, "points")?,
-                modeled_time_bits: match wl.get("modeled_time_bits") {
-                    None => None,
-                    Some(b) => Some(
-                        b.as_str()
-                            .and_then(|h| u64::from_str_radix(h, 16).ok())
-                            .ok_or("bad hex in 'modeled_time_bits'")?,
-                    ),
-                },
+                modeled_time_bits: opt_hex(wl, "modeled_time_bits")?,
+                table_fingerprint: opt_hex(wl, "table_fingerprint")?,
+                clustering_fingerprint: opt_hex(wl, "clustering_fingerprint")?,
                 ..WorkloadResult::default()
             };
             let stages = wl
@@ -263,6 +270,16 @@ impl BenchDoc {
     }
 }
 
+fn opt_hex(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+    v.get(key)
+        .map(|b| {
+            b.as_str()
+                .and_then(|h| u64::from_str_radix(h, 16).ok())
+                .ok_or_else(|| format!("bad hex in '{key}'"))
+        })
+        .transpose()
+}
+
 fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
     v.get(key)
         .and_then(JsonValue::as_str)
@@ -315,6 +332,8 @@ mod tests {
             minpts: 4,
             points: 37292,
             modeled_time_bits: Some(u64::MAX),
+            table_fingerprint: Some(0x0123_4567_89ab_cdef),
+            clustering_fingerprint: Some(u64::MAX),
             ..WorkloadResult::default()
         };
         wl.stages.insert(
@@ -394,6 +413,8 @@ mod tests {
         doc.version = 1;
         doc.provenance = None;
         doc.workloads[0].modeled_time_bits = None;
+        doc.workloads[0].table_fingerprint = None;
+        doc.workloads[0].clustering_fingerprint = None;
         let text = doc.to_json();
         assert!(!text.contains("provenance"));
         assert!(!text.contains("modeled_time_bits"));
@@ -407,6 +428,11 @@ mod tests {
         let doc = sample_doc();
         let parsed = BenchDoc::parse(&doc.to_json()).unwrap();
         assert_eq!(parsed.workloads[0].modeled_time_bits, Some(u64::MAX));
+        assert_eq!(
+            parsed.workloads[0].table_fingerprint,
+            Some(0x0123_4567_89ab_cdef)
+        );
+        assert_eq!(parsed.workloads[0].clustering_fingerprint, Some(u64::MAX));
         assert_eq!(
             parsed.provenance.as_ref().map(|p| p.git_sha.as_str()),
             Some("ee9aa08269b9")

@@ -161,11 +161,8 @@ impl Default for JsonWriter {
 
 /// A parsed JSON value. Numbers are `f64` — sufficient for every document
 /// the workspace emits (3-decimal floats and counts far below 2^53).
-/// Full 64-bit patterns do not fit: `BENCH_threads.json` emits its
-/// numeric `modeled_time_bits` for parseability validation only (never
-/// re-read through this type), and `PROFILE.json` — which must be a
-/// byte-exact fixed point of `parse → to_json` — carries the same field
-/// as a hex *string* instead.
+/// Full 64-bit patterns do not fit, so every artifact carries
+/// `modeled_time_bits` and fingerprints as hex *strings* instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -243,11 +240,17 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace emits nests fewer than 10 levels; the cap turns a hostile
+/// line (say 100 000 `[`) into an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing garbage is an error).
 pub fn parse(s: &str) -> Result<JsonValue, JsonParseError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -260,6 +263,8 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -295,8 +300,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonParseError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            c @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(JsonValue::Str(self.string()?)),
             b't' => self.literal("true").map(|_| JsonValue::Bool(true)),
             b'f' => self.literal("false").map(|_| JsonValue::Bool(false)),
@@ -521,6 +537,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 
     #[test]

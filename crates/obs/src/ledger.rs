@@ -70,7 +70,7 @@ pub struct LedgerEntry {
 /// Outcome of the producing command's own gate.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GateOutcome {
-    /// Was the relevant `*_STRICT=1` env set for the run?
+    /// Was `BENCH_STRICT=1` set for the run?
     pub strict: bool,
     /// Gating regressions found (modeled-stage, determinism, fingerprint).
     pub regressions: u64,
@@ -486,6 +486,29 @@ pub(crate) mod tests {
         let loaded = ledger.load();
         assert_eq!(loaded.records, vec![a, b]);
         assert_eq!(loaded.skipped.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_line_is_skipped_not_a_crash() {
+        let dir = tmp_dir("deep");
+        let ledger = Ledger::at(&dir);
+        let a = sample_record(1, 6.7, 100);
+        let b = sample_record(2, 6.7, 100);
+        ledger.append(&a).expect("append a");
+        let mut bytes = std::fs::read(ledger.active_path()).unwrap();
+        bytes.extend_from_slice("[".repeat(100_000).as_bytes());
+        bytes.push(b'\n');
+        std::fs::write(ledger.active_path(), &bytes).unwrap();
+        ledger.append(&b).expect("append b");
+        let loaded = ledger.load();
+        assert_eq!(loaded.records, vec![a, b]);
+        assert_eq!(loaded.skipped.len(), 1, "{:?}", loaded.skipped);
+        assert!(
+            loaded.skipped[0].contains("nesting"),
+            "{:?}",
+            loaded.skipped
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,8 +27,8 @@
 //!   change (which must arrive as a baseline refresh,
 //!   `LEDGER_BASELINE_REFRESH=1`) or a bug.
 //!
-//! Findings are advisory unless `TREND_STRICT=1` (mirroring
-//! `DIFF_STRICT` / `BENCH_STRICT`), which `repro report` enforces.
+//! Gating findings fail `repro report` under the measurement suite's
+//! single strictness knob, `BENCH_STRICT=1`; otherwise they are advisory.
 
 use crate::ledger::LedgerRecord;
 use std::collections::BTreeMap;
@@ -67,7 +67,7 @@ pub struct TrendFinding {
     pub workload: String,
     pub stage: String,
     pub kind: TrendKind,
-    /// Gating findings fail `repro report` under `TREND_STRICT=1`:
+    /// Gating findings fail `repro report` under `BENCH_STRICT=1`:
     /// modeled-stage regressions and all bits flips. Wall-stage steps
     /// and improvements are advisory.
     pub gating: bool,

@@ -4,8 +4,9 @@
 #   scripts/ci.sh            # build + test + fmt (+ clippy, advisory)
 #   CLIPPY_STRICT=1 scripts/ci.sh   # make clippy failures fatal too
 #   DIFF_STRICT=1 scripts/ci.sh     # make the long differential sweep fatal
-#   BENCH_STRICT=1 scripts/ci.sh    # make benchmark regressions fatal
-#   TREND_STRICT=1 scripts/ci.sh    # make cross-run trend regressions fatal
+#   BENCH_STRICT=1 scripts/ci.sh    # make measurement shortfalls fatal:
+#                                   # modeled regressions, speedup floor,
+#                                   # auto-selector rate, trend findings
 #
 # clippy and the 200-case differential sweep are advisory by default —
 # lint sets shift across toolchains, and the sweep is the long randomized
@@ -74,7 +75,7 @@ step "profile smoke (RAYON_NUM_THREADS=4)" \
 # workload. The binary is the gate: a determinism violation (modeled
 # bits, clusters, or |R| differing across thread counts) always exits
 # nonzero; the speedup_build_table >= 1.8 at 4 threads check is advisory
-# unless THREADS_STRICT=1, because wall-clock speedup is unmeasurable on
+# unless BENCH_STRICT=1, because wall-clock speedup is unmeasurable on
 # runners with fewer than 4 hardware threads.
 step "threads smoke (RAYON_NUM_THREADS=8)" \
     env RAYON_NUM_THREADS=8 ./target/release/repro threads \
@@ -105,7 +106,7 @@ step "backend smoke (RAYON_NUM_THREADS=4)" \
 # dashboard's embedded JSON payload fails round-trip validation; trend
 # regressions (modeled-time steps or bit flips outside a declared
 # baseline refresh) are decided inside the binary and are advisory
-# unless TREND_STRICT=1.
+# unless BENCH_STRICT=1.
 step "report smoke" ./target/release/repro report \
     --ledger target/ci-ledger --csv target/ci-report
 # The sharded differential tier, named and strict: every generator family

@@ -4,7 +4,7 @@
 //! that "the grid indexes can be constructed faster than the R-tree".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, PackedKdTree, Point2, PointStore, RTree};
 
 fn bench_construction(c: &mut Criterion) {
     let data = datasets::spec::SDSS1.generate(0.005).points;
@@ -22,7 +22,8 @@ fn bench_construction(c: &mut Criterion) {
             t
         })
     });
-    group.bench_function("kdtree", |b| b.iter(|| KdTree::build(&data)));
+    let store = PointStore::from_points(&data);
+    group.bench_function("kdtree", |b| b.iter(|| PackedKdTree::build(store.view())));
     group.finish();
 }
 
@@ -31,7 +32,8 @@ fn bench_queries(c: &mut Criterion) {
     let eps = 0.3;
     let grid = GridIndex::build(&data, eps);
     let rtree = RTree::bulk_load(&data);
-    let kdtree = KdTree::build(&data);
+    let store = PointStore::from_points(&data);
+    let kdtree = PackedKdTree::build(store.view());
     let queries: Vec<Point2> = data.iter().step_by(37).copied().collect();
 
     let mut group = c.benchmark_group("index-queries");
@@ -70,7 +72,7 @@ fn bench_queries(c: &mut Criterion) {
             b.iter(|| {
                 let mut hits = 0usize;
                 for q in qs {
-                    kdtree.query_eps_visit(q, eps, |_| hits += 1);
+                    kdtree.query_eps_visit(store.view(), q, eps, |_| hits += 1);
                 }
                 hits
             })

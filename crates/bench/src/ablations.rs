@@ -25,7 +25,7 @@ use hybrid_dbscan_core::dbscan::{Dbscan, GridSource, KdTreeSource, RTreeSource};
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan_core::kernels::{GpuCalcGlobal, GpuCalcShared, NeighborPair};
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, KdTree, PointStore, RTree};
+use spatial::{GridIndex, PointStore, RTree};
 use std::time::Instant;
 
 /// On-GPU competitor comparison: Hybrid-DBSCAN vs G-DBSCAN vs
@@ -183,12 +183,9 @@ pub fn blocksize(opts: &Options) {
             .non_empty_cells()
             .iter()
             .map(|&h| {
-                let m = grid.range_of(h as usize).len();
-                let (adj, n) = grid.neighbor_cells(h as usize);
-                let nb: usize = adj[..n]
-                    .iter()
-                    .map(|&a| grid.range_of(a as usize).len())
-                    .sum();
+                let m = grid.range_of(h).len();
+                let (adj, n) = grid.neighbor_cells(h);
+                let nb: usize = adj[..n].iter().map(|&a| grid.range_of(a).len()).sum();
                 m * nb
             })
             .sum();
@@ -230,7 +227,7 @@ pub fn index(opts: &Options) {
         for eps in [0.2, 0.8] {
             let grid = GridIndex::build(&data, eps);
             let rtree = RTree::bulk_load(&data);
-            let kdtree = KdTree::build(&data);
+            let kdtree = KdTreeSource::build(&data, eps);
             let time = |f: &dyn Fn() -> u32| {
                 let t0 = Instant::now();
                 let clusters = f();
@@ -246,11 +243,7 @@ pub fn index(opts: &Options) {
                     .run(&RTreeSource::new(&rtree, &data, eps))
                     .num_clusters()
             });
-            let (tk, ck) = time(&|| {
-                Dbscan::new(4)
-                    .run(&KdTreeSource::new(&kdtree, &data, eps))
-                    .num_clusters()
-            });
+            let (tk, ck) = time(&|| Dbscan::new(4).run(&kdtree).num_clusters());
             assert_eq!(cg, cr);
             assert_eq!(cg, ck);
             t.row(vec![
@@ -324,12 +317,9 @@ pub fn hybrid_split(opts: &Options) {
             .non_empty_cells()
             .iter()
             .map(|&h| {
-                let m = grid.range_of(h as usize).len();
-                let (adj, n) = grid.neighbor_cells(h as usize);
-                let nb: usize = adj[..n]
-                    .iter()
-                    .map(|&a| grid.range_of(a as usize).len())
-                    .sum();
+                let m = grid.range_of(h).len();
+                let (adj, n) = grid.neighbor_cells(h);
+                let nb: usize = adj[..n].iter().map(|&a| grid.range_of(a).len()).sum();
                 m * nb
             })
             .sum();
@@ -373,11 +363,11 @@ pub fn hybrid_split(opts: &Options) {
         // points; a masked Global pass covers points in the sparse
         // remainder (it returns early for dense-cell points).
         const DENSE_AT: usize = 128;
-        let dense: Vec<u32> = grid
+        let dense: Vec<u64> = grid
             .non_empty_cells()
             .iter()
             .copied()
-            .filter(|&h| grid.range_of(h as usize).len() >= DENSE_AT)
+            .filter(|&h| grid.range_of(h).len() >= DENSE_AT)
             .collect();
         let shared_part = if dense.is_empty() {
             None

@@ -536,8 +536,8 @@ fn build(
     }
     let h: TableHandle = match points {
         Points::D2(p) => hybrid.build_table(p, w.eps),
-        Points::D3(p) => hybrid.build_table_nd(p, w.eps),
-        Points::D4(p) => hybrid.build_table_nd(p, w.eps),
+        Points::D3(p) => hybrid.build_table(p, w.eps),
+        Points::D4(p) => hybrid.build_table(p, w.eps),
     }
     .unwrap_or_else(|e| panic!("{}: build failed: {e:?}", w.id));
     let g = &h.gpu;

@@ -55,12 +55,9 @@ pub fn measure(device: &Device, points: &[spatial::Point2], eps: f64) -> Row {
         .non_empty_cells()
         .iter()
         .map(|&h| {
-            let m = grid.range_of(h as usize).len();
-            let (adj, n) = grid.neighbor_cells(h as usize);
-            let nb: usize = adj[..n]
-                .iter()
-                .map(|&a| grid.range_of(a as usize).len())
-                .sum();
+            let m = grid.range_of(h).len();
+            let (adj, n) = grid.neighbor_cells(h);
+            let nb: usize = adj[..n].iter().map(|&a| grid.range_of(a).len()).sum();
             m * nb
         })
         .sum();

@@ -18,7 +18,7 @@
 //! [`BackendDecision`] and recorded in run provenance.
 
 use serde::{Deserialize, Serialize};
-use spatial::Point2;
+use spatial::PointN;
 use std::collections::BTreeMap;
 
 /// Which ε-search index the hybrid pipeline builds and traverses.
@@ -180,28 +180,14 @@ fn decide(
     }
 }
 
-/// Resolve the configured backend for a `D`-dimensional workload, binning
-/// the sample by the full `D`-tuple of ε-cell coordinates.
-pub fn select_backend_nd<const D: usize>(
-    requested: IndexBackend,
-    data: &[spatial::PointN<D>],
-    eps: f64,
-) -> BackendDecision {
-    decide(requested, D, || {
-        sampled_cell_stats(data.len(), |i| {
-            data[i].coords.map(|c| (c / eps).floor() as i64)
-        })
-    })
-}
-
-/// Resolve the configured backend for a 2-D workload.
+/// Resolve the configured backend for a `D`-dimensional workload.
 ///
 /// `shared_kernel` callers always get the grid: GPUCalcShared is driven
 /// by the non-empty-cell schedule, which only the grid defines.
-pub fn select_backend(
+pub fn select_backend<const D: usize>(
     requested: IndexBackend,
     shared_kernel: bool,
-    data: &[Point2],
+    data: &[PointN<D>],
     eps: f64,
 ) -> BackendDecision {
     if shared_kernel {
@@ -213,18 +199,29 @@ pub fn select_backend(
             reason: "shared-kernel",
         };
     }
-    // Bins keyed (row, column): this order fixes the `cell_cv` bits.
-    decide(requested, 2, || {
+    // Bins keyed by the ε-cell coordinates from the last axis down —
+    // (row, column) in 2-D: this order fixes the `cell_cv` bits.
+    decide(requested, D, || {
         sampled_cell_stats(data.len(), |i| {
-            let p = &data[i];
-            [(p.y / eps).floor() as i64, (p.x / eps).floor() as i64]
+            let c = &data[i].coords;
+            std::array::from_fn::<i64, D, _>(|k| (c[D - 1 - k] / eps).floor() as i64)
         })
     })
+}
+
+/// [`select_backend`] for the thread-per-point kernels.
+pub fn select_backend_nd<const D: usize>(
+    requested: IndexBackend,
+    data: &[PointN<D>],
+    eps: f64,
+) -> BackendDecision {
+    select_backend(requested, false, data, eps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial::Point2;
 
     fn uniform(n: usize, extent: f64) -> Vec<Point2> {
         (0..n)

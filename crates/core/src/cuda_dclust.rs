@@ -27,8 +27,8 @@
 //! Hybrid-DBSCAN is conservative.
 
 use crate::dbscan::{Clustering, PointLabel};
-use crate::hybrid::GridBuffers;
-use crate::kernels::{load_cell_range, scan_cell_range};
+use crate::hybrid::DeviceCells;
+use crate::kernels::scan_stencil;
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
@@ -75,26 +75,17 @@ struct ChainExpandKernel<'a> {
 impl ChainExpandKernel<'_> {
     /// Neighbor ids of `p` within ε via the grid, charging `t`.
     fn neighbors(&self, t: &mut gpu_sim::kernel::ThreadCtx, pi: u32, out: &mut Vec<u32>) {
-        let eps_sq = self.eps * self.eps;
-        let (qx, qy) = (self.points.xs[pi as usize], self.points.ys[pi as usize]);
-        t.read_global::<Point2>(1);
-        t.charge_flops(10);
-        let (cells, n_cells) = self
-            .geom
-            .neighbor_cells(self.geom.cell_of(&self.points.get(pi as usize)));
-        for &cell in &cells[..n_cells] {
-            let range = load_cell_range(t, &self.grid, cell);
-            scan_cell_range(
-                t,
-                self.points,
-                self.lookup,
-                range,
-                qx,
-                qy,
-                eps_sq,
-                |_, hits| out.extend_from_slice(hits),
-            );
-        }
+        scan_stencil(
+            t,
+            self.points,
+            &self.grid,
+            self.lookup,
+            &self.geom,
+            self.eps * self.eps,
+            pi as usize,
+            None,
+            |_, hits| out.extend_from_slice(hits),
+        );
     }
 }
 
@@ -221,7 +212,7 @@ pub fn cuda_dclust(
     // D stays one Point2 upload (the SoA mirror is host-side layout);
     // the buffer is held for device-memory accounting.
     let (_d_buf, up_d) = DeviceBuffer::from_host(device, data, false)?;
-    let (g_buf, up_g) = GridBuffers::upload(device, &grid)?;
+    let (g_buf, up_g) = DeviceCells::upload(device, grid.cells_view())?;
     let (a_buf, up_a) = DeviceBuffer::from_host(device, grid.lookup(), false)?;
     total += up_d + up_g + up_a;
     // Ownership + degree arrays live on the device.

@@ -2,7 +2,7 @@
 //! answers its ε-neighborhood queries.
 
 use crate::table::NeighborTable;
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, PackedKdTree, Point2, PointStore, RTree};
 
 /// Supplies the ε-neighborhood of each point by id.
 ///
@@ -67,27 +67,32 @@ impl NeighborSource for RTreeSource<'_> {
     }
 }
 
-/// Neighbor source backed by a kd-tree (ablation comparator).
-pub struct KdTreeSource<'a> {
-    tree: &'a KdTree,
-    data: &'a [Point2],
+/// Neighbor source backed by the packed kd-tree, queried on the host
+/// (ablation comparator). Owns the tree and the SoA coordinates it scans.
+pub struct KdTreeSource {
+    tree: PackedKdTree<2>,
+    points: PointStore,
     eps: f64,
 }
 
-impl<'a> KdTreeSource<'a> {
-    pub fn new(tree: &'a KdTree, data: &'a [Point2], eps: f64) -> Self {
-        KdTreeSource { tree, data, eps }
+impl KdTreeSource {
+    /// Index `data` (ids are input indices) for ε-queries at `eps`.
+    pub fn build(data: &[Point2], eps: f64) -> Self {
+        let points = PointStore::from_points(data);
+        let tree = PackedKdTree::build(points.view());
+        KdTreeSource { tree, points, eps }
     }
 }
 
-impl NeighborSource for KdTreeSource<'_> {
+impl NeighborSource for KdTreeSource {
     fn neighbors_of(&self, id: u32, out: &mut Vec<u32>) {
+        let v = self.points.view();
         self.tree
-            .query_eps_visit(&self.data[id as usize], self.eps, |n| out.push(n));
+            .query_eps_visit(v, &v.get(id as usize), self.eps, |n| out.push(n));
     }
 
     fn num_points(&self) -> usize {
-        self.data.len()
+        self.points.len()
     }
 }
 
@@ -138,11 +143,10 @@ mod tests {
         let eps = 1.2;
         let grid = GridIndex::build(&data, eps);
         let rtree = RTree::bulk_load(&data);
-        let kdtree = KdTree::build(&data);
 
         let gs = GridSource::new(&grid, &data);
         let rs = RTreeSource::new(&rtree, &data, eps);
-        let ks = KdTreeSource::new(&kdtree, &data, eps);
+        let ks = KdTreeSource::build(&data, eps);
 
         for id in 0..data.len() as u32 {
             let expected = brute_force_neighbors(&data, &data[id as usize], eps);

@@ -22,11 +22,10 @@
 //! backend selection, host index) → upload → estimate → plan (Equation 1
 //! fitted to device memory) → execute (the stream workers, with exact-|R|
 //! replanning on overflow) → finalize (the modeled schedule, telemetry
-//! and the handle). Prepare, upload and estimate are the dimension-
-//! specific front half — [`HybridDbscan::build_table`] for 2-D and
-//! [`HybridDbscan::build_table_nd`] for d > 2 — and plan, execute and
-//! finalize see only `n`, ε, the [`HybridConfig`] and a per-batch kernel
-//! launcher, so every dimension shares one batching pipeline.
+//! and the handle). [`HybridDbscan::build_table`] is generic over the
+//! dimension `D`: one prepare, upload and estimate front half and one
+//! per-batch kernel launcher serve 2-D and d > 2 alike, and plan, execute
+//! and finalize see only `n`, ε, the [`HybridConfig`] and that launcher.
 //!
 //! The *functional* work executes eagerly (kernels really compute the
 //! pairs, the sort really sorts, the builder really assembles `T`); the
@@ -40,14 +39,11 @@
 //! determinism policy"). Only the host DBSCAN stage and the explicitly
 //! named `wall_time` fields are wall-clock measurements.
 
-use crate::backend::{
-    select_backend, select_backend_nd, BackendDecision, ChosenBackend, IndexBackend,
-};
+use crate::backend::{select_backend, BackendDecision, ChosenBackend, IndexBackend};
 use crate::batch::{BatchConfig, BatchPlan};
 use crate::dbscan::{Clustering, Dbscan, TableSource};
 use crate::kernels::{
-    GpuCalcGlobal, GpuCalcGridNd, GpuCalcShared, GpuCalcTree, GridNdCountKernel,
-    NeighborCountKernel, NeighborPair, TreeCountKernel,
+    GpuCalcGlobal, GpuCalcShared, GpuCalcTree, NeighborCountKernel, NeighborPair, TreeCountKernel,
 };
 use crate::table::{NeighborTable, NeighborTableBuilder};
 use gpu_sim::device::Device;
@@ -64,12 +60,8 @@ use obs::{Recorder, SpanGuard};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spatial::grid::{CellRange, CellsView};
-use spatial::nd::{apply_permutation_nd, spatial_sort_permutation_nd};
 use spatial::presort::{spatial_sort_permutation, SortPermutation};
-use spatial::{
-    CellsViewN, GridIndex, GridIndexN, PackedKdTree, Point2, PointN, PointStore, PointStoreN,
-    PointsViewN, TreeView,
-};
+use spatial::{GridIndexN, PackedKdTree, Point2, PointN, PointStoreN, TreeView};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -345,69 +337,44 @@ enum BatchPass {
     },
 }
 
-/// Device-resident sorted cell keys and their ranges: the sparse `G` of
-/// the 2-D grid (`u32` keys) and of the N-D grid (`u64` keys) — O(|D|)
-/// device memory instead of one range per cell of the bounding box.
-pub(crate) struct SparseCells<K: Copy> {
-    keys: DeviceBuffer<K>,
-    ranges: DeviceBuffer<CellRange>,
+/// Device-resident `G`, in either layout. Dense is the single flat range
+/// array (one H2D transfer); sparse uploads the sorted non-empty `u64`
+/// keys and their ranges — O(|D|) device memory instead of one range per
+/// cell of the bounding box.
+pub(crate) enum DeviceCells {
+    Dense(DeviceBuffer<CellRange>),
+    Sparse {
+        keys: DeviceBuffer<u64>,
+        ranges: DeviceBuffer<CellRange>,
+    },
 }
 
-impl<K: Copy> SparseCells<K> {
-    fn upload(
-        device: &Device,
-        keys: &[K],
-        ranges: &[CellRange],
-    ) -> Result<(Self, SimDuration), DeviceError> {
-        let (keys, t_k) = DeviceBuffer::from_host(device, keys, false)?;
-        let (ranges, t_r) = DeviceBuffer::from_host(device, ranges, false)?;
-        Ok((SparseCells { keys, ranges }, t_k + t_r))
-    }
-}
-
-impl SparseCells<u64> {
-    /// The device-resident N-D `G` as the kernels' view.
-    fn view(&self) -> CellsViewN<'_> {
-        CellsViewN {
-            keys: self.keys.as_slice(),
-            ranges: self.ranges.as_slice(),
-        }
-    }
-}
-
-/// Device-resident 2-D `G`, in either layout. Dense is the single flat
-/// range array (one H2D transfer, exactly as before the sparse layout
-/// existed); sparse uploads the non-empty keys and their ranges.
-pub(crate) enum GridBuffers {
-    Dense { ranges: DeviceBuffer<CellRange> },
-    Sparse(SparseCells<u32>),
-}
-
-impl GridBuffers {
+impl DeviceCells {
     /// Upload `G` to the device, returning the summed H2D transfer time.
     pub(crate) fn upload(
         device: &Device,
-        grid: &GridIndex,
+        cells: CellsView<'_>,
     ) -> Result<(Self, SimDuration), DeviceError> {
-        match grid.cells_view() {
+        Ok(match cells {
             CellsView::Dense(ranges) => {
                 let (buf, t) = DeviceBuffer::from_host(device, ranges, false)?;
-                Ok((GridBuffers::Dense { ranges: buf }, t))
+                (DeviceCells::Dense(buf), t)
             }
             CellsView::Sparse { keys, ranges } => {
-                let (cells, t) = SparseCells::upload(device, keys, ranges)?;
-                Ok((GridBuffers::Sparse(cells), t))
+                let (keys, t_k) = DeviceBuffer::from_host(device, keys, false)?;
+                let (ranges, t_r) = DeviceBuffer::from_host(device, ranges, false)?;
+                (DeviceCells::Sparse { keys, ranges }, t_k + t_r)
             }
-        }
+        })
     }
 
     /// The device-resident `G` as the layout-agnostic kernel view.
     pub(crate) fn view(&self) -> CellsView<'_> {
         match self {
-            GridBuffers::Dense { ranges } => CellsView::Dense(ranges.as_slice()),
-            GridBuffers::Sparse(cells) => CellsView::Sparse {
-                keys: cells.keys.as_slice(),
-                ranges: cells.ranges.as_slice(),
+            DeviceCells::Dense(ranges) => CellsView::Dense(ranges.as_slice()),
+            DeviceCells::Sparse { keys, ranges } => CellsView::Sparse {
+                keys: keys.as_slice(),
+                ranges: ranges.as_slice(),
             },
         }
     }
@@ -454,82 +421,45 @@ impl TreeBuffers {
     }
 }
 
-/// A host grid the upload stage can place on the device together with
-/// its lookup array `A`: the 2-D [`GridIndex`] or the N-D [`GridIndexN`].
-trait UploadGrid {
-    /// The device-resident `G`.
-    type Cells;
-    /// Upload `G` then `A`, returning the summed H2D transfer time.
-    fn upload(
-        &self,
-        device: &Device,
-    ) -> Result<(Self::Cells, DeviceBuffer<u32>, SimDuration), DeviceError>;
-}
-
-impl UploadGrid for GridIndex {
-    type Cells = GridBuffers;
-    fn upload(
-        &self,
-        device: &Device,
-    ) -> Result<(GridBuffers, DeviceBuffer<u32>, SimDuration), DeviceError> {
-        let (cells, t_g) = GridBuffers::upload(device, self)?;
-        let (lookup, t_a) = DeviceBuffer::from_host(device, self.lookup(), false)?;
-        Ok((cells, lookup, t_g + t_a))
-    }
-}
-
-impl<const D: usize> UploadGrid for GridIndexN<D> {
-    type Cells = SparseCells<u64>;
-    fn upload(
-        &self,
-        device: &Device,
-    ) -> Result<(SparseCells<u64>, DeviceBuffer<u32>, SimDuration), DeviceError> {
-        let g = self.cells();
-        let (cells, t_g) = SparseCells::upload(device, g.keys, g.ranges)?;
-        let (lookup, t_a) = DeviceBuffer::from_host(device, self.lookup(), false)?;
-        Ok((cells, lookup, t_g + t_a))
-    }
-}
-
 /// The prepare stage's host index, before its device upload — split from
 /// [`DeviceIndex`] so `ConstructIndex` stays inside the `index_build`
 /// span while the H2D transfers land in `h2d_upload`.
-enum HostIndex<G, const D: usize> {
-    Grid(G),
+enum HostIndex<const D: usize> {
+    Grid(GridIndexN<D>),
     Tree(PackedKdTree<D>),
 }
 
 /// The search index after the upload stage: the host grid (its geometry
-/// drives the kernels) with `G` and `A` on the device, or the uploaded
-/// kd-tree node pool.
-enum DeviceIndex<G: UploadGrid> {
+/// and schedule drive the kernels) with `G` and `A` on the device, or the
+/// uploaded kd-tree node pool.
+enum DeviceIndex<const D: usize> {
     Grid {
-        grid: G,
-        cells: G::Cells,
+        grid: GridIndexN<D>,
+        cells: DeviceCells,
         lookup: DeviceBuffer<u32>,
     },
     Tree(TreeBuffers),
 }
 
 /// What the upload stage leaves on the device.
-struct Uploaded<P: Copy, G: UploadGrid> {
+struct Uploaded<const D: usize> {
     /// `D`, held for device-memory accounting.
-    _points: DeviceBuffer<P>,
-    index: DeviceIndex<G>,
+    _points: DeviceBuffer<PointN<D>>,
+    index: DeviceIndex<D>,
     /// Summed H2D time of `D` and the index.
     time: SimDuration,
 }
 
-/// The prepare stage's output: points `P` with their SoA mirror `S`
-/// and the chosen backend's host index over grid type `G`.
-struct Prepared<P, S, G, const D: usize> {
+/// The prepare stage's output: the sorted points with their SoA mirror
+/// and the chosen backend's host index.
+struct Prepared<const D: usize> {
     perm: SortPermutation,
-    sorted: Vec<P>,
+    sorted: Vec<PointN<D>>,
     /// The SoA coordinate mirror the kernels' inner loops scan (host-side
     /// layout only — the device upload stays the one point array).
-    store: S,
+    store: PointStoreN<D>,
     decision: BackendDecision,
-    index: HostIndex<G, D>,
+    index: HostIndex<D>,
 }
 
 /// The estimate stage's output.
@@ -654,9 +584,19 @@ impl HybridDbscan {
     }
 
     /// Construct the neighbor table `T` for `data` at `eps` (lines 2-8 of
-    /// Algorithm 4, including the batching scheme of Section VI): the 2-D
-    /// front half of the stage pipeline (see the module docs).
-    pub fn build_table(&self, data: &[Point2], eps: f64) -> Result<TableHandle, HybridError> {
+    /// Algorithm 4, including the batching scheme of Section VI) — the
+    /// front half of the stage pipeline (see the module docs), the same
+    /// at every dimension.
+    ///
+    /// Every backend and kernel yields the same table: all enumerate the
+    /// exact closed ε-ball with the same rounding order, the count
+    /// kernels make `e_b` (hence the plan) equal, and the canonical device
+    /// sort erases append-order differences.
+    pub fn build_table<const D: usize>(
+        &self,
+        data: &[PointN<D>],
+        eps: f64,
+    ) -> Result<TableHandle, HybridError> {
         let scope = self.begin(data.len(), eps);
         let prep = self.prepare(data, eps)?;
         let up = self.upload(&prep.sorted, prep.index)?;
@@ -681,7 +621,7 @@ impl HybridDbscan {
             }
             DeviceIndex::Tree(tree) => {
                 let k = TreeCountKernel {
-                    points: PointsViewN::from(points),
+                    points,
                     tree: tree.view(),
                     eps,
                     stride,
@@ -704,7 +644,7 @@ impl HybridDbscan {
             |batch, n_batches, result: &DeviceAppendBuffer<NeighborPair>| match &up.index {
                 DeviceIndex::Tree(tree) => {
                     let k = GpuCalcTree {
-                        points: PointsViewN::from(points),
+                        points,
                         tree: tree.view(),
                         eps,
                         batch,
@@ -752,92 +692,6 @@ impl HybridDbscan {
         Ok(self.finalize(scope, prep.perm, prep.decision, up.time, est, executed))
     }
 
-    /// Construct the neighbor table for `D`-dimensional `data` at `eps`:
-    /// the N-D front half — the [`GpuCalcGridNd`] / [`GpuCalcTree`]
-    /// kernel pair over the sparse N-D grid or the kd-tree — on the same
-    /// plan, execute and finalize stages as [`Self::build_table`].
-    /// Identical tables for every backend: both kernels enumerate the
-    /// exact closed ε-ball with the same rounding order, the count
-    /// kernels make `e_b` (hence the plan) equal, and the canonical device
-    /// sort erases append-order differences. The shared kernel is 2-D
-    /// only, so `config.kernel` does not apply here.
-    pub fn build_table_nd<const D: usize>(
-        &self,
-        data: &[PointN<D>],
-        eps: f64,
-    ) -> Result<TableHandle, HybridError> {
-        let scope = self.begin(data.len(), eps);
-        let prep = self.prepare_nd(data, eps)?;
-        let up = self.upload(&prep.sorted, prep.index)?;
-        let (n, points, block_dim) = (data.len(), prep.store.view(), self.config.block_dim);
-        let dev = &self.device;
-        let est = self.estimate(n, |stride, counter| match &up.index {
-            DeviceIndex::Grid {
-                grid,
-                cells,
-                lookup,
-            } => {
-                let k = GridNdCountKernel {
-                    points,
-                    cells: cells.view(),
-                    lookup: lookup.as_slice(),
-                    geom: *grid.geometry(),
-                    eps,
-                    stride,
-                    counter,
-                };
-                dev.launch(k.launch_config(block_dim), &k)
-            }
-            DeviceIndex::Tree(tree) => {
-                let k = TreeCountKernel {
-                    points,
-                    tree: tree.view(),
-                    eps,
-                    stride,
-                    counter,
-                };
-                dev.launch(k.launch_config(block_dim), &k)
-            }
-        })?;
-        let plan = self.plan(est.e_b, n)?;
-        let executed = self.execute(
-            n,
-            eps,
-            plan,
-            |batch, n_batches, result: &DeviceAppendBuffer<NeighborPair>| match &up.index {
-                DeviceIndex::Grid {
-                    grid,
-                    cells,
-                    lookup,
-                } => {
-                    let k = GpuCalcGridNd {
-                        points,
-                        cells: cells.view(),
-                        lookup: lookup.as_slice(),
-                        geom: *grid.geometry(),
-                        eps,
-                        batch,
-                        n_batches,
-                        result,
-                    };
-                    Some(dev.launch(k.launch_config(block_dim), &k))
-                }
-                DeviceIndex::Tree(tree) => {
-                    let k = GpuCalcTree {
-                        points,
-                        tree: tree.view(),
-                        eps,
-                        batch,
-                        n_batches,
-                        result,
-                    };
-                    Some(dev.launch(k.launch_config(block_dim), &k))
-                }
-            },
-        )?;
-        Ok(self.finalize(scope, prep.perm, prep.decision, up.time, est, executed))
-    }
-
     /// A host-category span on the attached recorder, if any.
     fn span(&self, name: &'static str) -> Option<SpanGuard<'_>> {
         self.recorder.as_deref().map(|r| r.span(name, "host"))
@@ -855,14 +709,14 @@ impl HybridDbscan {
         }
     }
 
-    /// Prepare stage (2-D): validate, pre-sort, select the backend, and
-    /// build the host index.
-    fn prepare(
+    /// Prepare stage: validate, pre-sort, select the backend, and build
+    /// the host index.
+    fn prepare<const D: usize>(
         &self,
-        data: &[Point2],
+        data: &[PointN<D>],
         eps: f64,
-    ) -> Result<Prepared<Point2, PointStore, GridIndex, 2>, HybridError> {
-        validate_input(eps, data.iter().map(|p| [p.x, p.y]))?;
+    ) -> Result<Prepared<D>, HybridError> {
+        validate_input(eps, data.iter().map(|p| p.coords))?;
         let _span = self.span("index_build");
         // Spatial pre-sort (Section IV): improves locality and makes the
         // strided batch assignment a uniform spatial sample.
@@ -873,37 +727,13 @@ impl HybridDbscan {
         // cost. The cell-driven shared kernel always forces the grid.
         let shared_kernel = self.config.kernel == KernelChoice::Shared;
         let decision = select_backend(self.config.backend, shared_kernel, &sorted, eps);
-        let store = PointStore::from_points(&sorted);
-        let index = match decision.chosen {
-            ChosenBackend::Grid => HostIndex::Grid(GridIndex::build(&sorted, eps)),
-            ChosenBackend::Tree => {
-                HostIndex::Tree(PackedKdTree::build(PointsViewN::from(store.view())))
-            }
-        };
-        Ok(Prepared {
-            perm,
-            sorted,
-            store,
-            decision,
-            index,
-        })
-    }
-
-    /// Prepare stage (N-D): validate, pre-sort, select the backend, and
-    /// build the host index.
-    fn prepare_nd<const D: usize>(
-        &self,
-        data: &[PointN<D>],
-        eps: f64,
-    ) -> Result<Prepared<PointN<D>, PointStoreN<D>, GridIndexN<D>, D>, HybridError> {
-        validate_input(eps, data.iter().map(|p| p.coords))?;
-        let _span = self.span("index_build");
-        let perm = spatial_sort_permutation_nd(data);
-        let sorted = apply_permutation_nd(&perm, data);
-        let decision = select_backend_nd(self.config.backend, &sorted, eps);
         let store = PointStoreN::from_points(&sorted);
         let index = match decision.chosen {
-            ChosenBackend::Grid => HostIndex::Grid(GridIndexN::build(&sorted, eps)),
+            // A cell space beyond u64 keys is refused here, before any
+            // upload, instead of wrapping into a wrong grid.
+            ChosenBackend::Grid => HostIndex::Grid(
+                GridIndexN::try_build(&sorted, eps).map_err(HybridError::InvalidInput)?,
+            ),
             ChosenBackend::Tree => HostIndex::Tree(PackedKdTree::build(store.view())),
         };
         Ok(Prepared {
@@ -918,23 +748,24 @@ impl HybridDbscan {
     /// Upload stage: H2D of the sorted points `D` plus the search index —
     /// `(G, A)` for the grid, the four node-pool arrays for the tree
     /// (pageable: one-off inputs).
-    fn upload<P: Copy, G: UploadGrid, const D: usize>(
+    fn upload<const D: usize>(
         &self,
-        sorted: &[P],
-        index: HostIndex<G, D>,
-    ) -> Result<Uploaded<P, G>, HybridError> {
+        sorted: &[PointN<D>],
+        index: HostIndex<D>,
+    ) -> Result<Uploaded<D>, HybridError> {
         let _span = self.span("h2d_upload");
         let (points, up_d) = DeviceBuffer::from_host(&self.device, sorted, false)?;
         let (index, up_index) = match index {
             HostIndex::Grid(grid) => {
-                let (cells, lookup, t) = grid.upload(&self.device)?;
+                let (cells, t_g) = DeviceCells::upload(&self.device, grid.cells_view())?;
+                let (lookup, t_a) = DeviceBuffer::from_host(&self.device, grid.lookup(), false)?;
                 (
                     DeviceIndex::Grid {
                         grid,
                         cells,
                         lookup,
                     },
-                    t,
+                    t_g + t_a,
                 )
             }
             HostIndex::Tree(tree) => {
@@ -999,11 +830,11 @@ impl HybridDbscan {
     /// point strides (see [`pack_shared_cells`]). One dense cell may force
     /// a larger buffer than Equation 1 chose; `plan` is updated to the
     /// packing's buffer size and batch count.
-    fn pack_shared(
+    fn pack_shared<const D: usize>(
         &self,
-        grid: &GridIndex,
+        grid: &GridIndexN<D>,
         plan: &mut BatchPlan,
-    ) -> Result<Vec<Vec<u32>>, HybridError> {
+    ) -> Result<Vec<Vec<u64>>, HybridError> {
         let (batches, required) = pack_shared_cells(grid, plan.buffer_items);
         if required > plan.buffer_items {
             let available = self.device.available_bytes();
@@ -1563,21 +1394,23 @@ impl HybridDbscan {
 /// summed bound stays within `capacity`. Overflow is therefore impossible
 /// by construction. Returns the batches and the capacity actually needed
 /// (which exceeds `capacity` only when a single cell's bound does).
-fn pack_shared_cells(grid: &GridIndex, capacity: usize) -> (Vec<Vec<u32>>, usize) {
+fn pack_shared_cells<const D: usize>(
+    grid: &GridIndexN<D>,
+    capacity: usize,
+) -> (Vec<Vec<u64>>, usize) {
     let cells = grid.cells_view();
-    let geom = grid.geometry();
     let mut required = capacity.max(1);
     let mut bounds = Vec::with_capacity(grid.non_empty_cells().len());
     for &h in grid.non_empty_cells() {
         let m = cells.range_of(h).len();
-        let (adj, n_adj) = geom.neighbor_cells(h as usize);
+        let (adj, n_adj) = grid.neighbor_cells(h);
         let neighborhood: usize = adj[..n_adj].iter().map(|&a| cells.range_of(a).len()).sum();
         let bound = m * neighborhood;
         required = required.max(bound);
         bounds.push((h, bound));
     }
-    let mut batches: Vec<Vec<u32>> = Vec::new();
-    let mut current: Vec<u32> = Vec::new();
+    let mut batches: Vec<Vec<u64>> = Vec::new();
+    let mut current: Vec<u64> = Vec::new();
     let mut load = 0usize;
     for (h, bound) in bounds {
         if load + bound > required && !current.is_empty() {
@@ -1598,6 +1431,7 @@ mod tests {
     use super::*;
     use crate::dbscan::GridSource;
     use crate::kernels::test_support::mixed_points;
+    use spatial::GridIndex;
 
     /// A 1-D line with a denser middle third. Per-point neighbor counts
     /// are near-constant within each region and strided batches sample
@@ -1751,7 +1585,7 @@ mod tests {
                     } else {
                         1.0
                     };
-                    points.push(spatial::PointN::new([x, y as f64, z as f64]));
+                    points.push(spatial::PointN::from_coords([x, y as f64, z as f64]));
                 }
             }
         }
@@ -1868,7 +1702,7 @@ mod tests {
         let d2: Vec<Point2> = points.iter().map(|&(x, y)| Point2::new(x, y)).collect();
         let d3: Vec<spatial::PointN<3>> = points
             .iter()
-            .map(|&(x, y)| spatial::PointN::new([x, y, 0.0]))
+            .map(|&(x, y)| spatial::PointN::from_coords([x, y, 0.0]))
             .collect();
         let e2 = HybridDbscan::new(&device, HybridConfig::default())
             .build_table(&d2, eps)
@@ -1916,6 +1750,35 @@ mod tests {
             let points = [(0.0, 0.0), (1.0, 1.0), (2.0, bad), (3.0, 3.0)];
             assert_invalid_input(invalid_in_2d_and_3d(&points, 1.0), "point 2");
         }
+    }
+
+    #[test]
+    fn cell_space_overflow_is_a_typed_error() {
+        // An ε-grid beyond u64 cell keys (~10^20 cells), and one whose
+        // extent/ε ratio is infinite: refused before any upload instead
+        // of panicking or wrapping into a wrong grid.
+        let beyond_u64 = [(0.0, 0.0), (1e7, 1e7), (1e7, 1e7)];
+        assert_invalid_input(invalid_in_2d_and_3d(&beyond_u64, 1e-3), "u64");
+        let infinite = [(0.0, 0.0), (1e300, 1e300), (1e300, 1e300)];
+        assert_invalid_input(invalid_in_2d_and_3d(&infinite, 1e-10), "u64");
+
+        // ~10^18 cells still fit u64 keys: the sparse grid builds the
+        // exact table (3 self pairs + the duplicate pair both ways).
+        let device = Device::k20c();
+        let huge = [
+            Point2::new(0.0, 0.0),
+            Point2::new(1e6, 1e6),
+            Point2::new(1e6, 1e6),
+        ];
+        let h = HybridDbscan::new(&device, HybridConfig::default())
+            .build_table(&huge, 1e-3)
+            .unwrap();
+        assert_eq!(h.gpu.result_pairs, 5);
+        let huge3 = huge.map(|p| PointN::from_coords([p.x(), p.y(), 0.0]));
+        let cfg = BatchConfig::default();
+        let h3 = crate::nd::build_table_nd(&device, &huge3, 1e-3, IndexBackend::Grid, &cfg, 256)
+            .unwrap();
+        assert_eq!(h3.result_pairs, 5);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The GPU kernels of Section IV, implemented against the `gpu-sim`
-//! SIMT device.
+//! SIMT device. Every kernel is generic over the dimension `D`; the
+//! paper's 2-D kernels are the `D = 2` instances.
 //!
 //! * [`GpuCalcGlobal`] — Algorithm 2: one thread per point, global memory
 //!   only, with the strided batch assignment of Section VI baked into the
@@ -10,28 +11,28 @@
 //! * [`NeighborCountKernel`] — the result-size estimation kernel of
 //!   Section VI: counts (never materializes) the neighbors of a uniform
 //!   sample of points.
+//! * [`GpuCalcTree`] / [`TreeCountKernel`] — the same two roles over the
+//!   packed kd-tree backend.
 //!
 //! All kernels emit key/value pairs `(k_j, v_j)` where `v_j ∈ N_ε(k_j)`,
 //! appended to a [`DeviceAppendBuffer`] through the atomic cursor — the
 //! `atomic: gpuResultSet ∪ result` of the pseudo-code. Append overflow is
 //! recorded in the buffer rather than corrupting memory; the batching
 //! scheme's job is to make it never happen.
+//!
 
-mod count;
-mod global;
-mod gridnd;
+mod grid;
 mod shared;
 mod tree;
 
-pub use count::NeighborCountKernel;
-pub use global::GpuCalcGlobal;
-pub use gridnd::{GpuCalcGridNd, GridNdCountKernel};
+pub(crate) use grid::scan_stencil;
+pub use grid::{GpuCalcGlobal, NeighborCountKernel};
 pub use shared::GpuCalcShared;
 pub use tree::{GpuCalcTree, TreeCountKernel};
 
 use gpu_sim::kernel::{ChargeBatch, ThreadCtx};
-use spatial::grid::{CellRange, CellsView};
-use spatial::PointsView;
+use gpu_sim::memory::DeviceAppendBuffer;
+use spatial::PointsViewN;
 
 /// A result-set item: `key` is a point id, `value` a point id within ε of
 /// it. Layout matches the 8-byte pairs the device sort operates on.
@@ -42,78 +43,108 @@ pub type NeighborPair = (u32, u32);
 /// to keep the whole distance computation in SIMD registers.
 pub(crate) const SCAN_LANES: usize = 8;
 
-/// Resolve and load cell `h`'s `[start, end)` range from `G`, charging
-/// the modeled cost: the `CellRange` read itself, plus — for the sparse
-/// layout only — the binary-search key probes that locate it.
-#[inline]
-pub(crate) fn load_cell_range(t: &mut ThreadCtx, grid: &CellsView<'_>, h: u32) -> CellRange {
-    let probes = grid.probe_reads();
-    if probes > 0 {
-        t.read_global::<u32>(probes);
-    }
-    t.read_global::<CellRange>(1);
-    grid.range_of(h)
+/// Number of points batch `batch` of `n_batches` processes in the strided
+/// assignment of Section VI (batch `l` owns points `{g · n_b + l}`):
+/// `ceil(|D| / n_b)` thread slots, minus slots whose strided id falls
+/// past `|D|`. Every backend's thread-per-point kernel uses it, so the
+/// batching scheme is backend-independent.
+pub fn points_in_batch(n_points: usize, n_batches: usize, batch: usize) -> usize {
+    debug_assert!(batch < n_batches);
+    // gids g with g * n_batches + batch < n_points.
+    n_points.saturating_sub(batch).div_ceil(n_batches)
 }
 
-/// The shared ε-neighborhood inner loop: scan the candidates `A[k]` for
-/// `k ∈ [range.start, range.end)` and invoke `on_hits` once per chunk
-/// with the candidates within the closed ε-ball around `(qx, qy)`, in
-/// `k` order (so callers can append and account hits in bulk).
+/// Number of sample points the estimation kernels count for a database
+/// of `n` at `stride` (thread `g` counts point `g · stride`).
+pub fn sample_size(n: usize, stride: usize) -> usize {
+    n.div_ceil(stride.max(1))
+}
+
+/// `atomic: gpuResultSet <- gpuResultSet ∪ result` for one chunk of
+/// point `pi`'s hits: charged per hit (batched: exact integer costs) and
+/// appended with one cursor reservation per chunk. Overflow is recorded by
+/// the buffer; a real kernel cannot unwind, so neither do we.
+#[inline]
+pub(crate) fn append_hits(
+    t: &mut ThreadCtx,
+    result: &DeviceAppendBuffer<NeighborPair>,
+    pi: usize,
+    hits: &[u32],
+) {
+    let mut charge = ChargeBatch {
+        atomics: hits.len() as u64,
+        ..ChargeBatch::default()
+    };
+    charge.write_global::<NeighborPair>(hits.len() as u64);
+    t.charge_batch(charge);
+    let mut out = [(0u32, 0u32); SCAN_LANES];
+    for (o, &cand) in out.iter_mut().zip(hits) {
+        *o = (pi as u32, cand);
+    }
+    let _ = result.append_n(&out[..hits.len()]);
+}
+
+/// The shared ε-neighborhood inner loop of the grid and tree kernels:
+/// scan the candidate ids `ids` and invoke `on_hits` once per chunk with
+/// the candidates within the closed ε-ball around `q`, in id-list order
+/// (so callers can append and account hits in bulk).
 ///
 /// The scan runs chunk-wise over [`SCAN_LANES`]-wide lanes of the SoA
 /// coordinate arrays:
 ///
-/// * the x-axis distance is computed first for the whole chunk and the
-///   y pass is skipped when every lane already has `fl(dx²) > ε²` — safe
-///   because `fl(fl(dx²) + fl(dy²)) ≥ fl(dx²)` (f64 rounding is monotone
-///   and `fl(dy²) ≥ 0`), so no such lane can be a hit;
-/// * lane arithmetic (`d2 = dx·dx` then `d2 += dy·dy`) performs exactly
-///   the mul-mul-add rounding sequence of `Point2::distance_sq`, so hit
+/// * axis 0 is computed first for the whole chunk and the remaining axes
+///   are skipped when every lane already has `fl(dx₀²) > ε²` — safe
+///   because f64 rounding is monotone and each added square is
+///   non-negative, so no such lane can be a hit;
+/// * lane arithmetic accumulates squares in axis order, the exact
+///   rounding sequence of [`spatial::PointN::distance_sq`], so hit
 ///   decisions are bit-identical to the scalar loop;
 /// * `gpu_sim` accounting is charged once per chunk via [`ChargeBatch`]
-///   (per candidate: the `A[k]` id read, the point read, 5 distance
-///   flops), which the cost model guarantees is bitwise identical to
-///   per-element charging.
+///   (per candidate: the `A[k]` id read, the `D` coordinate reads, and
+///   `3D − 1` distance flops — 5 in 2-D), which the cost model guarantees
+///   is bitwise identical to per-element charging.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_cell_range(
+pub(crate) fn scan_ids<const D: usize>(
     t: &mut ThreadCtx,
-    points: PointsView<'_>,
-    lookup: &[u32],
-    range: CellRange,
-    qx: f64,
-    qy: f64,
+    points: PointsViewN<'_, D>,
+    ids: &[u32],
+    q: &[f64; D],
     eps_sq: f64,
     mut on_hits: impl FnMut(&mut ThreadCtx, &[u32]),
 ) {
-    let mut k = range.start as usize;
-    let end = range.end as usize;
+    let mut k = 0usize;
+    let end = ids.len();
     while k < end {
         let c = (end - k).min(SCAN_LANES);
         let mut batch = ChargeBatch {
-            flops: 5 * c as u64,
+            flops: (3 * D as u64 - 1) * c as u64,
             ..ChargeBatch::default()
         };
         batch.read_global::<u32>(c as u64);
-        batch.read_global::<spatial::Point2>(c as u64);
+        batch.read_global::<f64>((D * c) as u64);
         t.charge_batch(batch);
 
-        let ids = &lookup[k..k + c];
+        let chunk = &ids[k..k + c];
         let mut d2 = [0.0f64; SCAN_LANES];
         let mut all_far = true;
-        for (j, &id) in ids.iter().enumerate() {
-            let dx = qx - points.xs[id as usize];
+        for (j, &id) in chunk.iter().enumerate() {
+            let dx = q[0] - points.coords[0][id as usize];
             d2[j] = dx * dx;
             all_far &= d2[j] > eps_sq;
         }
         if !all_far {
-            for (j, &id) in ids.iter().enumerate() {
-                let dy = qy - points.ys[id as usize];
-                d2[j] += dy * dy;
+            // Axis-major lane loop mirroring the SoA layout; `q` and
+            // `coords` are indexed by the same axis on purpose.
+            #[allow(clippy::needless_range_loop)]
+            for axis in 1..D {
+                for (j, &id) in chunk.iter().enumerate() {
+                    let dx = q[axis] - points.coords[axis][id as usize];
+                    d2[j] += dx * dx;
+                }
             }
             let mut hits = [0u32; SCAN_LANES];
             let mut h = 0;
-            for (j, &id) in ids.iter().enumerate() {
+            for (j, &id) in chunk.iter().enumerate() {
                 if d2[j] <= eps_sq {
                     hits[h] = id;
                     h += 1;
@@ -132,15 +163,15 @@ pub(crate) mod test_support {
     use super::NeighborCountKernel;
     use gpu_sim::memory::DeviceCounter;
     use gpu_sim::Device;
-    use spatial::{GridIndex, Point2, PointStore};
+    use spatial::{GridIndexN, Point2, PointN, PointStoreN};
 
     /// Size a result buffer the way the production pipeline does: run the
     /// Section VI estimation kernel (exact at stride 1) and add the same
     /// slack the tests always used — instead of O(n²) scratch.
-    pub fn estimate_result_capacity(
+    pub fn estimate_result_capacity<const D: usize>(
         device: &Device,
-        store: &PointStore,
-        grid: &GridIndex,
+        store: &PointStoreN<D>,
+        grid: &GridIndexN<D>,
         eps: f64,
     ) -> usize {
         let counter = DeviceCounter::new(device).unwrap();
@@ -176,8 +207,20 @@ pub(crate) mod test_support {
             .collect()
     }
 
+    /// Deterministic pseudo-uniform points in `[0, extent)^D`.
+    pub fn nd_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
+        (0..n)
+            .map(|i| {
+                let t = i as f64;
+                PointN::from_coords(std::array::from_fn(|k| {
+                    (t * (0.433 + 0.239 * k as f64)).fract() * extent
+                }))
+            })
+            .collect()
+    }
+
     /// All (key, value) neighbor pairs by brute force, sorted.
-    pub fn brute_force_pairs(data: &[Point2], eps: f64) -> Vec<(u32, u32)> {
+    pub fn brute_force_pairs<const D: usize>(data: &[PointN<D>], eps: f64) -> Vec<(u32, u32)> {
         let eps_sq = eps * eps;
         let mut out = Vec::new();
         for (i, p) in data.iter().enumerate() {

@@ -6,9 +6,11 @@
 //! shared memory in block-size tiles, synchronizes, and then each thread
 //! compares its origin point against every staged comparison point —
 //! exploiting shared-memory bandwidth for the O(m·n) distance work. The
-//! staged tiles are SoA (separate x/y arrays, same byte footprint), and
-//! the per-thread compare loop runs chunk-wise with the hoisted x-axis
-//! filter of [`super::scan_cell_range`] — same hits, same modeled cost.
+//! staged tiles are SoA (one array per axis, same byte footprint), and
+//! the per-thread compare loop runs chunk-wise with the hoisted axis-0
+//! filter of [`super::scan_ids`] — same hits, same modeled cost. The
+//! kernel is generic over `D`: the stencil (9 cells in 2-D, `3^D` in
+//! general) comes from the grid geometry.
 //!
 //! The paper's pseudo-code assumes cells no larger than the block; the
 //! real implementation (and this one) adds the outer tiling loop it
@@ -22,52 +24,53 @@
 //! blocks, the worse the total. The experiment harness reproduces exactly
 //! that trade-off.
 
-use super::{load_cell_range, NeighborPair, SCAN_LANES};
+use super::grid::load_cell_range;
+use super::{append_hits, NeighborPair, SCAN_LANES};
 use gpu_sim::error::DeviceError;
-use gpu_sim::kernel::ChargeBatch;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::DeviceAppendBuffer;
-use spatial::grid::CellsView;
-use spatial::{GridGeometry, Point2, PointsView};
+use spatial::grid::{CellsView, MAX_STENCIL};
+use spatial::{GridGeometryN, PointsViewN};
 
 /// Algorithm 3: block-per-cell ε-neighborhood kernel staging through
 /// shared memory.
-pub struct GpuCalcShared<'a> {
+pub struct GpuCalcShared<'a, const D: usize> {
     /// `D` (device-resident, spatially sorted), as the SoA coordinate view.
-    pub points: PointsView<'a>,
+    pub points: PointsViewN<'a, D>,
     /// `G`: per-cell ranges into `A`, in either layout.
     pub grid: CellsView<'a>,
     /// `A`: point ids grouped by cell.
     pub lookup: &'a [u32],
     /// Grid geometry (device constants).
-    pub geom: GridGeometry,
+    pub geom: GridGeometryN<D>,
     /// Search radius; must equal the grid's cell width.
     pub eps: f64,
-    /// The schedule `S`: linear ids of the non-empty cells this launch
-    /// processes, one block each. For a batched execution, a strided
-    /// sub-slice of the full schedule.
-    pub schedule: &'a [u32],
+    /// The schedule `S`: keys of the non-empty cells this launch
+    /// processes, one block each. For a batched execution, a sub-slice of
+    /// the full schedule.
+    pub schedule: &'a [u64],
     /// `gpuResultSet`: the atomic result buffer.
     pub result: &'a DeviceAppendBuffer<NeighborPair>,
 }
 
-impl GpuCalcShared<'_> {
+impl<const D: usize> GpuCalcShared<'_, D> {
     /// Launch configuration: one block per scheduled cell. `N` (the total
     /// thread count of Algorithm 3) is `|S| · block_dim` — the `n_GPU`
     /// reported in Table II.
     pub fn launch_config(&self, block_dim: u32) -> LaunchConfig {
         // Two point tiles plus the origin-id tile.
         let shared_bytes =
-            block_dim as usize * (2 * std::mem::size_of::<Point2>() + std::mem::size_of::<u32>());
+            block_dim as usize * (2 * D * std::mem::size_of::<f64>() + std::mem::size_of::<u32>());
         LaunchConfig::new(self.schedule.len() as u32, block_dim).with_shared_mem(shared_bytes)
     }
 }
 
-impl BlockKernel for GpuCalcShared<'_> {
+impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
     fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
         let bd = ctx.block_dim as usize;
         let eps_sq = self.eps * self.eps;
+        let point_words = D as u64;
 
         // cellToProc <- S[blockID].
         let cell = self.schedule[ctx.block_idx as usize];
@@ -75,26 +78,27 @@ impl BlockKernel for GpuCalcShared<'_> {
         let m_origin = origin_range.len();
 
         // shared pntsOriginCell[blockDim.x], pntsCompCell[blockDim.x] —
-        // staged SoA (split x/y), same 2 * size_of::<Point2>() bytes per
-        // thread as the interleaved layout.
-        let mut s_origin_x: Vec<f64> = ctx.alloc_shared(bd)?;
-        let mut s_origin_y: Vec<f64> = ctx.alloc_shared(bd)?;
-        let mut s_comp_x: Vec<f64> = ctx.alloc_shared(bd)?;
-        let mut s_comp_y: Vec<f64> = ctx.alloc_shared(bd)?;
+        // staged SoA (one array per axis), the same bytes per thread as
+        // the interleaved layout.
+        let mut s_origin: [Vec<f64>; D] = [(); D].map(|_| Vec::new());
+        let mut s_comp: [Vec<f64>; D] = [(); D].map(|_| Vec::new());
+        for tile in [&mut s_origin, &mut s_comp] {
+            for axis in tile.iter_mut() {
+                *axis = ctx.alloc_shared(bd)?;
+            }
+        }
         // Origin point ids travel with the staged coordinates (the result
         // pair needs them); a real kernel stages them in shared memory too.
         let mut s_origin_ids: Vec<u32> = ctx.alloc_shared(bd)?;
 
         // Thread 0 fetches the neighbor-cell list; synchronize().
-        let mut cell_ids = [0u32; 9];
+        let mut cell_ids = [0u64; MAX_STENCIL];
         let mut n_cells = 0;
         ctx.phase(|t| {
             if t.tid == 0 {
                 let _ = load_cell_range(t, &self.grid, cell);
-                t.charge_flops(10);
-                let (ids, n) = self.geom.neighbor_cells(cell as usize);
-                cell_ids = ids;
-                n_cells = n;
+                t.charge_flops(5 * D as u64);
+                (cell_ids, n_cells) = self.geom.neighbor_cells(cell);
             }
         });
 
@@ -113,14 +117,15 @@ impl BlockKernel for GpuCalcShared<'_> {
             ctx.phase(|t| {
                 let k = t.tid as usize;
                 t.read_global::<u32>(1);
-                t.read_global::<Point2>(1);
-                t.access_shared::<Point2>(1);
+                t.read_global::<f64>(point_words);
+                t.access_shared::<f64>(point_words);
                 if k < o_count {
                     // lookupOffset <- G[cellToProc].min + threadId.x;
                     // dataID <- A[lookupOffset]; copy D[dataID] to shared.
                     let id = self.lookup[o_base + k];
-                    s_origin_x[k] = self.points.xs[id as usize];
-                    s_origin_y[k] = self.points.ys[id as usize];
+                    for (axis, s) in s_origin.iter_mut().enumerate() {
+                        s[k] = self.points.coords[axis][id as usize];
+                    }
                     s_origin_ids[k] = id;
                 }
             });
@@ -142,70 +147,69 @@ impl BlockKernel for GpuCalcShared<'_> {
                     ctx.phase(|t| {
                         let k = t.tid as usize;
                         t.read_global::<u32>(1);
-                        t.read_global::<Point2>(1);
-                        t.access_shared::<Point2>(1);
+                        t.read_global::<f64>(point_words);
+                        t.access_shared::<f64>(point_words);
                         if k < c_count {
                             let id = self.lookup[c_base + k];
-                            s_comp_x[k] = self.points.xs[id as usize];
-                            s_comp_y[k] = self.points.ys[id as usize];
+                            for (axis, s) in s_comp.iter_mut().enumerate() {
+                                s[k] = self.points.coords[axis][id as usize];
+                            }
                         }
                     });
 
                     // Compare: thread k owns origin point k (if staged)
                     // and scans the staged comparison tile from shared
-                    // memory, chunk-wise over SoA lanes with the x-axis
+                    // memory, chunk-wise over SoA lanes with the axis-0
                     // filter hoisted (bit-identical hit decisions; see
-                    // scan_cell_range for the argument). Lanes without an
-                    // origin point idle, but the warp-max accounting still
+                    // scan_ids for the argument). Lanes without an origin
+                    // point idle, but the warp-max accounting still
                     // charges their warp the active lanes' cost — and the
                     // block keeps paying the staging loads and barriers
                     // above, which is what sinks this kernel on sparse
                     // cells (Table II).
+                    let comp: [&[f64]; D] = std::array::from_fn(|a| &s_comp[a][..c_count]);
+                    let ids = &self.lookup[c_base..c_base + c_count];
                     ctx.phase(|t| {
                         let k = t.tid as usize;
                         if k >= o_count {
                             return;
                         }
-                        let (px, py) = (s_origin_x[k], s_origin_y[k]);
+                        let p: [f64; D] = std::array::from_fn(|axis| s_origin[axis][k]);
                         let pid = s_origin_ids[k];
-                        t.access_shared::<Point2>(1);
-                        t.access_shared::<Point2>(c_count as u64);
-                        // Per candidate: 5 DP ops for the distance plus
-                        // ~7 ops of loop index, compare and branch
+                        t.access_shared::<f64>(point_words);
+                        t.access_shared::<f64>(point_words * c_count as u64);
+                        // Per candidate: 3D - 1 DP ops for the distance
+                        // plus ~7 ops of loop index, compare and branch
                         // arithmetic (the DP dependency chain pipelines
                         // poorly inside a warp).
-                        t.charge_flops(12 * c_count as u64);
+                        t.charge_flops((3 * point_words + 6) * c_count as u64);
                         let mut j = 0;
                         while j < c_count {
                             let c = (c_count - j).min(SCAN_LANES);
                             let mut d2 = [0.0f64; SCAN_LANES];
                             let mut all_far = true;
-                            for l in 0..c {
-                                let dx = px - s_comp_x[j + l];
-                                d2[l] = dx * dx;
-                                all_far &= d2[l] > eps_sq;
+                            for (d, &x) in d2.iter_mut().zip(&comp[0][j..j + c]) {
+                                let dx = p[0] - x;
+                                *d = dx * dx;
+                                all_far &= *d > eps_sq;
                             }
                             if !all_far {
-                                for l in 0..c {
-                                    let dy = py - s_comp_y[j + l];
-                                    d2[l] += dy * dy;
+                                for (axis, col) in comp.iter().enumerate().skip(1) {
+                                    for (d, &x) in d2.iter_mut().zip(&col[j..j + c]) {
+                                        let dx = p[axis] - x;
+                                        *d += dx * dx;
+                                    }
                                 }
-                                let mut out = [(0u32, 0u32); SCAN_LANES];
+                                let mut hits = [0u32; SCAN_LANES];
                                 let mut h = 0;
-                                for (l, &d) in d2.iter().take(c).enumerate() {
+                                for (&d, &id) in d2.iter().zip(&ids[j..j + c]) {
                                     if d <= eps_sq {
-                                        out[h] = (pid, self.lookup[c_base + j + l]);
+                                        hits[h] = id;
                                         h += 1;
                                     }
                                 }
                                 if h > 0 {
-                                    let mut charge = ChargeBatch {
-                                        atomics: h as u64,
-                                        ..ChargeBatch::default()
-                                    };
-                                    charge.write_global::<NeighborPair>(h as u64);
-                                    t.charge_batch(charge);
-                                    let _ = self.result.append_n(&out[..h]);
+                                    append_hits(t, self.result, pid as usize, &hits[..h]);
                                 }
                             }
                             j += c;
@@ -223,7 +227,7 @@ mod tests {
     use super::super::test_support::{brute_force_pairs, estimate_result_capacity, mixed_points};
     use super::*;
     use gpu_sim::Device;
-    use spatial::{GridIndex, PointStore};
+    use spatial::{GridIndex, Point2, PointStore};
 
     fn run_kernel(
         data: &[Point2],

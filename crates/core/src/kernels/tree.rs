@@ -25,9 +25,9 @@
 //! sparse uniform 2-D data does not — which is exactly the trade-off the
 //! [`crate::backend`] selector navigates.
 
-use super::{NeighborPair, SCAN_LANES};
+use super::{append_hits, points_in_batch, sample_size, scan_ids, NeighborPair};
 use gpu_sim::error::DeviceError;
-use gpu_sim::kernel::{BlockCtx, BlockKernel, ChargeBatch, ThreadCtx};
+use gpu_sim::kernel::{BlockCtx, BlockKernel, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::{DeviceAppendBuffer, DeviceCounter};
 use spatial::packed_tree::LEAF_AXIS;
@@ -37,73 +37,6 @@ use spatial::{PointsViewN, TreeView};
 /// cap (24) plus the push-two-pop-one slack.
 const STACK_CAP: usize = 32;
 
-/// The dimension-generic ε-scan of a candidate id list — the ND analogue
-/// of [`super::scan_cell_range`], shared by the tree and ND-grid kernels.
-///
-/// Chunked over [`SCAN_LANES`]; dimension 0 is computed first for the
-/// whole chunk and the remaining dimensions are skipped when every lane
-/// already has `fl(dx₀²) > ε²` (safe: f64 rounding is monotone and each
-/// added square is non-negative). Lane arithmetic accumulates squares in
-/// dimension order, the exact rounding sequence of
-/// [`spatial::PointN::distance_sq`] — at `D = 2` bit-identical to the
-/// 2-D kernels' scan. Charged per chunk: the id read, `D` coordinate
-/// reads, and `3D − 1` distance flops per candidate (5 at `D = 2`,
-/// matching the 2-D scan).
-#[inline]
-pub(crate) fn scan_ids_nd<const D: usize>(
-    t: &mut ThreadCtx,
-    points: PointsViewN<'_, D>,
-    ids: &[u32],
-    q: &[f64; D],
-    eps_sq: f64,
-    mut on_hits: impl FnMut(&mut ThreadCtx, &[u32]),
-) {
-    let mut k = 0usize;
-    let end = ids.len();
-    while k < end {
-        let c = (end - k).min(SCAN_LANES);
-        let mut batch = ChargeBatch {
-            flops: (3 * D as u64 - 1) * c as u64,
-            ..ChargeBatch::default()
-        };
-        batch.read_global::<u32>(c as u64);
-        batch.read_global::<f64>((D * c) as u64);
-        t.charge_batch(batch);
-
-        let chunk = &ids[k..k + c];
-        let mut d2 = [0.0f64; SCAN_LANES];
-        let mut all_far = true;
-        for (j, &id) in chunk.iter().enumerate() {
-            let dx = q[0] - points.coords[0][id as usize];
-            d2[j] = dx * dx;
-            all_far &= d2[j] > eps_sq;
-        }
-        if !all_far {
-            // Axis-major lane loop mirroring the SoA layout; `q` and
-            // `coords` are indexed by the same axis on purpose.
-            #[allow(clippy::needless_range_loop)]
-            for axis in 1..D {
-                for (j, &id) in chunk.iter().enumerate() {
-                    let dx = q[axis] - points.coords[axis][id as usize];
-                    d2[j] += dx * dx;
-                }
-            }
-            let mut hits = [0u32; SCAN_LANES];
-            let mut h = 0;
-            for (j, &id) in chunk.iter().enumerate() {
-                if d2[j] <= eps_sq {
-                    hits[h] = id;
-                    h += 1;
-                }
-            }
-            if h > 0 {
-                on_hits(t, &hits[..h]);
-            }
-        }
-        k += c;
-    }
-}
-
 /// Stack-based ε-ball traversal of the packed tree, invoking `on_hits`
 /// per hit chunk. Shared by the calc and count kernels so both charge the
 /// same traversal cost.
@@ -111,7 +44,7 @@ pub(crate) fn scan_ids_nd<const D: usize>(
 /// Per visited node the thread pays one *dependent* global read for the
 /// 8-byte node record (split or leaf range — its address came from the
 /// parent's visit) plus the 4-byte axis tag and the two bound
-/// comparisons; leaves then scan their id range via [`scan_ids_nd`].
+/// comparisons; leaves then scan their id range via [`super::scan_ids`].
 #[inline]
 fn traverse_eps<const D: usize>(
     t: &mut ThreadCtx,
@@ -140,7 +73,7 @@ fn traverse_eps<const D: usize>(
         let axis = tree.axes[node];
         if axis == LEAF_AXIS {
             let r = tree.ranges[node];
-            scan_ids_nd(
+            scan_ids(
                 t,
                 points,
                 &tree.ids[r.start as usize..r.end as usize],
@@ -182,15 +115,9 @@ pub struct GpuCalcTree<'a, const D: usize> {
 }
 
 impl<const D: usize> GpuCalcTree<'_, D> {
-    /// Identical strided partition to [`super::GpuCalcGlobal`] — the
-    /// batching scheme is backend-independent.
-    pub fn points_in_batch(n_points: usize, n_batches: usize, batch: usize) -> usize {
-        super::GpuCalcGlobal::points_in_batch(n_points, n_batches, batch)
-    }
-
     /// The launch configuration covering this batch at `block_dim`.
     pub fn launch_config(&self, block_dim: u32) -> LaunchConfig {
-        let n = Self::points_in_batch(self.points.len(), self.n_batches, self.batch);
+        let n = points_in_batch(self.points.len(), self.n_batches, self.batch);
         LaunchConfig::for_elements(n.max(1), block_dim)
     }
 }
@@ -198,7 +125,7 @@ impl<const D: usize> GpuCalcTree<'_, D> {
 impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
     fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
         let n_points = self.points.len();
-        let in_batch = Self::points_in_batch(n_points, self.n_batches, self.batch) as u64;
+        let in_batch = points_in_batch(n_points, self.n_batches, self.batch) as u64;
 
         ctx.for_each_thread(|t| {
             if t.gid >= in_batch {
@@ -214,19 +141,7 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
             t.charge_flops(2 * D as u64);
 
             traverse_eps(t, self.points, &self.tree, &q, self.eps, &mut |t, hits| {
-                let mut charge = ChargeBatch {
-                    atomics: hits.len() as u64,
-                    ..ChargeBatch::default()
-                };
-                charge.write_global::<NeighborPair>(hits.len() as u64);
-                t.charge_batch(charge);
-                let mut out = [(0u32, 0u32); SCAN_LANES];
-                for (o, &cand) in out.iter_mut().zip(hits) {
-                    *o = (pi as u32, cand);
-                }
-                // Overflow is recorded by the buffer; a real kernel
-                // cannot unwind, so neither do we.
-                let _ = self.result.append_n(&out[..hits.len()]);
+                append_hits(t, self.result, pi, hits)
             });
         });
         Ok(())
@@ -250,7 +165,7 @@ impl<const D: usize> TreeCountKernel<'_, D> {
     /// Launch configuration covering the sample at `block_dim`.
     pub fn launch_config(&self, block_dim: u32) -> LaunchConfig {
         LaunchConfig::for_elements(
-            super::NeighborCountKernel::sample_size(self.points.len(), self.stride).max(1),
+            sample_size(self.points.len(), self.stride).max(1),
             block_dim,
         )
     }
@@ -260,7 +175,7 @@ impl<const D: usize> BlockKernel for TreeCountKernel<'_, D> {
     fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
         let n_points = self.points.len();
         let stride = self.stride.max(1);
-        let samples = super::NeighborCountKernel::sample_size(n_points, stride) as u64;
+        let samples = sample_size(n_points, stride) as u64;
 
         ctx.for_each_thread(|t| {
             if t.gid >= samples {
@@ -296,25 +211,11 @@ mod tests {
         (0..n)
             .map(|i| {
                 let t = i as f64;
-                PointN::new(std::array::from_fn(|k| {
+                PointN::from_coords(std::array::from_fn(|k| {
                     (t * (0.357 + 0.191 * k as f64)).fract() * extent
                 }))
             })
             .collect()
-    }
-
-    fn brute_pairs_nd<const D: usize>(data: &[PointN<D>], eps: f64) -> Vec<(u32, u32)> {
-        let eps_sq = eps * eps;
-        let mut out = Vec::new();
-        for (i, p) in data.iter().enumerate() {
-            for (j, q) in data.iter().enumerate() {
-                if p.distance_sq(q) <= eps_sq {
-                    out.push((i as u32, j as u32));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     fn run_tree_kernel<const D: usize>(
@@ -357,7 +258,10 @@ mod tests {
     fn matches_brute_force_2d() {
         let data = nd_points::<2>(300, 8.0);
         for eps in [0.3, 1.0, 2.5] {
-            assert_eq!(run_tree_kernel(&data, eps, 1), brute_pairs_nd(&data, eps));
+            assert_eq!(
+                run_tree_kernel(&data, eps, 1),
+                brute_force_pairs(&data, eps)
+            );
         }
     }
 
@@ -366,8 +270,8 @@ mod tests {
         let p3 = nd_points::<3>(250, 5.0);
         let p4 = nd_points::<4>(180, 4.0);
         for eps in [0.6, 1.2] {
-            assert_eq!(run_tree_kernel(&p3, eps, 1), brute_pairs_nd(&p3, eps));
-            assert_eq!(run_tree_kernel(&p4, eps, 1), brute_pairs_nd(&p4, eps));
+            assert_eq!(run_tree_kernel(&p3, eps, 1), brute_force_pairs(&p3, eps));
+            assert_eq!(run_tree_kernel(&p4, eps, 1), brute_force_pairs(&p4, eps));
         }
     }
 
@@ -413,8 +317,7 @@ mod tests {
         let mut grid_pairs = result.as_filled_slice().to_vec();
         grid_pairs.sort_unstable();
 
-        let datan: Vec<PointN<2>> = data2.iter().map(|&p| PointN::from(p)).collect();
-        let tree_pairs = run_tree_kernel(&datan, eps, 1);
+        let tree_pairs = run_tree_kernel(&data2, eps, 1);
         assert_eq!(tree_pairs, grid_pairs);
         assert_eq!(tree_pairs, brute_force_pairs(&data2, eps));
     }
@@ -435,7 +338,7 @@ mod tests {
             counter: &counter,
         };
         let report = device.launch(kernel.launch_config(256), &kernel).unwrap();
-        assert_eq!(counter.get() as usize, brute_pairs_nd(&data, eps).len());
+        assert_eq!(counter.get() as usize, brute_force_pairs(&data, eps).len());
         // The estimation kernel writes no result set.
         assert_eq!(report.counters.global_write_bytes, 0);
     }

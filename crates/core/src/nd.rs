@@ -1,9 +1,9 @@
 //! Dimension-generic neighbor-table construction (d > 2).
 //!
-//! The public N-D entry points over [`HybridDbscan::build_table_nd`],
-//! the `D`-specific front half (pre-sort, backend selection, host index,
-//! upload and estimation over `PointN<D>`) of the one stage pipeline in
-//! [`crate::hybrid`]. N-D builds therefore share the 2-D plan, the
+//! The N-D entry points: [`build_table_nd`] configures a
+//! [`HybridDbscan`] and runs its dimension-generic
+//! [`HybridDbscan::build_table`], so N-D builds share every stage with
+//! 2-D — the pre-sort, backend selection, index, kernels, plan, the
 //! stream-pipelined batches with exact-|R| replanning on overflow, and
 //! the overlapped 3-stream modeled time.
 
@@ -36,7 +36,7 @@ pub struct NdTableHandle {
 
 /// Build the ε-neighbor table for `D`-dimensional `data` on the simulated
 /// device with the `requested` index backend; every backend yields the
-/// same table (see [`HybridDbscan::build_table_nd`]).
+/// same table (see [`HybridDbscan::build_table`]).
 pub fn build_table_nd<const D: usize>(
     device: &Device,
     data: &[PointN<D>],
@@ -51,7 +51,7 @@ pub fn build_table_nd<const D: usize>(
         batch: *batch_cfg,
         ..HybridConfig::default()
     };
-    let h = HybridDbscan::new(device, config).build_table_nd(data, eps)?;
+    let h = HybridDbscan::new(device, config).build_table(data, eps)?;
     Ok(NdTableHandle {
         table: h.table,
         perm: h.perm,
@@ -74,15 +74,14 @@ pub fn cluster_table_nd(handle: &NdTableHandle, minpts: usize) -> Clustering {
 mod tests {
     use super::*;
     use crate::shard::{clustering_fingerprint, table_fingerprint};
-    use spatial::nd::{
-        apply_permutation_nd, brute_force_neighbors_nd, spatial_sort_permutation_nd,
-    };
+    use spatial::distance::brute_force_neighbors;
+    use spatial::nd::{apply_permutation_nd, spatial_sort_permutation_nd};
 
     fn nd_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
         (0..n)
             .map(|i| {
                 let t = i as f64;
-                PointN::new(std::array::from_fn(|k| {
+                PointN::from_coords(std::array::from_fn(|k| {
                     (t * (0.433 + 0.239 * k as f64)).fract() * extent
                 }))
             })
@@ -119,7 +118,7 @@ mod tests {
         let sorted = apply_permutation_nd(&spatial_sort_permutation_nd(&d3), &d3);
         for i in (0..sorted.len()).step_by(37) {
             let got = g3.table.neighbors(i as u32);
-            let want = brute_force_neighbors_nd(&sorted, &sorted[i], 0.8);
+            let want = brute_force_neighbors(&sorted, &sorted[i], 0.8);
             assert_eq!(got, &want[..], "point {i}");
         }
     }

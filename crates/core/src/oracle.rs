@@ -537,7 +537,7 @@ mod tests {
         for i in 0..7 {
             d.push(Point2::new(20.0 + i as f64, 0.0));
         }
-        let fails = |pts: &[Point2]| pts.iter().filter(|p| p.x > 10.0).count() >= 3;
+        let fails = |pts: &[Point2]| pts.iter().filter(|p| p.x() > 10.0).count() >= 3;
         let minimal = shrink_case(&d, fails);
         assert_eq!(minimal.len(), 3, "shrunk to {minimal:?}");
         assert!(fails(&minimal));

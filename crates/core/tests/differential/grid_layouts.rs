@@ -7,17 +7,19 @@
 //! already property-tests this on generic point clouds; this module runs
 //! it over the lattice generator families — whose exact-ε boundary
 //! straddlers, duplicate bursts, and extreme-ε grids are engineered at
-//! the cell-assignment edge cases — and over the tiny-ε regime where
-//! `nx · ny ≫ |D|` makes the dense layout pathological.
+//! the cell-assignment edge cases — over the tiny-ε regime where
+//! `nx · ny ≫ |D|` makes the dense layout pathological, and (from
+//! [`super::nd`]) over the 3-D and 4-D families, since both layouts exist
+//! at every dimension.
 
 use super::generators::{self, Q};
 use proptest::TestRng;
-use spatial::{GridIndex, GridLayout};
+use spatial::{GridIndex, GridIndexN, GridLayout, PointN};
 
 /// Assert the two layouts are observably identical on one input.
-fn assert_layout_equivalence(data: &[spatial::Point2], eps: f64, ctx: &str) {
-    let dense = GridIndex::build_with_layout(data, eps, GridLayout::Dense);
-    let sparse = GridIndex::build_with_layout(data, eps, GridLayout::Sparse);
+pub(crate) fn assert_layout_equivalence<const D: usize>(data: &[PointN<D>], eps: f64, ctx: &str) {
+    let dense = GridIndexN::build_with_layout(data, eps, GridLayout::Dense);
+    let sparse = GridIndexN::build_with_layout(data, eps, GridLayout::Sparse);
 
     assert_eq!(dense.lookup(), sparse.lookup(), "{ctx}: lookup order");
     assert_eq!(
@@ -36,28 +38,26 @@ fn assert_layout_equivalence(data: &[spatial::Point2], eps: f64, ctx: &str) {
     // (the tiny-ε regime this layout exists for) check every non-empty
     // cell, its full neighbor stencil (what the kernels actually load),
     // and a deterministic stride sample of the empty remainder.
-    let (nx, ny) = dense.dims();
-    let n_cells = nx * ny;
+    let n_cells = dense.geometry().total_cells();
     if n_cells <= 1 << 16 {
         for h in 0..n_cells {
             assert_eq!(dense.range_of(h), sparse.range_of(h), "{ctx}: cell {h}");
         }
     } else {
         for &h in dense.non_empty_cells() {
-            let h = h as usize;
             assert_eq!(dense.range_of(h), sparse.range_of(h), "{ctx}: cell {h}");
             let (d_adj, d_n) = dense.neighbor_cells(h);
             let (s_adj, s_n) = sparse.neighbor_cells(h);
             assert_eq!((d_adj, d_n), (s_adj, s_n), "{ctx}: stencil of {h}");
             for &a in &d_adj[..d_n] {
                 assert_eq!(
-                    dense.range_of(a as usize),
-                    sparse.range_of(a as usize),
+                    dense.range_of(a),
+                    sparse.range_of(a),
                     "{ctx}: neighbor cell {a}"
                 );
             }
         }
-        for h in (0..n_cells).step_by((n_cells / 4096).max(1)) {
+        for h in (0..n_cells).step_by((n_cells / 4096).max(1) as usize) {
             assert_eq!(dense.range_of(h), sparse.range_of(h), "{ctx}: sampled {h}");
         }
     }

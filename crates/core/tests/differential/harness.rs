@@ -5,13 +5,15 @@ use crate::generators::Case;
 use gpu_sim::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
 use hybrid_dbscan_core::cuda_dclust::cuda_dclust;
-use hybrid_dbscan_core::dbscan::{Clustering, Dbscan, GridSource, KdTreeSource, RTreeSource};
+use hybrid_dbscan_core::dbscan::{
+    Clustering, Dbscan, GridSource, KdTreeSource, NeighborSource, RTreeSource,
+};
 use hybrid_dbscan_core::gdbscan::g_dbscan;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan_core::oracle;
 use hybrid_dbscan_core::reference::ReferenceDbscan;
 use spatial::distance::brute_force_neighbors;
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, Point2, RTree};
 
 /// Chain count for CUDA-DClust runs (enough concurrency to exercise the
 /// collision path on every non-trivial case).
@@ -70,10 +72,9 @@ pub fn run_all(case: &Case) -> Vec<(&'static str, Clustering)> {
         "dbscan-grid",
         Dbscan::new(minpts).run(&GridSource::new(&grid, data)),
     ));
-    let kd = KdTree::build(data);
     out.push((
         "dbscan-kdtree",
-        Dbscan::new(minpts).run(&KdTreeSource::new(&kd, data, eps)),
+        Dbscan::new(minpts).run(&KdTreeSource::build(data, eps)),
     ));
     let rt = RTree::bulk_load(data);
     out.push((
@@ -93,14 +94,15 @@ pub fn cross_check_neighborhoods(data: &[Point2], eps: f64) -> Result<(), String
         v.sort_unstable();
         v
     };
-    let kd = KdTree::build(data);
+    let kd = KdTreeSource::build(data, eps);
     let rt = RTree::bulk_load(data);
     for (id, q) in data.iter().enumerate() {
         let expected = brute_force_neighbors(data, q, eps);
         if gs(q) != expected {
             return Err(format!("grid neighborhood of point {id} != brute force"));
         }
-        let mut k = kd.query_eps(q, eps);
+        let mut k = Vec::new();
+        kd.neighbors_of(id as u32, &mut k);
         k.sort_unstable();
         if k != expected {
             return Err(format!("kd-tree neighborhood of point {id} != brute force"));

@@ -128,9 +128,12 @@ fn exact_eps_boundary_pythagorean() {
     ];
     let eps = 5.0;
     harness::cross_check_neighborhoods(&data, eps).unwrap();
-    let kd = spatial::KdTree::build(&data);
-    let mut n0 = kd.query_eps(&data[0], eps);
-    n0.sort_unstable();
+    let kd = spatial::PackedKdTree::build_from_points(&data);
+    let n0 = kd.query_eps(
+        spatial::PointStore::from_points(&data).view(),
+        &data[0],
+        eps,
+    );
     assert_eq!(n0, vec![0, 1, 3], "3-4-5 neighbors at exactly eps");
 
     // minpts = 3: point 0 sees {0, 1, 3}, point 1 sees {0, 1, 2} — both

@@ -10,17 +10,18 @@
 //! clumps, exact-ε Pythagorean boundaries ((1,2,2;3) in 3-D,
 //! (1,2,2,4;5) in 4-D), duplicates, and degenerate all-identical sets —
 //! and validates every table neighborhood point-for-point against
-//! `brute_force_neighbors_nd`. Failures are delta-debugged to a minimal
+//! `brute_force_neighbors`. Failures are delta-debugged to a minimal
 //! point set with a dimension-generic `ddmin` before being reported.
 
 use crate::generators::Q;
 use gpu_sim::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
 use hybrid_dbscan_core::batch::BatchConfig;
+use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan_core::nd::{build_table_nd, cluster_table_nd, NdTableHandle};
 use hybrid_dbscan_core::shard::{clustering_fingerprint, table_fingerprint};
 use proptest::TestRng;
-use spatial::nd::brute_force_neighbors_nd;
+use spatial::distance::brute_force_neighbors;
 use spatial::PointN;
 
 /// One ND differential input.
@@ -42,7 +43,7 @@ fn range(rng: &mut TestRng, lo: i64, hi: i64) -> i64 {
 
 /// A lattice point from integer units.
 fn pt<const D: usize>(units: [i64; D]) -> PointN<D> {
-    PointN::new(std::array::from_fn(|k| units[k] as f64 * Q))
+    PointN::from_coords(std::array::from_fn(|k| units[k] as f64 * Q))
 }
 
 fn build<const D: usize>(
@@ -69,13 +70,14 @@ fn tiny_batches() -> BatchConfig {
 
 /// The full cross-backend + oracle check for one ND case:
 ///
-/// 1. every grid-table neighborhood equals `brute_force_neighbors_nd`
+/// 1. every grid-table neighborhood equals `brute_force_neighbors`
 ///    point-for-point (ids mapped through the spatial-sort permutation);
 /// 2. the tree backend's table is bitwise identical to the grid's, at the
 ///    default batch plan *and* under forced multi-batching;
-/// 3. `Auto` resolves and matches both exactly;
+/// 3. `Auto` resolves and matches both exactly, and so does the
+///    block-per-cell GPUCalcShared kernel;
 /// 4. the clusterings (in original point order) are identical across all
-///    three backends.
+///    of them.
 fn check_case_nd<const D: usize>(case: &CaseNd<D>) -> Result<(), String> {
     let CaseNd {
         data, eps, minpts, ..
@@ -89,7 +91,7 @@ fn check_case_nd<const D: usize>(case: &CaseNd<D>) -> Result<(), String> {
     let sorted: Vec<PointN<D>> = grid.perm.iter().map(|&i| data[i as usize]).collect();
     for (i, q) in sorted.iter().enumerate() {
         let got = grid.table.neighbors(i as u32);
-        let want = brute_force_neighbors_nd(&sorted, q, eps);
+        let want = brute_force_neighbors(&sorted, q, eps);
         if got != &want[..] {
             return Err(format!(
                 "{}-D grid neighborhood of sorted point {i} != brute force \
@@ -137,7 +139,23 @@ fn check_case_nd<const D: usize>(case: &CaseNd<D>) -> Result<(), String> {
         ));
     }
 
+    let shared = HybridDbscan::new(
+        &Device::k20c(),
+        HybridConfig {
+            kernel: KernelChoice::Shared,
+            ..HybridConfig::default()
+        },
+    )
+    .build_table(data, eps)
+    .map_err(|e| format!("{D}-D shared-kernel build failed: {e:?}"))?;
+    if gfp != table_fingerprint(&shared.table) {
+        return Err(format!("{D}-D shared-kernel table != grid table"));
+    }
+
     let cg = clustering_fingerprint(&cluster_table_nd(&grid, minpts));
+    if clustering_fingerprint(&HybridDbscan::cluster_with_table(&shared, minpts).0) != cg {
+        return Err(format!("{D}-D shared-kernel clustering != grid clustering"));
+    }
     for (name, h) in [
         ("tree", &tree),
         ("tree-batched", &tree_batched),
@@ -302,20 +320,25 @@ fn pythagorean<const D: usize>(rng: &mut TestRng, legs: [i64; D], hyp: i64) -> C
 }
 
 /// Quick deterministic tier: every ND family under a few fixed seeds,
-/// in 3-D and 4-D. (1² + 2² + 2² = 3² and 1² + 2² + 2² + 4² = 5² are the
-/// exact-ε boundary identities.)
+/// in 3-D and 4-D, through the cross-backend check and the dense ≡ sparse
+/// grid-layout check. (1² + 2² + 2² = 3² and 1² + 2² + 2² + 4² = 5² are
+/// the exact-ε boundary identities.)
 #[test]
 fn nd_quick_all_families_fixed_seeds() {
+    fn check<const D: usize>(case: CaseNd<D>) {
+        assert_case_nd(&case);
+        crate::grid_layouts::assert_layout_equivalence(&case.data, case.eps, case.family);
+    }
     for seed in [1u64, 7, 1234] {
         let mut rng = TestRng::new(seed);
-        assert_case_nd(&skewed_clumps::<3>(&mut rng));
-        assert_case_nd(&skewed_clumps::<4>(&mut rng));
-        assert_case_nd(&all_identical::<3>(&mut rng));
-        assert_case_nd(&all_identical::<4>(&mut rng));
-        assert_case_nd(&duplicates::<3>(&mut rng));
-        assert_case_nd(&duplicates::<4>(&mut rng));
-        assert_case_nd(&pythagorean::<3>(&mut rng, [1, 2, 2], 3));
-        assert_case_nd(&pythagorean::<4>(&mut rng, [1, 2, 2, 4], 5));
+        check(skewed_clumps::<3>(&mut rng));
+        check(skewed_clumps::<4>(&mut rng));
+        check(all_identical::<3>(&mut rng));
+        check(all_identical::<4>(&mut rng));
+        check(duplicates::<3>(&mut rng));
+        check(duplicates::<4>(&mut rng));
+        check(pythagorean::<3>(&mut rng, [1, 2, 2], 3));
+        check(pythagorean::<4>(&mut rng, [1, 2, 2, 4], 5));
     }
 }
 

@@ -118,7 +118,7 @@ pub fn assert_all_invariant(case: &Case, rng: &mut TestRng) {
         let (dx, dy) = (tx as f64 * Q, ty as f64 * Q);
         let moved: Vec<Point2> = data
             .iter()
-            .map(|p| Point2::new(p.x + dx, p.y + dy))
+            .map(|p| Point2::new(p.x() + dx, p.y() + dy))
             .collect();
         baseline.check_invariant(name, &moved, eps, minpts, identity);
     }
@@ -127,11 +127,11 @@ pub fn assert_all_invariant(case: &Case, rng: &mut TestRng) {
     for (name, f) in [
         (
             "rotate-90",
-            (|p: &Point2| Point2::new(-p.y, p.x)) as fn(&Point2) -> Point2,
+            (|p: &Point2| Point2::new(-p.y(), p.x())) as fn(&Point2) -> Point2,
         ),
-        ("rotate-180", |p| Point2::new(-p.x, -p.y)),
-        ("rotate-270", |p| Point2::new(p.y, -p.x)),
-        ("reflect-x", |p| Point2::new(p.x, -p.y)),
+        ("rotate-180", |p| Point2::new(-p.x(), -p.y())),
+        ("rotate-270", |p| Point2::new(p.y(), -p.x())),
+        ("reflect-x", |p| Point2::new(p.x(), -p.y())),
     ] {
         let turned: Vec<Point2> = data.iter().map(f).collect();
         baseline.check_invariant(name, &turned, eps, minpts, identity);
@@ -139,7 +139,10 @@ pub fn assert_all_invariant(case: &Case, rng: &mut TestRng) {
 
     // Joint (coords, ε) scaling by powers of two.
     for s in [0.25, 0.5, 2.0, 8.0] {
-        let scaled: Vec<Point2> = data.iter().map(|p| Point2::new(p.x * s, p.y * s)).collect();
+        let scaled: Vec<Point2> = data
+            .iter()
+            .map(|p| Point2::new(p.x() * s, p.y() * s))
+            .collect();
         baseline.check_invariant("scale-pow2", &scaled, eps * s, minpts, identity);
     }
 

@@ -232,7 +232,7 @@ pub fn lattice_nd<const D: usize>(
                     c
                 }
             });
-            PointN::new(coords)
+            PointN::from_coords(coords)
         })
         .collect()
 }
@@ -249,7 +249,7 @@ mod tests {
         let counts: Vec<f64> = g
             .non_empty_cells()
             .iter()
-            .map(|&h| g.range_of(h as usize).len() as f64)
+            .map(|&h| g.range_of(h).len() as f64)
             .collect();
         let mean = counts.iter().sum::<f64>() / counts.len() as f64;
         let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;
@@ -265,10 +265,10 @@ mod tests {
     #[test]
     fn points_stay_in_domain() {
         for p in sw_class(5_000, 80.0, 40.0, 50, 2) {
-            assert!(p.x >= 0.0 && p.x <= 80.0 && p.y >= 0.0 && p.y <= 40.0);
+            assert!(p.x() >= 0.0 && p.x() <= 80.0 && p.y() >= 0.0 && p.y() <= 40.0);
         }
         for p in sdss_class(5_000, 80.0, 40.0, 2) {
-            assert!(p.x >= 0.0 && p.x <= 80.0 && p.y >= 0.0 && p.y <= 40.0);
+            assert!(p.x() >= 0.0 && p.x() <= 80.0 && p.y() >= 0.0 && p.y() <= 40.0);
         }
     }
 
@@ -337,7 +337,7 @@ mod tests {
         assert_eq!(a, skewed_exp_class(3000, 60.0, 30.0, 25, 9));
         assert_eq!(a.len(), 3000);
         for p in &a {
-            assert!(p.x >= 0.0 && p.x <= 60.0 && p.y >= 0.0 && p.y <= 30.0);
+            assert!(p.x() >= 0.0 && p.x() <= 60.0 && p.y() >= 0.0 && p.y() <= 30.0);
         }
     }
 

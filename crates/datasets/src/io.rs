@@ -15,7 +15,7 @@ pub fn save_csv(path: &Path, points: &[Point2]) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     writeln!(w, "x,y")?;
     for p in points {
-        writeln!(w, "{},{}", p.x, p.y)?;
+        writeln!(w, "{},{}", p.x(), p.y())?;
     }
     w.flush()
 }

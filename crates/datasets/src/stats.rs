@@ -38,7 +38,7 @@ impl DatasetStats {
         let counts: Vec<f64> = g
             .non_empty_cells()
             .iter()
-            .map(|&h| g.range_of(h as usize).len() as f64)
+            .map(|&h| g.range_of(h).len() as f64)
             .collect();
         let mean = counts.iter().sum::<f64>() / counts.len() as f64;
         let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;

@@ -37,10 +37,10 @@ impl Aabb {
     /// The degenerate box covering a single point.
     pub fn from_point(p: Point2) -> Self {
         Self {
-            min_x: p.x,
-            min_y: p.y,
-            max_x: p.x,
-            max_y: p.y,
+            min_x: p.x(),
+            min_y: p.y(),
+            max_x: p.x(),
+            max_y: p.y(),
         }
     }
 
@@ -52,7 +52,7 @@ impl Aabb {
     /// The square of side `2·eps` centred on `p` — the bounding box of the
     /// ε-ball, used to prune R-tree subtrees during a range query.
     pub fn eps_box(p: Point2, eps: f64) -> Self {
-        Self::new(p.x - eps, p.y - eps, p.x + eps, p.y + eps)
+        Self::new(p.x() - eps, p.y() - eps, p.x() + eps, p.y() + eps)
     }
 
     /// Whether this box is the empty identity.
@@ -63,10 +63,10 @@ impl Aabb {
     /// Box grown to cover `p`.
     pub fn grown(&self, p: Point2) -> Self {
         Self {
-            min_x: self.min_x.min(p.x),
-            min_y: self.min_y.min(p.y),
-            max_x: self.max_x.max(p.x),
-            max_y: self.max_y.max(p.y),
+            min_x: self.min_x.min(p.x()),
+            min_y: self.min_y.min(p.y()),
+            max_x: self.max_x.max(p.x()),
+            max_y: self.max_y.max(p.y()),
         }
     }
 
@@ -90,7 +90,7 @@ impl Aabb {
 
     /// Whether the closed box contains `p`.
     pub fn contains(&self, p: Point2) -> bool {
-        p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
+        p.x() >= self.min_x && p.x() <= self.max_x && p.y() >= self.min_y && p.y() <= self.max_y
     }
 
     /// Area of the box (0 for degenerate/empty boxes).
@@ -111,8 +111,8 @@ impl Aabb {
     /// Squared distance from `p` to the nearest point of the box (0 if the
     /// box contains `p`). Used for exact ball/box pruning.
     pub fn min_dist_sq(&self, p: Point2) -> f64 {
-        let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
-        let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
+        let dx = (self.min_x - p.x()).max(0.0).max(p.x() - self.max_x);
+        let dy = (self.min_y - p.y()).max(0.0).max(p.y() - self.max_y);
         dx * dx + dy * dy
     }
 

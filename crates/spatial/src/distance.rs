@@ -1,28 +1,22 @@
-//! Distance functions and brute-force neighborhood helpers.
+//! Brute-force ε-neighborhood helpers.
 //!
 //! DBSCAN admits an arbitrary distance function; the paper (and this
-//! reproduction) uses the Euclidean metric on 2-D points. The brute-force
-//! searches here are the *oracles* the property-based tests compare every
-//! index against.
+//! reproduction) uses the Euclidean metric. The brute-force searches here
+//! are the *oracles* the property-based and differential tests compare
+//! every index against, at every dimension. They use
+//! [`PointN::distance_sq`], so their hit decisions are bit-identical to
+//! the index-backed paths.
 
-use crate::point::Point2;
-
-/// Euclidean distance between two points.
-#[inline]
-pub fn euclidean(p: &Point2, q: &Point2) -> f64 {
-    p.distance(q)
-}
-
-/// Squared Euclidean distance between two points.
-#[inline]
-pub fn euclidean_sq(p: &Point2, q: &Point2) -> f64 {
-    p.distance_sq(q)
-}
+use crate::point::PointN;
 
 /// Brute-force ε-neighborhood: ids of every point of `data` within the
 /// closed ε-ball around `q` (including `q` itself if present), in ascending
 /// id order. `O(|D|)` per query — test oracle only.
-pub fn brute_force_neighbors(data: &[Point2], q: &Point2, eps: f64) -> Vec<u32> {
+pub fn brute_force_neighbors<const D: usize>(
+    data: &[PointN<D>],
+    q: &PointN<D>,
+    eps: f64,
+) -> Vec<u32> {
     let eps_sq = eps * eps;
     data.iter()
         .enumerate()
@@ -32,7 +26,7 @@ pub fn brute_force_neighbors(data: &[Point2], q: &Point2, eps: f64) -> Vec<u32> 
 }
 
 /// Brute-force count of neighbors within the closed ε-ball.
-pub fn brute_force_count(data: &[Point2], q: &Point2, eps: f64) -> usize {
+pub fn brute_force_count<const D: usize>(data: &[PointN<D>], q: &PointN<D>, eps: f64) -> usize {
     let eps_sq = eps * eps;
     data.iter().filter(|p| p.distance_sq(q) <= eps_sq).count()
 }
@@ -40,13 +34,14 @@ pub fn brute_force_count(data: &[Point2], q: &Point2, eps: f64) -> usize {
 /// Total number of (ordered) neighbor pairs within ε over the whole
 /// database — the exact size of the result set `R` the GPU kernels emit.
 /// `O(|D|²)`; test oracle only.
-pub fn brute_force_pair_count(data: &[Point2], eps: f64) -> usize {
+pub fn brute_force_pair_count<const D: usize>(data: &[PointN<D>], eps: f64) -> usize {
     data.iter().map(|q| brute_force_count(data, q, eps)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point2;
 
     fn square() -> Vec<Point2> {
         vec![
@@ -91,6 +86,17 @@ mod tests {
     fn empty_database() {
         let q = Point2::new(0.0, 0.0);
         assert!(brute_force_neighbors(&[], &q, 1.0).is_empty());
-        assert_eq!(brute_force_pair_count(&[], 1.0), 0);
+        assert_eq!(brute_force_pair_count::<2>(&[], 1.0), 0);
+    }
+
+    #[test]
+    fn neighbors_in_4d() {
+        let data = [
+            PointN::from_coords([0.0, 0.0, 0.0, 0.0]),
+            PointN::from_coords([1.0, 0.0, 0.0, 0.0]),
+            PointN::from_coords([1.0, 1.0, 1.0, 1.0]),
+        ];
+        assert_eq!(brute_force_neighbors(&data, &data[0], 1.0), vec![0, 1]);
+        assert_eq!(brute_force_neighbors(&data, &data[2], 2.0), vec![0, 1, 2]);
     }
 }

@@ -1,40 +1,53 @@
-//! The grid index `(G, A)` of Section IV (Figure 1 of the paper).
+//! The grid index `(G, A)` of Section IV (Figure 1 of the paper), over
+//! `D`-dimensional points.
 //!
-//! The data extent is covered by cells of ε length in both x and y, so the
+//! The data extent is covered by cells of ε side length, so the
 //! ε-neighborhood of any point is fully contained in the point's own cell
-//! plus its (at most 8) adjacent cells. The index is stored as two flat
-//! arrays, exactly as on the GPU:
+//! plus its adjacent cells — the `3^D` ε-stencil (9 cells in 2-D). The
+//! index is stored as two flat arrays, exactly as on the GPU:
 //!
 //! * `G` — one [`CellRange`] per cell `C_h`, holding the
 //!   `[A_min_h, A_max_h]` range of that cell's points in `A`;
-//! * `A` (here [`GridIndex::lookup`]) — the lookup array of point ids,
+//! * `A` (here [`GridIndexN::lookup`]) — the lookup array of point ids,
 //!   grouped by cell. Since every point lives in exactly one cell,
 //!   `|A| = |D|` and no per-cell over-allocation is needed.
 //!
-//! Cells are linearized row-major: `h = cy * nx + cx`.
+//! Cell ids are mixed-radix `u64` keys with axis 0 fastest-varying —
+//! row-major `h = cy·nx + cx` in 2-D.
 //!
 //! # Dense vs sparse `G`
 //!
-//! The natural dense layout (`vec![CellRange; nx * ny]`) is O(nx·ny): at
-//! small ε relative to the data extent (exactly the SW-dataset regime of
-//! Table II) the cell count dwarfs `|D|` and the array is almost entirely
-//! `EMPTY` — memory and cache misses for nothing. The index therefore
-//! supports two layouts behind one query interface ([`CellsView`]):
+//! The natural dense layout (one `CellRange` per cell of the bounding
+//! box) is `O(Π n_k)`: at small ε relative to the data extent (exactly
+//! the SW-dataset regime of Table II) the cell count dwarfs `|D|` and the
+//! array is almost entirely `EMPTY` — memory and cache misses for
+//! nothing. The index therefore supports two layouts behind one query
+//! interface ([`CellsView`]):
 //!
 //! * [`GridLayout::Dense`] — the flat array; O(1) cell resolution.
 //! * [`GridLayout::Sparse`] — only the non-empty cells, as a sorted key
 //!   array plus a parallel range array; cell ids resolve by binary
-//!   search. Build memory is O(|D|), independent of nx·ny.
+//!   search. Build memory is O(|D|), independent of the cell count.
 //!
-//! [`GridIndex::build`] picks the layout automatically: dense iff
-//! `nx·ny <= max(DENSE_CELLS_MIN, DENSE_CELLS_PER_POINT · |D|)` — i.e. the
-//! dense array is allowed to cost at most a small constant factor of the
-//! point storage itself (see the constants for the rationale). Both
-//! layouts produce bitwise-identical `A`, non-empty schedules, stats, and
-//! query answers; only the representation of `G` differs.
+//! [`GridIndexN::build`] picks the layout automatically. In 2-D it is
+//! dense iff the cell count is at most
+//! `max(DENSE_CELLS_MIN, DENSE_CELLS_PER_POINT · |D|)` — the dense array
+//! may cost at most a small constant factor of the point storage itself
+//! (see the constants for the rationale). In d ≥ 3 the grid is always
+//! sparse: the `Π n_k` box is hopeless for any ε small relative to the
+//! extent, and the backend selector's calibration (DESIGN.md §16) is
+//! against the sparse probes. Both layouts produce bitwise-identical `A`,
+//! non-empty schedules, stats, and query answers; only the representation
+//! of `G` differs.
+//!
+//! `D` is capped at [`MAX_GRID_DIM`]: the fixed stencil buffer holds
+//! `3^4 = 81` keys, and beyond that the stencil blowup makes the grid
+//! pointless anyway — which is why the tree backend wins in higher
+//! dimensions (the stencil grows `3^D`, the kd-tree's candidate volume
+//! `(2ε)^D`).
 
-use crate::aabb::Aabb;
-use crate::point::Point2;
+use crate::nd::AabbN;
+use crate::point::PointN;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -91,25 +104,36 @@ impl CellRange {
 }
 
 /// Representation of the cell array `G`. See the module docs for the
-/// trade-off; [`GridIndex::build`] chooses automatically.
+/// trade-off; [`GridIndexN::build`] chooses automatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GridLayout {
-    /// Flat `nx·ny` array; O(1) cell resolution, O(nx·ny) memory.
+    /// One range per cell of the bounding box; O(1) cell resolution.
     Dense,
     /// Non-empty cells only (sorted keys + parallel ranges); O(log k)
     /// resolution, O(|D|) memory.
     Sparse,
 }
 
-/// Largest dense cell array built unconditionally. Below this, O(nx·ny)
-/// is noise (32 KB of ranges) and dense O(1) resolution always wins.
+/// Largest dense cell array built unconditionally. Below this, the dense
+/// array is noise (32 KB of ranges) and O(1) resolution always wins.
 pub const DENSE_CELLS_MIN: usize = 4096;
 
-/// Dense is kept while `nx·ny <= DENSE_CELLS_PER_POINT · |D|`: a
-/// `CellRange` is 8 bytes and a `Point2` 16, so factor 4 bounds the dense
-/// `G` at 2× the memory of `D` itself. Past that the array is mostly
-/// `EMPTY` padding and the index switches to the sparse layout.
+/// Dense is kept while the cell count is at most
+/// `DENSE_CELLS_PER_POINT · |D|`: a `CellRange` is 8 bytes and a `Point2`
+/// 16, so factor 4 bounds the dense `G` at 2× the memory of `D` itself.
+/// Past that the array is mostly `EMPTY` padding and the index switches
+/// to the sparse layout.
 pub const DENSE_CELLS_PER_POINT: usize = 4;
+
+/// Largest dense cell array at all: 2^28 ranges (~2 GB of `G`, the
+/// practical ceiling on the simulated 5 GB device).
+pub const DENSE_CELLS_MAX: usize = 1 << 28;
+
+/// Largest supported dimensionality of the grid (stencil buffer bound).
+pub const MAX_GRID_DIM: usize = 4;
+
+/// Stencil buffer capacity: `3^MAX_GRID_DIM`.
+pub const MAX_STENCIL: usize = 81;
 
 /// A borrowed view of the cell array `G`, in either layout — what the
 /// (simulated) GPU kernels traverse. `Copy`, so kernels capture it by
@@ -121,7 +145,7 @@ pub enum CellsView<'a> {
     /// `keys` is the sorted list of non-empty cell ids; `ranges[i]`
     /// belongs to cell `keys[i]`. Absent ids are empty cells.
     Sparse {
-        keys: &'a [u32],
+        keys: &'a [u64],
         ranges: &'a [CellRange],
     },
 }
@@ -130,7 +154,7 @@ impl CellsView<'_> {
     /// The `[start, end)` range of cell `h` (`EMPTY` for an absent sparse
     /// cell). Dense: O(1). Sparse: binary search over the non-empty keys.
     #[inline]
-    pub fn range_of(&self, h: u32) -> CellRange {
+    pub fn range_of(&self, h: u64) -> CellRange {
         match self {
             CellsView::Dense(ranges) => ranges[h as usize],
             CellsView::Sparse { keys, ranges } => match keys.binary_search(&h) {
@@ -140,10 +164,10 @@ impl CellsView<'_> {
         }
     }
 
-    /// Modeled extra global-memory words a GPU kernel touches to *resolve*
-    /// a cell id before reading its `CellRange`: 0 for the dense layout
-    /// (direct index), `ceil(log2(k + 1))` binary-search probes for the
-    /// sparse layout over `k` non-empty cells.
+    /// Modeled extra global-memory reads (of `u64` keys) a GPU kernel
+    /// makes to *resolve* a cell id before reading its `CellRange`: 0 for
+    /// the dense layout (direct index), `ceil(log2(k + 1))` binary-search
+    /// probes for the sparse layout over `k` non-empty cells.
     #[inline]
     pub fn probe_reads(&self) -> u64 {
         match self {
@@ -152,8 +176,8 @@ impl CellsView<'_> {
         }
     }
 
-    /// Number of stored `CellRange` entries (nx·ny dense, k sparse) —
-    /// the device-resident footprint of `G`, for memory accounting.
+    /// Number of stored `CellRange` entries (every cell dense, k sparse)
+    /// — the device-resident footprint of `G`, for memory accounting.
     #[inline]
     pub fn stored_ranges(&self) -> usize {
         match self {
@@ -167,7 +191,7 @@ impl CellsView<'_> {
 /// and used to reason about kernel efficiency (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GridStats {
-    /// Total number of cells `|G| = nx · ny`.
+    /// Total number of cells `|G| = Π n_k`.
     pub total_cells: usize,
     /// Number of cells containing at least one point.
     pub non_empty_cells: usize,
@@ -181,103 +205,182 @@ pub struct GridStats {
 /// kernel needs to map points to cells and enumerate adjacent cells,
 /// independent of the `G`/`A` arrays. Copyable so it can be captured by
 /// kernels directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GridGeometry {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridGeometryN<const D: usize> {
     pub eps: f64,
-    pub origin_x: f64,
-    pub origin_y: f64,
-    pub nx: usize,
-    pub ny: usize,
+    pub origin: [f64; D],
+    /// Cells per axis.
+    pub dims: [usize; D],
 }
 
-impl GridGeometry {
+/// The 2-D grid geometry.
+pub type GridGeometry = GridGeometryN<2>;
+
+impl<const D: usize> GridGeometryN<D> {
+    /// The ε-grid covering `data`, or why it cannot be built: `eps` not
+    /// finite and positive, no points, or a cell space (`Π n_k`, one cell
+    /// of slack past the max corner on every axis) beyond `u64` keys.
+    pub fn covering(data: &[PointN<D>], eps: f64) -> Result<Self, String> {
+        const {
+            assert!(D >= 1 && D <= MAX_GRID_DIM, "grid dimension out of range");
+        }
+        if !(eps.is_finite() && eps > 0.0) {
+            return Err(format!("eps must be finite and positive, got {eps}"));
+        }
+        if data.is_empty() {
+            return Err("cannot index an empty database".into());
+        }
+        let bounds = AabbN::from_points(data.iter());
+        let mut total = Some(1u64);
+        let dims = std::array::from_fn(|k| {
+            // One cell of slack on the max edge so points exactly on the
+            // boundary fall inside the last cell without clamping
+            // artifacts. `span < 2^64` is false for an infinite span.
+            let span = (bounds.extent(k) / eps).floor();
+            let n = (span < u64::MAX as f64).then(|| span as u64 + 1);
+            total = total.zip(n).and_then(|(t, n)| t.checked_mul(n));
+            n.unwrap_or(0) as usize
+        });
+        match total {
+            Some(_) => Ok(GridGeometryN {
+                eps,
+                origin: bounds.min,
+                dims,
+            }),
+            None => Err(format!(
+                "the eps {eps} grid over this data extent has more cells than u64 keys hold"
+            )),
+        }
+    }
+
     /// Whether `p` lies within the grid's cell coverage
-    /// `[origin, origin + n·eps)` on both axes — the domain on which
+    /// `[origin, origin + n·eps)` on every axis — the domain on which
     /// [`Self::cell_of`] is meaningful. Every point of the indexed
     /// database satisfies this by construction (the grid allocates one
     /// cell of slack past the data AABB's max corner).
     #[inline]
-    pub fn covers(&self, p: &Point2) -> bool {
-        let fx = (p.x - self.origin_x) / self.eps;
-        let fy = (p.y - self.origin_y) / self.eps;
+    pub fn covers(&self, p: &PointN<D>) -> bool {
         // Every comparison is false for NaN coordinates, so a NaN point
         // is (correctly) not covered.
-        fx >= 0.0 && fy >= 0.0 && fx < self.nx as f64 && fy < self.ny as f64
+        (0..D).all(|k| {
+            let f = (p.coords[k] - self.origin[k]) / self.eps;
+            f >= 0.0 && f < self.dims[k] as f64
+        })
     }
 
-    /// Linear cell id containing `p`, or `None` if `p` lies outside the
-    /// grid's cell coverage. Use this for query points that are not drawn
-    /// from the indexed database: an out-of-extent point has no cell, and
+    /// Cell key containing `p`, or `None` if `p` lies outside the grid's
+    /// cell coverage. Use this for query points that are not drawn from
+    /// the indexed database: an out-of-extent point has no cell, and
     /// clamping it to a border cell would silently return a
     /// wrong-but-plausible neighborhood.
     #[inline]
-    pub fn try_cell_of(&self, p: &Point2) -> Option<usize> {
-        if !self.covers(p) {
-            return None;
-        }
-        Some(self.cell_of_unchecked(p))
+    pub fn try_cell_of(&self, p: &PointN<D>) -> Option<u64> {
+        self.covers(p).then(|| self.cell_of(p))
     }
 
-    /// Linear cell id containing `p`.
+    /// Cell key containing `p`, which must lie within the grid's cell
+    /// coverage (see [`Self::cell_coords_of`]).
+    #[inline]
+    pub fn cell_of(&self, p: &PointN<D>) -> u64 {
+        self.key_of_coords(&self.cell_coords_of(p))
+    }
+
+    /// Per-axis cell coordinates of `p`.
     ///
     /// `p` must lie within the grid's cell coverage (debug-asserted). In
     /// release builds out-of-extent coordinates are clamped to the border
     /// cells — wrong-but-plausible — so callers with untrusted query
     /// points must use [`Self::try_cell_of`] instead.
     #[inline]
-    pub fn cell_of(&self, p: &Point2) -> usize {
+    pub fn cell_coords_of(&self, p: &PointN<D>) -> [usize; D] {
         debug_assert!(
             self.covers(p),
-            "cell_of called with out-of-extent point ({}, {}); \
-             grid covers [{}, {}) x [{}, {}) — use try_cell_of for \
-             untrusted query points",
-            p.x,
-            p.y,
-            self.origin_x,
-            self.origin_x + self.nx as f64 * self.eps,
-            self.origin_y,
-            self.origin_y + self.ny as f64 * self.eps,
+            "cell_of called with out-of-extent point {:?}; grid covers {:?} + {:?} cells \
+             of {} — use try_cell_of for untrusted query points",
+            p.coords,
+            self.origin,
+            self.dims,
+            self.eps,
         );
-        self.cell_of_unchecked(p)
+        std::array::from_fn(|k| {
+            (((p.coords[k] - self.origin[k]) / self.eps) as usize).min(self.dims[k] - 1)
+        })
     }
 
+    /// Mixed-radix cell key, axis 0 fastest:
+    /// `h = c_0 + n_0·(c_1 + n_1·(c_2 + …))` — `cy·nx + cx` in 2-D.
     #[inline]
-    fn cell_of_unchecked(&self, p: &Point2) -> usize {
-        let cx = (((p.x - self.origin_x) / self.eps) as usize).min(self.nx - 1);
-        let cy = (((p.y - self.origin_y) / self.eps) as usize).min(self.ny - 1);
-        cy * self.nx + cx
+    pub fn key_of_coords(&self, c: &[usize; D]) -> u64 {
+        let mut h = 0u64;
+        for k in (0..D).rev() {
+            h = h * self.dims[k] as u64 + c[k] as u64;
+        }
+        h
     }
 
-    /// `(cx, cy)` coordinates of a linear cell id.
+    /// Per-axis cell coordinates of cell key `h`.
     #[inline]
-    pub fn cell_coords(&self, h: usize) -> (usize, usize) {
-        (h % self.nx, h / self.nx)
+    pub fn coords_of_key(&self, mut h: u64) -> [usize; D] {
+        std::array::from_fn(|k| {
+            let n = self.dims[k] as u64;
+            let c = h % n;
+            h /= n;
+            c as usize
+        })
     }
 
-    /// The `getNeighborCells` primitive of Algorithms 2 and 3: linear ids
-    /// of the at-most-9 cells that can contain points within ε of points
-    /// in cell `h`. Returns a fixed array with the first `count` entries
-    /// valid — no allocation in kernel inner loops.
+    /// Total cell count `Π n_k` (fits `u64` by construction).
+    pub fn total_cells(&self) -> u64 {
+        self.dims.iter().map(|&n| n as u64).product()
+    }
+
+    /// The `getNeighborCells` primitive of Algorithms 2 and 3: visit, in
+    /// ascending order, the keys of the at-most-`3^D` cells (the cell
+    /// itself plus adjacent cells) that can contain points within ε of
+    /// points in the cell with coordinates `c` — no buffer in kernel inner
+    /// loops.
     #[inline]
-    pub fn neighbor_cells(&self, h: usize) -> ([u32; 9], usize) {
-        let (cx, cy) = self.cell_coords(h);
-        let mut out = [0u32; 9];
-        let mut n = 0;
-        let x_lo = cx.saturating_sub(1);
-        let x_hi = (cx + 1).min(self.nx - 1);
-        let y_lo = cy.saturating_sub(1);
-        let y_hi = (cy + 1).min(self.ny - 1);
-        for y in y_lo..=y_hi {
-            for x in x_lo..=x_hi {
-                out[n] = (y * self.nx + x) as u32;
-                n += 1;
+    pub fn for_each_stencil_cell(&self, c: &[usize; D], mut visit: impl FnMut(u64)) {
+        let mut lo = [0usize; D];
+        let mut hi = [0usize; D];
+        for k in 0..D {
+            lo[k] = c[k].saturating_sub(1);
+            hi[k] = (c[k] + 1).min(self.dims[k] - 1);
+        }
+        // Odometer over the box [lo, hi], axis 0 fastest — the keys come
+        // out ascending because the key radix matches the iteration order
+        // on every axis.
+        let mut cur = lo;
+        loop {
+            visit(self.key_of_coords(&cur));
+            let mut k = 0;
+            loop {
+                if k == D {
+                    return;
+                }
+                if cur[k] < hi[k] {
+                    cur[k] += 1;
+                    break;
+                }
+                cur[k] = lo[k];
+                k += 1;
             }
         }
+    }
+
+    /// The ε-stencil of cell key `h` (see [`Self::for_each_stencil_cell`])
+    /// as a fixed buffer with the first `count` entries valid.
+    pub fn neighbor_cells(&self, h: u64) -> ([u64; MAX_STENCIL], usize) {
+        let (mut out, mut n) = ([0u64; MAX_STENCIL], 0);
+        self.for_each_stencil_cell(&self.coords_of_key(h), |key| {
+            out[n] = key;
+            n += 1;
+        });
         (out, n)
     }
 }
 
-/// The grid index over a point database `D` for a fixed ε.
+/// The grid index over a `D`-dimensional point database `D` for a fixed ε.
 ///
 /// # Figure 1 of the paper, as code
 ///
@@ -310,76 +413,68 @@ impl GridGeometry {
 /// assert_eq!(g.lookup().len(), d.len());
 /// ```
 #[derive(Debug, Clone)]
-pub struct GridIndex {
-    geom: GridGeometry,
+pub struct GridIndexN<const D: usize> {
+    geom: GridGeometryN<D>,
     layout: GridLayout,
-    /// `G`: dense layout stores nx·ny entries indexed by cell id; sparse
-    /// layout stores one entry per non-empty cell, parallel to
+    /// `G`: the dense layout stores one entry per cell, indexed by key;
+    /// the sparse layout one entry per non-empty cell, parallel to
     /// `non_empty` (which doubles as the sorted key array).
     ranges: Vec<CellRange>,
     /// `A`: point ids grouped by cell; `|A| = |D|`.
     lookup: Vec<u32>,
-    /// Linear ids of non-empty cells, ascending — the schedule `S` consumed
-    /// by the GPUCalcShared kernel (one block per non-empty cell), and the
+    /// Keys of non-empty cells, ascending — the schedule `S` consumed by
+    /// the GPUCalcShared kernel (one block per non-empty cell), and the
     /// key array of the sparse layout.
-    non_empty: Vec<u32>,
+    non_empty: Vec<u64>,
     max_per_cell: usize,
 }
 
-impl GridIndex {
+/// The 2-D grid index.
+pub type GridIndex = GridIndexN<2>;
+
+impl<const D: usize> GridIndexN<D> {
     /// Build the index over `data` with cell width `eps`, choosing the
-    /// `G` layout automatically (see the module docs for the threshold).
+    /// `G` layout automatically (see the module docs for the rule).
     ///
-    /// `eps` must be finite and positive, and `data` non-empty.
-    pub fn build(data: &[Point2], eps: f64) -> Self {
-        let geom = Self::geometry_for(data, eps);
-        let n_cells = geom.nx * geom.ny;
-        let layout = if n_cells <= DENSE_CELLS_MIN.max(DENSE_CELLS_PER_POINT * data.len()) {
-            GridLayout::Dense
-        } else {
-            GridLayout::Sparse
-        };
+    /// `eps` must be finite and positive, `data` non-empty, and the cell
+    /// space must fit `u64` keys (see [`GridGeometryN::covering`]); use
+    /// [`Self::try_build`] to get those failures as an error.
+    pub fn build(data: &[PointN<D>], eps: f64) -> Self {
+        Self::try_build(data, eps).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`Self::build`], reporting an unindexable input instead of
+    /// panicking.
+    pub fn try_build(data: &[PointN<D>], eps: f64) -> Result<Self, String> {
+        let geom = GridGeometryN::covering(data, eps)?;
+        let layout = Self::auto_layout(geom.total_cells(), data.len());
+        Ok(Self::build_into(data, geom, layout))
+    }
+
+    /// Build with an explicit layout (the automatic rule is the right
+    /// default; tests and benches use this to pin both paths on identical
+    /// inputs).
+    pub fn build_with_layout(data: &[PointN<D>], eps: f64, layout: GridLayout) -> Self {
+        let geom = GridGeometryN::covering(data, eps).unwrap_or_else(|why| panic!("{why}"));
         Self::build_into(data, geom, layout)
     }
 
-    /// Build with an explicit layout (the automatic threshold is the
-    /// right default; tests and benches use this to pin both paths on
-    /// identical inputs).
-    pub fn build_with_layout(data: &[Point2], eps: f64, layout: GridLayout) -> Self {
-        Self::build_into(data, Self::geometry_for(data, eps), layout)
-    }
-
-    fn geometry_for(data: &[Point2], eps: f64) -> GridGeometry {
-        assert!(
-            eps.is_finite() && eps > 0.0,
-            "eps must be finite and positive"
-        );
-        assert!(!data.is_empty(), "cannot index an empty database");
-
-        let bounds = Aabb::from_points(data.iter());
-        // One cell of slack on the max edge so points exactly on the
-        // boundary fall inside the last cell without clamping artifacts.
-        let nx = (((bounds.max_x - bounds.min_x) / eps).floor() as usize) + 1;
-        let ny = (((bounds.max_y - bounds.min_y) / eps).floor() as usize) + 1;
-        // Cell ids must fit the kernels' u32 id arrays; 2^28 cells (~2 GB
-        // of dense G, the practical ceiling on the simulated 5 GB device)
-        // remains the documented limit for both layouts.
-        assert!(
-            nx.checked_mul(ny).is_some_and(|c| c <= 1 << 28),
-            "grid of {nx} x {ny} cells exceeds the 2^28-cell limit; \
-             eps {eps} is too small relative to the data extent"
-        );
-        GridGeometry {
-            eps,
-            origin_x: bounds.min_x,
-            origin_y: bounds.min_y,
-            nx,
-            ny,
+    /// The automatic layout rule (module docs): in 2-D dense while the
+    /// cell array stays within a small factor of the point storage, in
+    /// d ≥ 3 always sparse.
+    fn auto_layout(n_cells: u64, n_points: usize) -> GridLayout {
+        let budget = DENSE_CELLS_MIN
+            .max(DENSE_CELLS_PER_POINT * n_points)
+            .min(DENSE_CELLS_MAX);
+        if D <= 2 && n_cells <= budget as u64 {
+            GridLayout::Dense
+        } else {
+            GridLayout::Sparse
         }
     }
 
-    fn build_into(data: &[Point2], geom: GridGeometry, layout: GridLayout) -> Self {
-        let mut index = GridIndex {
+    fn build_into(data: &[PointN<D>], geom: GridGeometryN<D>, layout: GridLayout) -> Self {
+        let mut index = GridIndexN {
             geom,
             layout,
             ranges: Vec::new(),
@@ -387,15 +482,15 @@ impl GridIndex {
             non_empty: Vec::new(),
             max_per_cell: 0,
         };
-        // Cell-id resolution (two divisions and a bounds check per point)
-        // dominates both builds; it is a pure per-point map, so the
-        // index-addressed parallel collect matches the serial map byte for
-        // byte. The histogram/scatter passes that follow are cheap
-        // sequential memory traffic over the precomputed ids.
-        let cells: Vec<u32> = if data.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
-            data.par_iter().map(|p| index.cell_of(p) as u32).collect()
+        // Cell-id resolution (a division and a bounds check per axis and
+        // point) dominates both builds; it is a pure per-point map, so
+        // the index-addressed parallel collect matches the serial map
+        // byte for byte. The histogram/scatter passes that follow are
+        // cheap sequential memory traffic over the precomputed ids.
+        let cells: Vec<u64> = if data.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
+            data.par_iter().map(|p| geom.cell_of(p)).collect()
         } else {
-            data.iter().map(|p| index.cell_of(p) as u32).collect()
+            data.iter().map(|p| geom.cell_of(p)).collect()
         };
         match layout {
             GridLayout::Dense => index.build_dense(&cells),
@@ -404,15 +499,19 @@ impl GridIndex {
         index
     }
 
-    /// Dense construction: a two-pass counting sort, `O(|D| + nx·ny)`
+    /// Dense construction: a two-pass counting sort, `O(|D| + Π n_k)`
     /// time and memory. Within each cell, `A` keeps ids in ascending
     /// (data) order — the batching scheme's strided sampling relies on it.
-    fn build_dense(&mut self, cells: &[u32]) {
-        let n_cells = self.geom.nx * self.geom.ny;
-        self.ranges = vec![CellRange::EMPTY; n_cells];
+    fn build_dense(&mut self, cells: &[u64]) {
+        let n_cells = self.geom.total_cells();
+        assert!(
+            n_cells <= DENSE_CELLS_MAX as u64,
+            "a dense grid of {n_cells} cells exceeds the 2^28-cell limit"
+        );
+        self.ranges = vec![CellRange::EMPTY; n_cells as usize];
 
         // Pass 1: histogram cell populations.
-        let mut counts = vec![0u32; n_cells];
+        let mut counts = vec![0u32; n_cells as usize];
         for &h in cells {
             counts[h as usize] += 1;
         }
@@ -422,7 +521,7 @@ impl GridIndex {
         for (h, &c) in counts.iter().enumerate() {
             if c > 0 {
                 self.ranges[h] = CellRange::new(offset, offset + c);
-                self.non_empty.push(h as u32);
+                self.non_empty.push(h as u64);
                 self.max_per_cell = self.max_per_cell.max(c as usize);
             }
             offset += c;
@@ -438,11 +537,11 @@ impl GridIndex {
     }
 
     /// Sparse construction: sort `(cell, id)` pairs, `O(|D| log |D|)` time
-    /// and O(|D|) memory — never touches nx·ny. The sort key makes `A`
-    /// identical to the dense build's: cells ascending, ids in data order
-    /// within each cell.
-    fn build_sparse(&mut self, cells: &[u32]) {
-        let mut order: Vec<(u32, u32)> = cells
+    /// and O(|D|) memory — never touches the cell count. The sort key
+    /// makes `A` identical to the dense build's: cells ascending, ids in
+    /// data order within each cell.
+    fn build_sparse(&mut self, cells: &[u64]) {
+        let mut order: Vec<(u64, u32)> = cells
             .iter()
             .enumerate()
             .map(|(i, &h)| (h, i as u32))
@@ -456,9 +555,6 @@ impl GridIndex {
             order.sort_unstable();
         }
 
-        let k_estimate = order.len().min(64);
-        self.non_empty = Vec::with_capacity(k_estimate);
-        self.ranges = Vec::with_capacity(k_estimate);
         let mut run_start = 0u32;
         for (k, &(h, id)) in order.iter().enumerate() {
             self.lookup[k] = id;
@@ -478,18 +574,18 @@ impl GridIndex {
         self.geom.eps
     }
 
-    /// Grid dimensions `(nx, ny)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.geom.nx, self.geom.ny)
+    /// Cells per axis (`[nx, ny]` in 2-D).
+    pub fn dims(&self) -> [usize; D] {
+        self.geom.dims
     }
 
     /// The copyable geometric parameters (for GPU kernels).
-    pub fn geometry(&self) -> GridGeometry {
+    pub fn geometry(&self) -> GridGeometryN<D> {
         self.geom
     }
 
-    /// The layout actually built (dense below the documented threshold,
-    /// sparse above it — or whatever [`Self::build_with_layout`] forced).
+    /// The layout actually built (see [`Self::build`] for the rule, or
+    /// whatever [`Self::build_with_layout`] forced).
     pub fn layout(&self) -> GridLayout {
         self.layout
     }
@@ -509,8 +605,8 @@ impl GridIndex {
     /// The `[start, end)` range of cell `h` into [`Self::lookup`]
     /// (`EMPTY` if the cell holds no points). O(1) dense, O(log k) sparse.
     #[inline]
-    pub fn range_of(&self, h: usize) -> CellRange {
-        self.cells_view().range_of(h as u32)
+    pub fn range_of(&self, h: u64) -> CellRange {
+        self.cells_view().range_of(h)
     }
 
     /// The lookup array `A` of point ids grouped by cell.
@@ -518,8 +614,8 @@ impl GridIndex {
         &self.lookup
     }
 
-    /// Linear ids of non-empty cells — the schedule `S` for GPUCalcShared.
-    pub fn non_empty_cells(&self) -> &[u32] {
+    /// Keys of non-empty cells — the schedule `S` for GPUCalcShared.
+    pub fn non_empty_cells(&self) -> &[u64] {
         &self.non_empty
     }
 
@@ -528,41 +624,31 @@ impl GridIndex {
         self.max_per_cell
     }
 
-    /// Linear cell id containing point `p`, which must lie within the
-    /// indexed extent (debug-asserted; see [`GridGeometry::cell_of`]).
+    /// Cell key containing point `p`, which must lie within the indexed
+    /// extent (debug-asserted; see [`GridGeometryN::cell_coords_of`]).
     /// For query points not drawn from `D`, use [`Self::try_cell_of`].
     #[inline]
-    pub fn cell_of(&self, p: &Point2) -> usize {
+    pub fn cell_of(&self, p: &PointN<D>) -> u64 {
         self.geom.cell_of(p)
     }
 
-    /// Linear cell id containing `p`, or `None` if `p` lies outside the
-    /// grid's cell coverage (the safe variant for untrusted query points).
+    /// Cell key containing `p`, or `None` if `p` lies outside the grid's
+    /// cell coverage (the safe variant for untrusted query points).
     #[inline]
-    pub fn try_cell_of(&self, p: &Point2) -> Option<usize> {
+    pub fn try_cell_of(&self, p: &PointN<D>) -> Option<u64> {
         self.geom.try_cell_of(p)
     }
 
-    /// `(cx, cy)` coordinates of a linear cell id.
+    /// The ε-stencil of cell `h` (see [`GridGeometryN::neighbor_cells`]).
     #[inline]
-    pub fn cell_coords(&self, h: usize) -> (usize, usize) {
-        self.geom.cell_coords(h)
-    }
-
-    /// The `getNeighborCells` primitive of Algorithms 2 and 3: the linear
-    /// ids of the at-most-9 cells (the cell itself plus adjacent cells)
-    /// that can contain points within ε of points in cell `h`. Returns the
-    /// count and a fixed array (first `count` entries valid), avoiding any
-    /// allocation in kernel inner loops.
-    #[inline]
-    pub fn neighbor_cells(&self, h: usize) -> ([u32; 9], usize) {
+    pub fn neighbor_cells(&self, h: u64) -> ([u64; MAX_STENCIL], usize) {
         self.geom.neighbor_cells(h)
     }
 
     /// ε-neighborhood query through the grid: ids of every point of `data`
     /// within the closed ε-ball around `q`. `data` must be the array the
     /// index was built from. Results are in cell-scan order (not sorted).
-    pub fn query(&self, data: &[Point2], q: &Point2) -> Vec<u32> {
+    pub fn query(&self, data: &[PointN<D>], q: &PointN<D>) -> Vec<u32> {
         let mut out = Vec::new();
         self.query_visit(data, q, |id| out.push(id));
         out
@@ -570,22 +656,22 @@ impl GridIndex {
 
     /// Visitor-based ε-neighborhood query (no allocation).
     #[inline]
-    pub fn query_visit(&self, data: &[Point2], q: &Point2, mut visit: impl FnMut(u32)) {
+    pub fn query_visit(&self, data: &[PointN<D>], q: &PointN<D>, mut visit: impl FnMut(u32)) {
         let eps_sq = self.geom.eps * self.geom.eps;
         let view = self.cells_view();
-        let (cells, n) = self.neighbor_cells(self.cell_of(q));
-        for &h in &cells[..n] {
+        let c = self.geom.cell_coords_of(q);
+        self.geom.for_each_stencil_cell(&c, |h| {
             let range = view.range_of(h);
             for &id in &self.lookup[range.start as usize..range.end as usize] {
                 if data[id as usize].distance_sq(q) <= eps_sq {
                     visit(id);
                 }
             }
-        }
+        });
     }
 
     /// Count of points within the closed ε-ball around `q`.
-    pub fn query_count(&self, data: &[Point2], q: &Point2) -> usize {
+    pub fn query_count(&self, data: &[PointN<D>], q: &PointN<D>) -> usize {
         let mut n = 0;
         self.query_visit(data, q, |_| n += 1);
         n
@@ -595,7 +681,7 @@ impl GridIndex {
     pub fn stats(&self) -> GridStats {
         let non_empty = self.non_empty.len();
         GridStats {
-            total_cells: self.geom.nx * self.geom.ny,
+            total_cells: self.geom.total_cells() as usize,
             non_empty_cells: non_empty,
             max_points_per_cell: self.max_per_cell,
             avg_points_per_non_empty_cell: if non_empty == 0 {
@@ -611,6 +697,7 @@ impl GridIndex {
 mod tests {
     use super::*;
     use crate::distance::brute_force_neighbors;
+    use crate::point::Point2;
 
     fn sorted(mut v: Vec<u32>) -> Vec<u32> {
         v.sort_unstable();
@@ -647,7 +734,7 @@ mod tests {
             // Ranges of non-empty cells are disjoint, ordered, and cover A.
             let mut prev_end = 0;
             for &h in g.non_empty_cells() {
-                let r = g.range_of(h as usize);
+                let r = g.range_of(h);
                 assert_eq!(r.start, prev_end, "ranges must be contiguous in cell order");
                 assert!(r.end > r.start);
                 prev_end = r.end;
@@ -692,21 +779,26 @@ mod tests {
     #[test]
     fn sparse_build_is_observably_identical_to_dense() {
         // Same A, same schedule, same stats, same per-cell ranges — only
-        // the G representation differs. (The cross-crate property test in
-        // hybrid-dbscan-core runs this over the adversarial generator
-        // families; this is the unit-sized anchor.)
-        let data = demo_points();
-        for eps in [0.2, 0.5, 1.0, 3.0] {
-            let d = GridIndex::build_with_layout(&data, eps, GridLayout::Dense);
-            let s = GridIndex::build_with_layout(&data, eps, GridLayout::Sparse);
+        // the G representation differs, at every dimension. (The
+        // cross-crate property test in hybrid-dbscan-core runs this over
+        // the adversarial generator families; this is the unit-sized
+        // anchor.)
+        fn check<const D: usize>(data: &[PointN<D>], eps: f64) {
+            let d = GridIndexN::build_with_layout(data, eps, GridLayout::Dense);
+            let s = GridIndexN::build_with_layout(data, eps, GridLayout::Sparse);
             assert_eq!(d.lookup(), s.lookup(), "eps = {eps}");
             assert_eq!(d.non_empty_cells(), s.non_empty_cells());
             assert_eq!(d.stats(), s.stats());
             assert_eq!(d.geometry(), s.geometry());
-            for h in 0..d.dims().0 * d.dims().1 {
+            for h in 0..d.geometry().total_cells() {
                 assert_eq!(d.range_of(h), s.range_of(h), "cell {h}, eps = {eps}");
             }
         }
+        for eps in [0.2, 0.5, 1.0, 3.0] {
+            check(&demo_points(), eps);
+        }
+        check(&pseudo_points::<3>(200, 4.0), 0.6);
+        check(&pseudo_points::<4>(150, 3.0), 0.9);
     }
 
     #[test]
@@ -723,9 +815,18 @@ mod tests {
         assert!(
             sparse.stats().total_cells > DENSE_CELLS_MIN.max(DENSE_CELLS_PER_POINT * data.len())
         );
-        // The same points at a large eps stay dense.
+        // The same points at a large eps stay dense — in 2-D; d >= 3
+        // grids are always sparse.
         let dense = GridIndex::build(&data, 500.0);
         assert_eq!(dense.layout(), GridLayout::Dense);
+        let lifted: Vec<PointN<3>> = data
+            .iter()
+            .map(|p| PointN::from_coords([p.x(), p.y(), 0.0]))
+            .collect();
+        assert_eq!(
+            GridIndexN::build(&lifted, 500.0).layout(),
+            GridLayout::Sparse
+        );
         // Both answer queries identically to brute force.
         for q in &data {
             assert_eq!(
@@ -750,7 +851,7 @@ mod tests {
     fn cells_view_probe_reads_model() {
         let dense = CellsView::Dense(&[]);
         assert_eq!(dense.probe_reads(), 0);
-        let keys: Vec<u32> = (0..1000).collect();
+        let keys: Vec<u64> = (0..1000).collect();
         let ranges = vec![CellRange::EMPTY; 1000];
         let sparse = CellsView::Sparse {
             keys: &keys,
@@ -768,7 +869,7 @@ mod tests {
             Point2::new(2.0, 2.0),
         ];
         let g = GridIndex::build(&data, 1.0);
-        assert_eq!(g.dims(), (5, 5));
+        assert_eq!(g.dims(), [5, 5]);
         let center = g.cell_of(&Point2::new(2.0, 2.0));
         let (_, n) = g.neighbor_cells(center);
         assert_eq!(n, 9);
@@ -795,7 +896,7 @@ mod tests {
     fn single_point_database() {
         let data = vec![Point2::new(7.0, -3.0)];
         let g = GridIndex::build(&data, 0.25);
-        assert_eq!(g.dims(), (1, 1));
+        assert_eq!(g.dims(), [1, 1]);
         assert_eq!(g.query(&data, &data[0]), vec![0]);
         assert_eq!(g.stats().non_empty_cells, 1);
     }
@@ -820,7 +921,7 @@ mod tests {
                 "two points share the (0,0) cell"
             );
             assert!(s.avg_points_per_non_empty_cell >= 1.0);
-            assert_eq!(s.total_cells, g.dims().0 * g.dims().1);
+            assert_eq!(s.total_cells, g.dims().iter().product::<usize>());
         }
     }
 
@@ -852,8 +953,8 @@ mod tests {
         // covered (the grid allocates one cell of slack by construction).
         let geom = g.geometry();
         let slack = Point2::new(
-            geom.origin_x + (geom.nx as f64 - 0.5) * geom.eps,
-            geom.origin_y + (geom.ny as f64 - 0.5) * geom.eps,
+            geom.origin[0] + (geom.dims[0] as f64 - 0.5) * geom.eps,
+            geom.origin[1] + (geom.dims[1] as f64 - 0.5) * geom.eps,
         );
         assert!(g.try_cell_of(&slack).is_some());
     }
@@ -894,5 +995,138 @@ mod tests {
         let r = CellRange { start: 5, end: 3 };
         assert_eq!(r.len(), 0);
         assert!(r.is_empty());
+    }
+
+    fn pseudo_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
+        (0..n)
+            .map(|i| {
+                let t = i as f64;
+                PointN::from_coords(std::array::from_fn(|k| {
+                    (t * (0.377 + 0.211 * k as f64)).fract() * extent
+                }))
+            })
+            .collect()
+    }
+
+    fn query_sorted<const D: usize>(
+        g: &GridIndexN<D>,
+        data: &[PointN<D>],
+        q: &PointN<D>,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        g.query_visit(data, q, |id| out.push(id));
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn queries_match_brute_force_2d_3d_4d() {
+        let eps = 0.7;
+        let p2 = pseudo_points::<2>(300, 6.0);
+        let g2 = GridIndexN::build(&p2, eps);
+        for q in &p2 {
+            assert_eq!(
+                query_sorted(&g2, &p2, q),
+                brute_force_neighbors(&p2, q, eps)
+            );
+        }
+        let p3 = pseudo_points::<3>(250, 4.0);
+        let g3 = GridIndexN::build(&p3, eps);
+        for q in &p3 {
+            assert_eq!(
+                query_sorted(&g3, &p3, q),
+                brute_force_neighbors(&p3, q, eps)
+            );
+        }
+        let p4 = pseudo_points::<4>(200, 3.0);
+        let g4 = GridIndexN::build(&p4, eps);
+        for q in &p4 {
+            assert_eq!(
+                query_sorted(&g4, &p4, q),
+                brute_force_neighbors(&p4, q, eps)
+            );
+        }
+    }
+
+    #[test]
+    fn keys_are_row_major_in_2d() {
+        // At D = 2 the mixed-radix key is the paper's row-major
+        // h = cy·nx + cx.
+        let pts = vec![
+            Point2::new(0.1, 0.1),
+            Point2::new(2.6, 0.4),
+            Point2::new(1.4, 2.2),
+            Point2::new(2.9, 2.9),
+        ];
+        let g = GridIndex::build(&pts, 1.0);
+        let [nx, _] = g.dims();
+        for p in &pts {
+            let (cx, cy) = (p.x().floor() as u64, p.y().floor() as u64);
+            assert_eq!(g.cell_of(p), cy * nx as u64 + cx);
+            assert_eq!(
+                g.geometry().coords_of_key(g.cell_of(p)),
+                [cx as usize, cy as usize]
+            );
+        }
+    }
+
+    #[test]
+    fn stencil_is_ascending_and_bounded() {
+        let pts = pseudo_points::<3>(100, 5.0);
+        let g = GridIndexN::build(&pts, 1.0);
+        for p in &pts {
+            let c = g.geometry().cell_coords_of(p);
+            let (stencil, n) = g.neighbor_cells(g.geometry().key_of_coords(&c));
+            assert!(n <= 27);
+            assert!(stencil[..n].windows(2).all(|w| w[0] < w[1]));
+        }
+        // An interior cell of a 3-D grid has the full 27-cell stencil.
+        let interior = [1usize, 1, 1];
+        let dims_ok = g.geometry().dims.iter().all(|&d| d >= 3);
+        if dims_ok {
+            let (_, n) = g.neighbor_cells(g.geometry().key_of_coords(&interior));
+            assert_eq!(n, 27);
+        }
+    }
+
+    #[test]
+    fn lookup_is_a_permutation() {
+        let pts = pseudo_points::<4>(300, 4.0);
+        let g = GridIndexN::build(&pts, 0.9);
+        let mut ids = g.lookup().to_vec();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..300u32).collect::<Vec<_>>());
+        assert!(!g.non_empty_cells().is_empty());
+        assert!(g.max_points_per_cell() >= 1);
+    }
+
+    #[test]
+    fn boundary_points_fall_inside() {
+        // Points exactly on the AABB max corner land in the slack cell.
+        let pts = vec![
+            PointN::from_coords([0.0, 0.0, 0.0]),
+            PointN::from_coords([2.0, 2.0, 2.0]),
+        ];
+        let g = GridIndexN::build(&pts, 1.0);
+        assert!(g.geometry().covers(&pts[1]));
+        assert_eq!(query_sorted(&g, &pts, &pts[1]), vec![1]);
+    }
+
+    #[test]
+    fn cell_space_beyond_u64_keys_is_an_error() {
+        // Huge but representable: ~10^18 cells, a sparse grid over 3 points.
+        let ok = [Point2::new(0.0, 0.0), Point2::new(1e6, 1e6)];
+        let g = GridIndex::try_build(&ok, 1e-3).unwrap();
+        assert_eq!(g.layout(), GridLayout::Sparse);
+        assert_eq!(g.query(&ok, &ok[1]), vec![1]);
+        // Past u64 keys, or an infinite extent/eps ratio: refused, never
+        // wrapped into a wrong grid.
+        let far3 = [PointN::from_coords([0.0; 3]), PointN::from_coords([1e7; 3])];
+        assert!(GridIndexN::try_build(&far3, 1e-3).is_err());
+        let far2 = [Point2::new(0.0, 0.0), Point2::new(1e300, 1e300)];
+        let why = GridIndex::try_build(&far2, 1e-10).unwrap_err();
+        assert!(why.contains("u64"), "{why}");
+        assert!(GridIndex::try_build(&far2, f64::NAN).is_err());
+        assert!(GridIndex::try_build(&[], 1.0).is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! A device-resident packed kd-tree: the tree-based ε-search backend.
 //!
-//! [`crate::kdtree::KdTree`] is a host-only pointer tree; GPU traversal
-//! needs a flat, SoA layout. [`PackedKdTree`] stores the tree as an
-//! *implicit level-order heap* (node `k` has children `2k+1`, `2k+2` —
-//! no child pointers at all) over three parallel arrays:
+//! GPU traversal needs a flat, SoA tree layout. [`PackedKdTree`] stores
+//! the tree as an *implicit level-order heap* (node `k` has children
+//! `2k+1`, `2k+2` — no child pointers at all) over three parallel arrays:
 //!
 //! * `splits[k]` — the splitting coordinate of internal node `k`;
 //! * `axes[k]` — its splitting dimension, or [`LEAF_AXIS`] for a leaf;
@@ -20,10 +19,9 @@
 //! Median split (`select_nth_unstable_by`) on the cycling axis
 //! `depth mod D`, comparing `(coordinate, id)` — a total order, so the
 //! partition (and therefore the whole tree) is deterministic and
-//! identical at every thread count. Split semantics match
-//! [`crate::kdtree::KdTree`]: the left subtree holds coordinates
-//! `<= splits[k]`, the right holds `>= splits[k]`, and an ε-query
-//! descends left when `q[a] - eps <= split` and right when
+//! identical at every thread count. Split semantics: the left subtree
+//! holds coordinates `<= splits[k]`, the right holds `>= splits[k]`, and
+//! an ε-query descends left when `q[a] - eps <= split` and right when
 //! `q[a] + eps >= split` (closed ball on both sides).
 //!
 //! Leaves hold at most `leaf_size` points except when the depth cap is
@@ -33,7 +31,8 @@
 //! small constant factor of `n / leaf_size`.
 
 use crate::grid::CellRange;
-use crate::nd::{PointN, PointsViewN};
+use crate::nd::PointsViewN;
+use crate::point::PointN;
 
 /// Default leaf capacity for planar (d ≤ 2) databases. Small enough
 /// that a leaf is spatially tight (the tree's advantage over the grid's
@@ -274,13 +273,14 @@ impl<const D: usize> PackedKdTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nd::{brute_force_neighbors_nd, PointStoreN};
+    use crate::distance::brute_force_neighbors;
+    use crate::nd::PointStoreN;
 
     fn pseudo_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
         (0..n)
             .map(|i| {
                 let t = i as f64;
-                PointN::new(std::array::from_fn(|k| {
+                PointN::from_coords(std::array::from_fn(|k| {
                     (t * (0.311 + 0.17 * k as f64)).fract() * extent
                 }))
             })
@@ -293,7 +293,7 @@ mod tests {
         for q in points {
             assert_eq!(
                 tree.query_eps(store.view(), q, eps),
-                brute_force_neighbors_nd(points, q, eps),
+                brute_force_neighbors(points, q, eps),
                 "D = {D}, eps = {eps}, leaf = {leaf}"
             );
         }
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn build_is_deterministic_on_duplicates() {
-        let mut pts = vec![PointN::new([1.0, 1.0]); 40];
+        let mut pts = vec![PointN::from_coords([1.0, 1.0]); 40];
         pts.extend(pseudo_points::<2>(60, 2.0));
         let a = PackedKdTree::<2>::build_from_points(&pts);
         let b = PackedKdTree::<2>::build_from_points(&pts);
@@ -376,7 +376,10 @@ mod tests {
     #[test]
     fn eps_boundary_is_closed() {
         // 3-4-5 triangle: the boundary point at exactly eps = 5 is a hit.
-        let pts = vec![PointN::new([0.0, 0.0]), PointN::new([3.0, 4.0])];
+        let pts = vec![
+            PointN::from_coords([0.0, 0.0]),
+            PointN::from_coords([3.0, 4.0]),
+        ];
         let store = PointStoreN::from_points(&pts);
         let tree = PackedKdTree::<2>::build(store.view());
         assert_eq!(tree.query_eps(store.view(), &pts[0], 5.0), vec![0, 1]);

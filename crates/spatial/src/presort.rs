@@ -12,8 +12,9 @@
 //!    being a roughly uniform spatial sample, so the per-batch result sizes
 //!    `|R_l|` stay consistent (Figure 2).
 
-use crate::point::Point2;
+use crate::point::PointN;
 use rayon::prelude::*;
+use std::cmp::Ordering;
 
 /// Below this many points the pool dispatch costs more than the permute
 /// or sort saves; the serial paths produce identical output (the
@@ -28,16 +29,10 @@ pub struct SortPermutation {
 }
 
 impl SortPermutation {
-    /// Wrap a precomputed order (used by the dimension-generic pre-sort in
-    /// [`crate::nd`]). `order[k]` must be a permutation of `0..len`.
-    pub(crate) fn from_order(order: Vec<u32>) -> Self {
-        Self { order }
-    }
-
     /// Apply the permutation, producing the sorted point array. An
     /// index-addressed gather: parallel and serial paths write the same
     /// element at the same position.
-    pub fn apply(&self, data: &[Point2]) -> Vec<Point2> {
+    pub fn apply<const D: usize>(&self, data: &[PointN<D>]) -> Vec<PointN<D>> {
         if data.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
             self.order.par_iter().map(|&i| data[i as usize]).collect()
         } else {
@@ -64,31 +59,38 @@ impl SortPermutation {
     }
 }
 
-/// Key for the unit-width binning: `(floor(y), floor(x))` in row-major
-/// order, ties broken by the exact coordinates so the sort is total and
-/// deterministic.
-fn bin_key(p: &Point2) -> (i64, i64) {
-    (p.y.floor() as i64, p.x.floor() as i64)
+/// The unit-width binning order of two points: bins `floor(c_k)` compare
+/// from the last axis down to the first (row-major — `(floor(y),
+/// floor(x))` in 2-D), then the exact coordinates in the same axis order.
+fn bin_order<const D: usize>(a: &PointN<D>, b: &PointN<D>) -> Ordering {
+    for k in (0..D).rev() {
+        match (a.coords[k].floor() as i64).cmp(&(b.coords[k].floor() as i64)) {
+            Ordering::Equal => {}
+            o => return o,
+        }
+    }
+    for k in (0..D).rev() {
+        match a.coords[k].total_cmp(&b.coords[k]) {
+            Ordering::Equal => {}
+            o => return o,
+        }
+    }
+    Ordering::Equal
 }
 
 /// Compute the unit-bin spatial sort permutation for `data`.
 ///
-/// Points are ordered by their unit-width (1×1) bin, row-major, and by
-/// `(y, x)` within a bin. The sort is stable with respect to exact ties, so
-/// identical inputs always produce identical permutations.
-pub fn spatial_sort_permutation(data: &[Point2]) -> SortPermutation {
+/// Points are ordered by their unit-width bin, row-major, and by their
+/// coordinates (last axis first) within a bin. Ties fall back to the
+/// input index, so identical inputs always produce identical
+/// permutations.
+pub fn spatial_sort_permutation<const D: usize>(data: &[PointN<D>]) -> SortPermutation {
     let mut order: Vec<u32> = (0..data.len() as u32).collect();
-    let by_bin = |&a: &u32, &b: &u32| {
-        let (pa, pb) = (&data[a as usize], &data[b as usize]);
-        bin_key(pa)
-            .cmp(&bin_key(pb))
-            .then(pa.y.total_cmp(&pb.y))
-            .then(pa.x.total_cmp(&pb.x))
-            .then(a.cmp(&b))
-    };
+    let by_bin =
+        |&a: &u32, &b: &u32| bin_order(&data[a as usize], &data[b as usize]).then(a.cmp(&b));
     // The index tiebreak makes the comparator total, so the sorted
     // permutation is unique: the parallel unstable sort and the serial
-    // stable sort produce the same bytes.
+    // sort produce the same bytes.
     if order.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
         order.par_sort_unstable_by(by_bin);
     } else {
@@ -98,13 +100,14 @@ pub fn spatial_sort_permutation(data: &[Point2]) -> SortPermutation {
 }
 
 /// Convenience: return the spatially sorted copy of `data`.
-pub fn spatial_sort(data: &[Point2]) -> Vec<Point2> {
+pub fn spatial_sort<const D: usize>(data: &[PointN<D>]) -> Vec<PointN<D>> {
     spatial_sort_permutation(data).apply(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point2;
 
     #[test]
     fn permutation_is_a_permutation() {
@@ -134,8 +137,8 @@ mod tests {
         ];
         let sorted = spatial_sort(&data);
         // (0,0)-bin points first, then (3,3)-bin points.
-        assert!(sorted[0].x < 1.0 && sorted[1].x < 1.0);
-        assert!(sorted[2].x > 3.0 && sorted[3].x > 3.0);
+        assert!(sorted[0].x() < 1.0 && sorted[1].x() < 1.0);
+        assert!(sorted[2].x() > 3.0 && sorted[3].x() > 3.0);
     }
 
     #[test]
@@ -169,8 +172,39 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let perm = spatial_sort_permutation(&[]);
+        let perm = spatial_sort_permutation::<2>(&[]);
         assert!(perm.is_empty());
-        assert!(spatial_sort(&[]).is_empty());
+        assert!(spatial_sort::<2>(&[]).is_empty());
+    }
+
+    #[test]
+    fn bins_compare_from_the_last_axis_down() {
+        let p = |c: [f64; 3]| PointN::from_coords(c);
+        // Bin (z, y, x): z decides first, then y, then x.
+        let data = [
+            p([0.5, 0.5, 1.5]),
+            p([2.5, 0.5, 0.5]),
+            p([0.5, 1.5, 0.5]),
+            p([0.5, 0.5, 0.5]),
+        ];
+        assert_eq!(spatial_sort_permutation(&data).as_slice(), &[3, 1, 2, 0]);
+    }
+
+    #[test]
+    fn parallel_sort_matches_serial() {
+        let data: Vec<PointN<3>> = (0..PAR_MIN_POINTS + 11)
+            .map(|i| {
+                let t = i as f64;
+                PointN::from_coords([(t * 0.31).fract() * 9.0, (t * 0.57).fract() * 9.0, 1.0])
+            })
+            .collect();
+        let run = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| spatial_sort_permutation(&data))
+        };
+        assert_eq!(run(2).as_slice(), run(1).as_slice());
     }
 }

@@ -114,11 +114,19 @@ impl RTree {
         let n_slabs = (n_leaves as f64).sqrt().ceil() as usize;
         let slab_size = data.len().div_ceil(n_slabs);
 
-        entries.sort_by(|a, b| a.1.x.total_cmp(&b.1.x).then(a.1.y.total_cmp(&b.1.y)));
+        entries.sort_by(|a, b| {
+            a.1.x()
+                .total_cmp(&b.1.x())
+                .then(a.1.y().total_cmp(&b.1.y()))
+        });
 
         let mut leaves: Vec<Node> = Vec::with_capacity(n_leaves);
         for slab in entries.chunks_mut(slab_size.max(1)) {
-            slab.sort_by(|a, b| a.1.y.total_cmp(&b.1.y).then(a.1.x.total_cmp(&b.1.x)));
+            slab.sort_by(|a, b| {
+                a.1.y()
+                    .total_cmp(&b.1.y())
+                    .then(a.1.x().total_cmp(&b.1.x()))
+            });
             for run in slab.chunks(MAX_ENTRIES) {
                 let mut leaf = Node::Leaf {
                     bbox: Aabb::EMPTY,
@@ -571,7 +579,7 @@ mod tests {
         data.extend(
             grid_points(10)
                 .iter()
-                .map(|p| Point2::new(p.x + 1000.0, p.y)),
+                .map(|p| Point2::new(p.x() + 1000.0, p.y())),
         );
         let t = RTree::bulk_load(&data);
         t.query_eps(&Point2::new(0.0, 0.0), 1.0);

@@ -38,7 +38,7 @@ impl ShardPlan {
             "eps must be finite and positive"
         );
         assert!(!data.is_empty(), "cannot shard an empty database");
-        let mut xs: Vec<f64> = data.iter().map(|p| p.x).collect();
+        let mut xs: Vec<f64> = data.iter().map(|p| p.x()).collect();
         xs.sort_unstable_by(|a, b| a.total_cmp(b));
         let n = xs.len();
         let boundaries = (1..k).map(|j| xs[j * n / k]).collect();
@@ -75,7 +75,7 @@ impl ShardPlan {
     /// half-open and the boundary list is ascending, so the owner is the
     /// number of boundaries at or below `p.x`.
     pub fn owner_of(&self, p: &Point2) -> usize {
-        self.boundaries.iter().filter(|&&b| p.x >= b).count()
+        self.boundaries.iter().filter(|&&b| p.x() >= b).count()
     }
 
     /// Whether shard `j` *sees* `p`: owned slab plus the ε-halo
@@ -85,14 +85,14 @@ impl ShardPlan {
     /// owned ε-ball on the right.
     pub fn sees(&self, j: usize, p: &Point2) -> bool {
         let (lo, hi) = self.slab(j);
-        (lo == f64::NEG_INFINITY || p.x >= lo - self.eps)
-            && (hi == f64::INFINITY || p.x < hi + self.eps)
+        (lo == f64::NEG_INFINITY || p.x() >= lo - self.eps)
+            && (hi == f64::INFINITY || p.x() < hi + self.eps)
     }
 
     /// Whether shard `j` owns `p`.
     pub fn owns(&self, j: usize, p: &Point2) -> bool {
         let (lo, hi) = self.slab(j);
-        (lo == f64::NEG_INFINITY || p.x >= lo) && (hi == f64::INFINITY || p.x < hi)
+        (lo == f64::NEG_INFINITY || p.x() >= lo) && (hi == f64::INFINITY || p.x() < hi)
     }
 }
 
@@ -142,7 +142,7 @@ mod tests {
         for p in &data {
             let j = plan.owner_of(p);
             for q in &data {
-                if (q.x - p.x).abs() <= eps {
+                if (q.x() - p.x()).abs() <= eps {
                     assert!(plan.sees(j, q), "shard {j} owning {p:?} must see {q:?}");
                 }
             }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use spatial::distance::{brute_force_count, brute_force_neighbors};
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, GridIndexN, GridLayout, PackedKdTree, Point2, PointN, RTree};
 
 fn points_strategy() -> impl Strategy<Value = Vec<Point2>> {
     prop::collection::vec((-500i32..1500, -500i32..1500), 1..150).prop_map(|v| {
@@ -12,6 +12,27 @@ fn points_strategy() -> impl Strategy<Value = Vec<Point2>> {
             .map(|(x, y)| Point2::new(x as f64 / 37.0, y as f64 / 53.0))
             .collect()
     })
+}
+
+/// Dense and sparse builds of one grid agree on `A`, the schedule, the
+/// stats, and every cell's range.
+fn layouts_agree<const D: usize>(data: &[PointN<D>], eps: f64) -> proptest::TestCaseResult {
+    let dense = GridIndexN::build_with_layout(data, eps, GridLayout::Dense);
+    let sparse = GridIndexN::build_with_layout(data, eps, GridLayout::Sparse);
+    prop_assert_eq!(dense.lookup(), sparse.lookup());
+    prop_assert_eq!(dense.non_empty_cells(), sparse.non_empty_cells());
+    prop_assert_eq!(dense.stats(), sparse.stats());
+    prop_assert_eq!(dense.max_points_per_cell(), sparse.max_points_per_cell());
+    for h in 0..dense.geometry().total_cells() {
+        prop_assert_eq!(
+            dense.range_of(h),
+            sparse.range_of(h),
+            "D = {}, cell {}",
+            D,
+            h
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -42,13 +63,13 @@ proptest! {
         let total: usize = grid
             .non_empty_cells()
             .iter()
-            .map(|&h| grid.range_of(h as usize).len())
+            .map(|&h| grid.range_of(h).len())
             .sum();
         prop_assert_eq!(total, data.len());
         for &h in grid.non_empty_cells() {
-            let r = grid.range_of(h as usize);
+            let r = grid.range_of(h);
             for &id in &grid.lookup()[r.start as usize..r.end as usize] {
-                prop_assert_eq!(grid.cell_of(&data[id as usize]), h as usize);
+                prop_assert_eq!(grid.cell_of(&data[id as usize]), h);
             }
         }
     }
@@ -58,18 +79,20 @@ proptest! {
         data in points_strategy(),
         e in 1u32..40,
     ) {
-        use spatial::GridLayout;
         let eps = e as f64 / 10.0;
-        let dense = GridIndex::build_with_layout(&data, eps, GridLayout::Dense);
-        let sparse = GridIndex::build_with_layout(&data, eps, GridLayout::Sparse);
-        prop_assert_eq!(dense.lookup(), sparse.lookup());
-        prop_assert_eq!(dense.non_empty_cells(), sparse.non_empty_cells());
-        prop_assert_eq!(dense.stats(), sparse.stats());
-        prop_assert_eq!(dense.max_points_per_cell(), sparse.max_points_per_cell());
-        let (nx, ny) = dense.dims();
-        for h in 0..nx * ny {
-            prop_assert_eq!(dense.range_of(h), sparse.range_of(h), "cell {}", h);
-        }
+        layouts_agree(&data, eps)?;
+        // The same property in 3-D and 4-D, over the points lifted onto
+        // skewed planes (both layouts exist at every dimension).
+        let lift3: Vec<PointN<3>> = data
+            .iter()
+            .map(|p| PointN::from_coords([p.x(), p.y(), 0.5 * p.x() - p.y()]))
+            .collect();
+        let lift4: Vec<PointN<4>> = lift3
+            .iter()
+            .map(|p| PointN::from_coords([p.coords[0], p.coords[1], p.coords[2], 0.25 * p.coords[0]]))
+            .collect();
+        layouts_agree(&lift3, eps.max(1.0))?;
+        layouts_agree(&lift4, eps.max(2.0))?;
     }
 
     #[test]
@@ -106,10 +129,10 @@ proptest! {
     #[test]
     fn kdtree_matches_oracle(data in points_strategy(), e in 1u32..40) {
         let eps = e as f64 / 10.0;
-        let tree = KdTree::build(&data);
+        let tree = PackedKdTree::build_from_points(&data);
+        let store = spatial::PointStore::from_points(&data);
         for q in data.iter().step_by(3) {
-            let mut got = tree.query_eps(q, eps);
-            got.sort_unstable();
+            let got = tree.query_eps(store.view(), q, eps);
             prop_assert_eq!(got, brute_force_neighbors(&data, q, eps));
         }
     }
@@ -118,7 +141,7 @@ proptest! {
     fn presort_preserves_multiset(data in points_strategy()) {
         let sorted = spatial_sort(&data);
         prop_assert_eq!(sorted.len(), data.len());
-        let key = |p: &Point2| (p.x.to_bits(), p.y.to_bits());
+        let key = |p: &Point2| (p.x().to_bits(), p.y().to_bits());
         let mut a: Vec<_> = data.iter().map(key).collect();
         let mut b: Vec<_> = sorted.iter().map(key).collect();
         a.sort_unstable();

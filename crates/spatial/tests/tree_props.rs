@@ -12,14 +12,14 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseResult;
-use spatial::nd::brute_force_neighbors_nd;
+use spatial::distance::brute_force_neighbors;
 use spatial::{GridIndexN, PackedKdTree, PointN, PointStoreN};
 
 /// The lattice quantum; multiplication by `Q` is exact.
 const Q: f64 = 1.0 / 128.0;
 
 fn pt<const D: usize>(units: [i64; D]) -> PointN<D> {
-    PointN::new(std::array::from_fn(|k| units[k] as f64 * Q))
+    PointN::from_coords(std::array::from_fn(|k| units[k] as f64 * Q))
 }
 
 /// Assert the tree (at several leaf sizes, so internal traversal and the
@@ -31,7 +31,7 @@ fn check_exact<const D: usize>(data: &[PointN<D>], eps: f64) -> TestCaseResult {
         let tree = PackedKdTree::<D>::build_with_leaf_size(store.view(), leaf_size);
         for (i, q) in data.iter().enumerate() {
             let got = tree.query_eps(store.view(), q, eps);
-            let want = brute_force_neighbors_nd(data, q, eps);
+            let want = brute_force_neighbors(data, q, eps);
             prop_assert_eq!(
                 &got,
                 &want,
@@ -47,7 +47,7 @@ fn check_exact<const D: usize>(data: &[PointN<D>], eps: f64) -> TestCaseResult {
         let mut got = Vec::new();
         grid.query_visit(data, q, |id| got.push(id));
         got.sort_unstable();
-        let want = brute_force_neighbors_nd(data, q, eps);
+        let want = brute_force_neighbors(data, q, eps);
         prop_assert_eq!(&got, &want, "grid point {} in {}-D", i, D);
     }
     Ok(())

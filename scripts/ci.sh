@@ -31,6 +31,24 @@ step() {
 }
 
 step "build" cargo build --workspace --release
+# Benchmark build and smoke: perfbench/ (BENCHMARK.json) is a standalone
+# package over the library crates' public API, so an API change that
+# breaks it must fail here. --locked fails if perfbench/Cargo.lock would
+# change. perfbench exits 0 even on wrong output, so each workload's
+# last stdout line must report "correct": true and "failed": 0.
+step "perfbench build" \
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+perfbench_smoke() {
+    local last
+    last=$(cargo run --release --offline --locked --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds 1 --trace 0 | tail -n 1) || return 1
+    echo "$last"
+    [[ "$last" == *'"correct": true,'* && "$last" == *'"failed": 0,'* ]]
+}
+for workload in s2_sweep s3_reuse nd3_lattice; do
+    step "perfbench smoke ($workload)" perfbench_smoke "$workload"
+done
 # The test suite runs twice: serial (the rayon pool degraded to one
 # thread) and at 4 threads. The determinism policy (DESIGN.md) promises
 # identical results either way; both configurations must stay green.

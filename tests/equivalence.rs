@@ -12,7 +12,7 @@ use hybrid_dbscan::core::reuse::TableReuse;
 use hybrid_dbscan::core::scenario::Variant;
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::Device;
-use hybrid_dbscan::spatial::{GridIndex, KdTree, Point2};
+use hybrid_dbscan::spatial::{GridIndex, Point2};
 
 fn small(name: &str) -> Vec<Point2> {
     spec::by_name(name).unwrap().generate(0.001).points
@@ -123,9 +123,8 @@ fn literal_algorithm1_agrees_on_every_index() {
     let data = small("SW1");
     let eps = 0.5;
     let grid = GridIndex::build(&data, eps);
-    let kdtree = KdTree::build(&data);
     let gs = GridSource::new(&grid, &data);
-    let ks = KdTreeSource::new(&kdtree, &data, eps);
+    let ks = KdTreeSource::build(&data, eps);
     let a = dbscan_algorithm1(&gs, 4).to_clustering();
     let b = dbscan_algorithm1(&ks, 4).to_clustering();
     let c = Dbscan::new(4).run(&gs);

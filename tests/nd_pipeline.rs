@@ -9,7 +9,7 @@ use hybrid_dbscan::core::nd::{build_table_nd, cluster_table_nd, NdTableHandle};
 use hybrid_dbscan::core::{clustering_fingerprint, table_fingerprint};
 use hybrid_dbscan::datasets::lattice_nd;
 use hybrid_dbscan::gpu_sim::Device;
-use hybrid_dbscan::spatial::nd::brute_force_neighbors_nd;
+use hybrid_dbscan::spatial::distance::brute_force_neighbors;
 use hybrid_dbscan::spatial::PointN;
 
 const EPS: f64 = 2.0;
@@ -72,7 +72,7 @@ fn sampled_rows_match_brute_force() {
     // Table ids are positions in the spatially sorted order.
     let sorted: Vec<PointN<3>> = h.perm.iter().map(|&i| data[i as usize]).collect();
     for k in (0..sorted.len()).step_by(53) {
-        let want = brute_force_neighbors_nd(&sorted, &sorted[k], EPS);
+        let want = brute_force_neighbors(&sorted, &sorted[k], EPS);
         assert_eq!(h.table.neighbors(k as u32), &want[..], "row {k}");
     }
 }

@@ -2,13 +2,13 @@
 //! invariants, using brute force as the oracle.
 
 use hybrid_dbscan::core::batch::{batch_points, BatchConfig};
-use hybrid_dbscan::core::dbscan::{Dbscan, GridSource, NeighborSource, TableSource};
+use hybrid_dbscan::core::dbscan::{Dbscan, GridSource, KdTreeSource, NeighborSource, TableSource};
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan::core::reference::ReferenceDbscan;
 use hybrid_dbscan::gpu_sim::Device;
 use hybrid_dbscan::spatial::distance::brute_force_neighbors;
 use hybrid_dbscan::spatial::presort::spatial_sort_permutation;
-use hybrid_dbscan::spatial::{GridIndex, KdTree, Point2, RTree};
+use hybrid_dbscan::spatial::{GridIndex, Point2, RTree};
 use proptest::prelude::*;
 
 /// Random points in a bounded box; coordinates quantized a little so exact
@@ -33,7 +33,7 @@ proptest! {
     fn indexes_match_brute_force(data in points_strategy(120), eps in eps_strategy()) {
         let grid = GridIndex::build(&data, eps);
         let rtree = RTree::bulk_load(&data);
-        let kdtree = KdTree::build(&data);
+        let kdtree = KdTreeSource::build(&data, eps);
         for (id, q) in data.iter().enumerate() {
             let expected = brute_force_neighbors(&data, q, eps);
             let mut g = grid.query(&data, q);
@@ -42,7 +42,8 @@ proptest! {
             let mut r = rtree.query_eps(q, eps);
             r.sort_unstable();
             prop_assert_eq!(&r, &expected, "rtree disagrees at {}", id);
-            let mut k = kdtree.query_eps(q, eps);
+            let mut k = Vec::new();
+            kdtree.neighbors_of(id as u32, &mut k);
             k.sort_unstable();
             prop_assert_eq!(&k, &expected, "kdtree disagrees at {}", id);
         }

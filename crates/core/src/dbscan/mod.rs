@@ -91,34 +91,45 @@ impl Dbscan {
             n_clusters += 1;
             labels[p as usize] = cluster;
 
+            // Points are labeled as they are queued, so each enters the
+            // seed queue at most once (≤ n entries, not |T|). Labels are
+            // those of labeling on dequeue: while this cluster expands no
+            // other cluster claims anything, so a point's label between
+            // its queueing and its dequeue can only become this cluster.
             seeds.clear();
-            seeds.extend_from_slice(&neighbors);
+            claim(&mut labels, &mut seeds, &neighbors, cluster);
             let mut cursor = 0;
             while cursor < seeds.len() {
                 let q = seeds[cursor];
                 cursor += 1;
-                let lbl = labels[q as usize];
-                if lbl == PointLabel::UNVISITED {
-                    // First visit: fetch q's neighborhood to test coreness.
-                    neighbors.clear();
-                    source.neighbors_of(q, &mut neighbors);
-                    labels[q as usize] = cluster;
-                    if neighbors.len() >= self.minpts {
-                        // Directly density-reachable core point: its
-                        // neighborhood extends the cluster.
-                        seeds.extend_from_slice(&neighbors);
-                    }
-                } else if lbl == PointLabel::NOISE {
-                    // Previously judged noise, now reached by a core
-                    // point: it becomes a border point of this cluster.
-                    labels[q as usize] = cluster;
+                // First visit: fetch q's neighborhood to test coreness.
+                neighbors.clear();
+                source.neighbors_of(q, &mut neighbors);
+                if neighbors.len() >= self.minpts {
+                    // Directly density-reachable core point: its
+                    // neighborhood extends the cluster.
+                    claim(&mut labels, &mut seeds, &neighbors, cluster);
                 }
-                // Already-clustered points keep their assignment (border
-                // points belong to the first cluster that claimed them).
             }
         }
 
         Clustering::new(labels, n_clusters)
+    }
+}
+
+/// Label `neighbors` of a core point with `cluster`: unvisited points join
+/// and are queued to test their coreness; noise points (already found
+/// non-core) become border points; points of any cluster keep their label
+/// (a border point belongs to the first cluster that claimed it).
+fn claim(labels: &mut [PointLabel], seeds: &mut Vec<u32>, neighbors: &[u32], cluster: PointLabel) {
+    for &r in neighbors {
+        let lbl = &mut labels[r as usize];
+        if *lbl == PointLabel::UNVISITED {
+            *lbl = cluster;
+            seeds.push(r);
+        } else if *lbl == PointLabel::NOISE {
+            *lbl = cluster;
+        }
     }
 }
 

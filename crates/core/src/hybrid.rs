@@ -1264,12 +1264,13 @@ impl HybridDbscan {
                 }
 
                 // Host-side sort by key (Thrust), so identical keys are
-                // adjacent before the transfer. INVARIANT (threading
-                // policy, DESIGN.md): this total-order sort is the
-                // canonicalization of the append buffer — block append
-                // order varies with host scheduling, and every
-                // downstream consumer (staging copy, table ingest) sees
-                // only the sorted, schedule-independent sequence.
+                // adjacent before the transfer. The buffer has already
+                // drained its block commits in block order (keys ascending
+                // for the thread-per-point kernels, so only value runs
+                // need sorting). INVARIANT (threading policy, DESIGN.md):
+                // this total-order sort is what makes every kernel and
+                // backend hand the staging copy and table ingest the same
+                // sequence for the same pair set.
                 let sort_time = thrust::sort_by_key(&self.device, buf.as_filled_mut_slice());
 
                 // D2H straight into this stream's pinned staging area.
@@ -1283,7 +1284,7 @@ impl HybridDbscan {
                 // driving thread — the builder's lock-free claims let
                 // streams ingest concurrently. The chain op's duration
                 // is modeled from the staged pair count, never measured.
-                builder.ingest_batch(l, &stage.as_slice()[..staged_len]);
+                builder.ingest_batch(l, stage.as_slice());
 
                 *outcomes[l].lock() = Some(BatchOutcome {
                     report: Some(report),

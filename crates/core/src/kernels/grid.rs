@@ -6,8 +6,9 @@
 //! contain neighbors (9 in 2-D), resolves each cell's `[A_min, A_max]`
 //! range of the lookup array (a direct read on the dense layout, plus
 //! binary-search key probes on the sparse one), computes distances with
-//! the shared chunked scan ([`super::scan_ids`]), and atomically appends
-//! each hit to the device result buffer as a `(point, neighbor)` pair.
+//! the shared chunked scan ([`super::scan_ids`]), and stages each hit as
+//! a `(point, neighbor)` pair for its block's one commit to the device
+//! result buffer.
 //!
 //! **Batching** (Section VI): with `n_b` batches, batch `l` processes the
 //! points `{gid · n_b + l}` — a strided assignment over the spatially
@@ -24,7 +25,7 @@
 //! set R, which requires significant overhead"), so it runs in negligible
 //! time; the estimate is then `a_b = e_b / f`.
 
-use super::{append_hits, points_in_batch, sample_size, scan_ids, NeighborPair};
+use super::{points_in_batch, sample_size, scan_ids, BlockStage, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
@@ -125,6 +126,7 @@ impl<const D: usize> BlockKernel for GpuCalcGlobal<'_, D> {
         let eps_sq = self.eps * self.eps;
         let in_batch = points_in_batch(n_points, self.n_batches, self.batch) as u64;
 
+        let mut stage = BlockStage::take();
         ctx.for_each_thread(|t| {
             if t.gid >= in_batch {
                 return;
@@ -141,9 +143,10 @@ impl<const D: usize> BlockKernel for GpuCalcGlobal<'_, D> {
                 eps_sq,
                 pi,
                 self.skip_dense_at,
-                |t, hits| append_hits(t, self.result, pi, hits),
+                |t, hits| stage.hits(t, pi, hits),
             );
         });
+        stage.commit(ctx, self.result);
         Ok(())
     }
 }

@@ -14,11 +14,13 @@
 //! * [`GpuCalcTree`] / [`TreeCountKernel`] — the same two roles over the
 //!   packed kd-tree backend.
 //!
-//! All kernels emit key/value pairs `(k_j, v_j)` where `v_j ∈ N_ε(k_j)`,
-//! appended to a [`DeviceAppendBuffer`] through the atomic cursor — the
-//! `atomic: gpuResultSet ∪ result` of the pseudo-code. Append overflow is
-//! recorded in the buffer rather than corrupting memory; the batching
-//! scheme's job is to make it never happen.
+//! All kernels emit key/value pairs `(k_j, v_j)` where `v_j ∈ N_ε(k_j)`
+//! — the `atomic: gpuResultSet ∪ result` of the pseudo-code. Each block
+//! stages its pairs locally and commits them to a [`DeviceAppendBuffer`]
+//! with one cursor reservation ([`BlockStage`]); the buffer drains the
+//! blocks in block order, so a thread-per-point kernel's keys come out
+//! ascending. Overflow is recorded in the buffer rather than corrupting
+//! memory; the batching scheme's job is to make it never happen.
 //!
 
 mod grid;
@@ -30,9 +32,10 @@ pub use grid::{GpuCalcGlobal, NeighborCountKernel};
 pub use shared::GpuCalcShared;
 pub use tree::{GpuCalcTree, TreeCountKernel};
 
-use gpu_sim::kernel::{ChargeBatch, ThreadCtx};
+use gpu_sim::kernel::{BlockCtx, ChargeBatch, ThreadCtx};
 use gpu_sim::memory::DeviceAppendBuffer;
 use spatial::PointsViewN;
+use std::cell::Cell;
 
 /// A result-set item: `key` is a point id, `value` a point id within ε of
 /// it. Layout matches the 8-byte pairs the device sort operates on.
@@ -60,28 +63,54 @@ pub fn sample_size(n: usize, stride: usize) -> usize {
     n.div_ceil(stride.max(1))
 }
 
-/// `atomic: gpuResultSet <- gpuResultSet ∪ result` for one chunk of
-/// point `pi`'s hits: charged per hit (batched: exact integer costs) and
-/// appended with one cursor reservation per chunk. Overflow is recorded by
-/// the buffer; a real kernel cannot unwind, so neither do we.
-#[inline]
-pub(crate) fn append_hits(
-    t: &mut ThreadCtx,
-    result: &DeviceAppendBuffer<NeighborPair>,
-    pi: usize,
-    hits: &[u32],
-) {
-    let mut charge = ChargeBatch {
-        atomics: hits.len() as u64,
-        ..ChargeBatch::default()
-    };
-    charge.write_global::<NeighborPair>(hits.len() as u64);
-    t.charge_batch(charge);
-    let mut out = [(0u32, 0u32); SCAN_LANES];
-    for (o, &cand) in out.iter_mut().zip(hits) {
-        *o = (pi as u32, cand);
+thread_local! {
+    /// This worker's block staging buffer. Every block the worker runs
+    /// reuses its capacity, so staging allocates only while it grows.
+    static BLOCK_STAGE: Cell<Vec<NeighborPair>> = const { Cell::new(Vec::new()) };
+}
+
+/// One block's result set, staged locally and committed to the device
+/// buffer with one cursor reservation — the device idiom of a block-local
+/// result set flushed by a single `atomicAdd`. Holds this worker's
+/// staging buffer while the block runs and hands it back when dropped.
+pub(crate) struct BlockStage(Vec<NeighborPair>);
+
+impl BlockStage {
+    /// Take this worker's staging buffer, emptied. (Taken, not borrowed:
+    /// a nested block on the same worker gets a fresh buffer.)
+    pub(crate) fn take() -> Self {
+        let mut pairs = BLOCK_STAGE.take();
+        pairs.clear();
+        BlockStage(pairs)
     }
-    let _ = result.append_n(&out[..hits.len()]);
+
+    /// `atomic: gpuResultSet <- gpuResultSet ∪ result` for one chunk of
+    /// point `pi`'s hits: charged per hit (batched: exact integer costs,
+    /// the device's per-hit atomic and pair write) and staged for the
+    /// block's commit.
+    #[inline]
+    pub(crate) fn hits(&mut self, t: &mut ThreadCtx, pi: usize, hits: &[u32]) {
+        let mut charge = ChargeBatch {
+            atomics: hits.len() as u64,
+            ..ChargeBatch::default()
+        };
+        charge.write_global::<NeighborPair>(hits.len() as u64);
+        t.charge_batch(charge);
+        self.0.extend(hits.iter().map(|&cand| (pi as u32, cand)));
+    }
+
+    /// Commit the staged pairs of block `ctx` to `result`. Overflow is
+    /// recorded by the buffer; a real kernel cannot unwind, so neither do
+    /// we.
+    pub(crate) fn commit(self, ctx: &BlockCtx, result: &DeviceAppendBuffer<NeighborPair>) {
+        let _ = result.commit_block(ctx, &self.0);
+    }
+}
+
+impl Drop for BlockStage {
+    fn drop(&mut self) {
+        BLOCK_STAGE.set(std::mem::take(&mut self.0));
+    }
 }
 
 /// The shared ε-neighborhood inner loop of the grid and tree kernels:

@@ -25,7 +25,7 @@
 //! that trade-off.
 
 use super::grid::load_cell_range;
-use super::{append_hits, NeighborPair, SCAN_LANES};
+use super::{BlockStage, NeighborPair, SCAN_LANES};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
 use gpu_sim::launch::LaunchConfig;
@@ -90,6 +90,8 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
         // Origin point ids travel with the staged coordinates (the result
         // pair needs them); a real kernel stages them in shared memory too.
         let mut s_origin_ids: Vec<u32> = ctx.alloc_shared(bd)?;
+
+        let mut stage = BlockStage::take();
 
         // Thread 0 fetches the neighbor-cell list; synchronize().
         let mut cell_ids = [0u64; MAX_STENCIL];
@@ -209,7 +211,7 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
                                     }
                                 }
                                 if h > 0 {
-                                    append_hits(t, self.result, pid as usize, &hits[..h]);
+                                    stage.hits(t, pid as usize, &hits[..h]);
                                 }
                             }
                             j += c;
@@ -218,6 +220,7 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
                 }
             }
         }
+        stage.commit(ctx, self.result);
         Ok(())
     }
 }

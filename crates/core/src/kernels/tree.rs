@@ -5,8 +5,8 @@
 //! fixed-size stack — the BVH-style traversal GPUs use when a grid is a
 //! poor fit (skewed density, d > 2). The thread visits every node whose
 //! subtree can intersect the closed ε-ball, scans reached leaves' id
-//! ranges chunk-wise against the SoA coordinate arrays, and atomically
-//! appends hits exactly like [`super::GpuCalcGlobal`].
+//! ranges chunk-wise against the SoA coordinate arrays, and stages hits
+//! for its block's one commit exactly like [`super::GpuCalcGlobal`].
 //!
 //! **Same contract as the grid kernels**: identical strided batch
 //! assignment (Section VI), identical hit predicate (the ordered
@@ -25,7 +25,7 @@
 //! sparse uniform 2-D data does not — which is exactly the trade-off the
 //! [`crate::backend`] selector navigates.
 
-use super::{append_hits, points_in_batch, sample_size, scan_ids, NeighborPair};
+use super::{points_in_batch, sample_size, scan_ids, BlockStage, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
@@ -127,6 +127,7 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
         let n_points = self.points.len();
         let in_batch = points_in_batch(n_points, self.n_batches, self.batch) as u64;
 
+        let mut stage = BlockStage::take();
         ctx.for_each_thread(|t| {
             if t.gid >= in_batch {
                 return;
@@ -141,9 +142,10 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
             t.charge_flops(2 * D as u64);
 
             traverse_eps(t, self.points, &self.tree, &q, self.eps, &mut |t, hits| {
-                append_hits(t, self.result, pi, hits)
+                stage.hits(t, pi, hits)
             });
         });
+        stage.commit(ctx, self.result);
         Ok(())
     }
 }

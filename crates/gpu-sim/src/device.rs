@@ -6,7 +6,7 @@ use crate::error::DeviceError;
 use crate::transfer::TransferModel;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Static properties of a simulated device.
@@ -80,6 +80,8 @@ pub(crate) struct DeviceInner {
     /// it, and its modeled Compute-engine serialization is enforced on
     /// the `schedule_chains` timeline instead.
     pub compute_lock: Mutex<()>,
+    /// Kernel launches so far; each launch takes the next ordinal.
+    pub launches: AtomicU64,
 }
 
 impl DeviceInner {
@@ -121,6 +123,7 @@ impl Device {
                 used_bytes: AtomicUsize::new(0),
                 peak_bytes: AtomicUsize::new(0),
                 compute_lock: Mutex::new(()),
+                launches: AtomicU64::new(0),
             }),
         }
     }

@@ -13,20 +13,23 @@ use crate::time::SimDuration;
 /// A page-locked host staging buffer.
 ///
 /// Carries the modeled allocation (pinning) cost so callers can charge it
-/// once, and marks transfers it participates in as pinned-rate.
-pub struct PinnedBuffer<T: Copy + Default> {
+/// once, and marks transfers it participates in as pinned-rate. Storage
+/// is reserved at allocation and written only by [`PinnedBuffer::write_from`].
+pub struct PinnedBuffer<T: Copy> {
     data: Vec<T>,
+    capacity: usize,
     alloc_time: SimDuration,
 }
 
-impl<T: Copy + Default> PinnedBuffer<T> {
+impl<T: Copy> PinnedBuffer<T> {
     /// Allocate a pinned buffer of `len` items on the host of `device`.
     /// The returned buffer records the modeled pinning time.
     pub fn new(device: &Device, len: usize) -> Self {
         let bytes = len * std::mem::size_of::<T>();
         let alloc_time = device.transfer_model().pin_time(bytes);
         PinnedBuffer {
-            data: vec![T::default(); len],
+            data: Vec::with_capacity(len),
+            capacity: len,
             alloc_time,
         }
     }
@@ -36,37 +39,36 @@ impl<T: Copy + Default> PinnedBuffer<T> {
         self.alloc_time
     }
 
+    /// Capacity in items.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.capacity
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.capacity == 0
     }
 
     pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.data.as_slice())
+        self.capacity * std::mem::size_of::<T>()
     }
 
-    /// Write `src` into the buffer starting at 0, growing never: `src` must
-    /// fit. Returns the written prefix length.
+    /// Replace the contents with `src`, growing never: `src` must fit.
+    /// Returns the written length.
     pub fn write_from(&mut self, src: &[T]) -> usize {
         assert!(
-            src.len() <= self.data.len(),
+            src.len() <= self.capacity,
             "staging write of {} items exceeds pinned capacity {}",
             src.len(),
-            self.data.len()
+            self.capacity
         );
-        self.data[..src.len()].copy_from_slice(src);
+        self.data.clear();
+        self.data.extend_from_slice(src);
         src.len()
     }
 
+    /// The items of the last [`PinnedBuffer::write_from`].
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 }
 
@@ -89,8 +91,10 @@ mod tests {
         let mut buf = PinnedBuffer::<u32>::new(&d, 10);
         let n = buf.write_from(&[1, 2, 3]);
         assert_eq!(n, 3);
-        assert_eq!(&buf.as_slice()[..3], &[1, 2, 3]);
+        assert_eq!(buf.as_slice(), &[1, 2, 3]);
         assert_eq!(buf.len(), 10);
+        buf.write_from(&[4]);
+        assert_eq!(buf.as_slice(), &[4], "a write replaces the contents");
     }
 
     #[test]

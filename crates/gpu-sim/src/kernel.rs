@@ -31,6 +31,7 @@ use crate::launch::LaunchConfig;
 use crate::time::SimDuration;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::Ordering;
 
 /// Per-thread execution context handed to phase closures.
 pub struct ThreadCtx {
@@ -185,6 +186,9 @@ pub struct BlockCtx {
     pub block_dim: u32,
     /// `gridDim.x`.
     pub grid_dim: u32,
+    /// The launch's ordinal on its device: append buffers drain the
+    /// windows of sequential launches in launch order.
+    pub(crate) launch: u64,
     warp_size: u32,
     shared_used: usize,
     shared_limit: usize,
@@ -199,6 +203,28 @@ pub struct BlockCtx {
 }
 
 impl BlockCtx {
+    /// Block `block_idx` of launch number `launch` of `cfg` on `device`.
+    pub(crate) fn new(device: &Device, cfg: LaunchConfig, launch: u64, block_idx: u32) -> Self {
+        let (props, model) = (device.props(), device.cost_model());
+        BlockCtx {
+            block_idx,
+            block_dim: cfg.block_dim,
+            grid_dim: cfg.grid_dim,
+            launch,
+            warp_size: props.warp_size,
+            shared_used: 0,
+            shared_limit: props.shared_mem_per_block,
+            flop_cost: model.cycles_per_flop,
+            global_word_cost: model.cycles_per_global_word,
+            shared_word_cost: model.cycles_per_shared_word,
+            atomic_cost: model.cycles_per_atomic,
+            dependent_read_cost: model.dependent_read_cycles,
+            barrier_cost: model.barrier_cycles,
+            block_cycles: 0.0,
+            counters: Counters::default(),
+        }
+    }
+
     /// Allocate a shared-memory array of `len` `T`s, checked against the
     /// per-block shared-memory limit (48 KB on the K20c).
     pub fn alloc_shared<T: Default + Clone>(&mut self, len: usize) -> Result<Vec<T>, DeviceError> {
@@ -260,8 +286,9 @@ impl BlockCtx {
 
 /// A kernel executable at block granularity.
 pub trait BlockKernel: Sync {
-    /// Execute one thread block. Appends to device buffers happen through
-    /// shared references (atomics), mirroring CUDA global-memory semantics.
+    /// Execute one thread block. Writes to device buffers happen through
+    /// shared references (atomics, one block commit per append buffer),
+    /// mirroring CUDA global-memory semantics.
     fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError>;
 }
 
@@ -294,8 +321,9 @@ impl Device {
     /// Determinism: per-block `(cycles, counters)` come back from an
     /// index-addressed `collect` and are folded in block order below, so
     /// the modeled duration is bitwise identical at every thread count.
-    /// Side effects into `DeviceAppendBuffer` may land in any order;
-    /// consumers canonicalize (DESIGN.md, threading policy).
+    /// Block commits into a `DeviceAppendBuffer` may land in any order;
+    /// the buffer drains them in `(launch, block)` order (DESIGN.md,
+    /// threading policy).
     pub fn launch<K: BlockKernel>(
         &self,
         cfg: LaunchConfig,
@@ -303,6 +331,7 @@ impl Device {
     ) -> Result<KernelReport, DeviceError> {
         cfg.validate(self.props())?;
         let _compute_guard = self.inner.lock_compute();
+        let launch = self.inner.launches.fetch_add(1, Ordering::Relaxed);
 
         let props = self.props();
         let model = self.cost_model();
@@ -310,22 +339,7 @@ impl Device {
         let results: Vec<Result<(f64, Counters), DeviceError>> = (0..cfg.grid_dim)
             .into_par_iter()
             .map(|block_idx| {
-                let mut ctx = BlockCtx {
-                    block_idx,
-                    block_dim: cfg.block_dim,
-                    grid_dim: cfg.grid_dim,
-                    warp_size: props.warp_size,
-                    shared_used: 0,
-                    shared_limit: props.shared_mem_per_block,
-                    flop_cost: model.cycles_per_flop,
-                    global_word_cost: model.cycles_per_global_word,
-                    shared_word_cost: model.cycles_per_shared_word,
-                    atomic_cost: model.cycles_per_atomic,
-                    dependent_read_cost: model.dependent_read_cycles,
-                    barrier_cost: model.barrier_cycles,
-                    block_cycles: 0.0,
-                    counters: Counters::default(),
-                };
+                let mut ctx = BlockCtx::new(self, cfg, launch, block_idx);
                 kernel.run_block(&mut ctx)?;
                 Ok((ctx.block_cycles, ctx.counters))
             })
@@ -403,18 +417,16 @@ mod tests {
                 t.access_shared::<u64>(1);
             });
             // After the barrier, thread 0 sees every lane's write.
-            let (block_idx, block_dim) = (ctx.block_idx, ctx.block_dim);
-            let out = self.out;
+            let block_dim = ctx.block_dim;
+            let mut sum = 0;
             ctx.phase(|t| {
                 if t.tid == 0 {
-                    let sum: u64 = shared.iter().sum();
+                    sum = shared.iter().sum();
                     t.access_shared::<u64>(block_dim as u64);
                     t.charge_atomic();
-                    let _ = block_idx;
-                    out.append(sum).unwrap();
                 }
             });
-            Ok(())
+            self.out.commit_block(ctx, &[sum])
         }
     }
 
@@ -424,9 +436,9 @@ mod tests {
         let mut out = DeviceAppendBuffer::<u64>::new(&d, 4).unwrap();
         let cfg = LaunchConfig::new(4, 64);
         d.launch(cfg, &SharedReduce { out: &out }).unwrap();
-        let mut sums = out.as_filled_slice().to_vec();
-        sums.sort_unstable();
-        // Block b covers gids [64b, 64b+63]; sum = 64*64b + 2016.
+        let sums = out.as_filled_slice().to_vec();
+        // Block b covers gids [64b, 64b+63]; sum = 64*64b + 2016, drained
+        // in block order.
         let expected: Vec<u64> = (0..4).map(|b| 64 * 64 * b + 2016).collect();
         assert_eq!(sums, expected);
     }

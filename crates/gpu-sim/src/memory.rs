@@ -3,9 +3,9 @@
 //! * [`DeviceBuffer`] — an immutable-after-upload array in device global
 //!   memory (the paper's `D`, `G`, `A` inputs).
 //! * [`DeviceAppendBuffer`] — a capacity-bounded output array written via
-//!   an atomically-incremented cursor, exactly like the CUDA idiom
-//!   `out[atomicAdd(&count, 1)] = item` the kernels use for their result
-//!   set `R`.
+//!   an atomically-incremented cursor, one reservation per thread block
+//!   (the CUDA idiom `base = atomicAdd(&count, n_block)` of a kernel that
+//!   stages its result set `R` per block), drained in block order.
 //! * [`DeviceCounter`] — a bare atomic counter (the result-size estimation
 //!   kernel of Section VI only counts, it does not materialize results).
 //!
@@ -15,8 +15,11 @@
 use crate::device::Device;
 use crate::error::DeviceError;
 use crate::hostmem::PinnedBuffer;
+use crate::kernel::BlockCtx;
 use crate::time::SimDuration;
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// An array resident in simulated device global memory.
@@ -25,6 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// duration so callers can charge it to a stream/timeline.
 pub struct DeviceBuffer<T: Copy> {
     device: Device,
+    reserved_bytes: usize,
     data: Vec<T>,
 }
 
@@ -42,6 +46,7 @@ impl<T: Copy> DeviceBuffer<T> {
         Ok((
             DeviceBuffer {
                 device: device.clone(),
+                reserved_bytes: bytes,
                 data: host.to_vec(),
             },
             t,
@@ -57,6 +62,7 @@ impl<T: Copy> DeviceBuffer<T> {
         device.alloc_bytes(bytes)?;
         Ok(DeviceBuffer {
             device: device.clone(),
+            reserved_bytes: bytes,
             data: vec![T::default(); len],
         })
     }
@@ -97,59 +103,97 @@ impl<T: Copy> DeviceBuffer<T> {
 
     /// Allocation size in bytes.
     pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+        self.reserved_bytes
     }
 }
 
 impl<T: Copy> Drop for DeviceBuffer<T> {
     fn drop(&mut self) {
-        self.device
-            .free_bytes(self.data.capacity() * std::mem::size_of::<T>());
+        self.device.free_bytes(self.reserved_bytes);
     }
 }
 
-/// A fixed-capacity device output array with an atomic write cursor.
+/// A fixed-capacity device output array written one block at a time.
 ///
-/// Concurrent blocks append through [`AppendHandle`]; each append claims a
-/// distinct slot with `fetch_add`, so writes are disjoint and lock-free.
-/// Appends past capacity are *rejected* and counted (a real kernel would
-/// corrupt memory; the simulator surfaces the overflow instead). The
-/// batching scheme's α-overestimation exists precisely to keep
+/// Each thread block stages its items locally and commits them with
+/// [`DeviceAppendBuffer::commit_block`]: one `fetch_add` on the cursor
+/// reserves the block's whole window — the device idiom of one
+/// `atomicAdd(cursor, n)` per block instead of one per element. Windows
+/// of concurrent blocks are disjoint, so commits are lock-free on the
+/// data. Items past capacity are *rejected* and counted (a real kernel
+/// would corrupt memory; the simulator surfaces the overflow instead).
+/// The batching scheme's α-overestimation exists precisely to keep
 /// [`DeviceAppendBuffer::overflowed`] false.
 ///
-/// **Element order is schedule-dependent** — with blocks running in
-/// parallel on the host pool, the slot an append claims varies run to
-/// run. The workspace's determinism policy (DESIGN.md, "Threading model &
-/// determinism policy") therefore requires every consumer of a drained
-/// append buffer to canonicalize before use: sort by a total order (the
-/// hybrid pipeline's `thrust::sort_by_key`) or reduce with an
-/// order-insensitive fold. Never iterate a drained buffer assuming a
-/// stable order.
+/// **Element order is a pure function of the launches.** Which window a
+/// block's reservation lands on varies with host scheduling, so the
+/// buffer records every block's window and, before any read of the
+/// filled prefix, drains the windows in launch order and block order
+/// inside the buffer. No consumer can see, or forget to undo, the
+/// schedule's interleaving: a thread-per-point kernel whose blocks emit
+/// ascending keys drains with ascending keys at every thread count.
+/// Consumers that combine the output of *different* kernels or backends
+/// still canonicalize by a total order (DESIGN.md, "Threading model &
+/// determinism policy").
+///
+/// Slots are not written at allocation: storage is reserved
+/// uninitialized and filled by commits, while device memory is accounted
+/// by capacity.
 pub struct DeviceAppendBuffer<T: Copy + Send> {
     device: Device,
-    slots: Box<[UnsafeCell<T>]>,
+    reserved_bytes: usize,
+    slots: Slots<T>,
+    /// Drain target, allocated on the first out-of-order drain and then
+    /// swapped with `slots` on every reordering drain.
+    spare: Slots<T>,
     cursor: AtomicUsize,
     rejected: AtomicUsize,
+    /// Committed windows not yet drained.
+    windows: Mutex<Vec<Window>>,
+    /// Length of the prefix already drained into launch and block order.
+    ordered: usize,
 }
 
-// SAFETY: concurrent access is mediated by the atomic cursor: every append
-// writes a unique slot index, and reads (`take`/`as_filled_slice`) only
-// happen after kernel completion (exclusive or quiescent access).
+/// Uninitialized slot storage shared by concurrent block commits.
+type Slots<T> = Box<[UnsafeCell<MaybeUninit<T>>]>;
+
+fn uninit_slots<T>(len: usize) -> Slots<T> {
+    // SAFETY: `UnsafeCell<MaybeUninit<T>>` has no validity invariant, so
+    // uninitialized memory is a valid value of it.
+    unsafe { Box::new_uninit_slice(len).assume_init() }
+}
+
+/// One block's committed window: `len` items at `start`, ordered by
+/// `(launch, block)`.
+struct Window {
+    launch: u64,
+    block: u32,
+    start: usize,
+    len: usize,
+}
+
+// SAFETY: through `&self` only `commit_block` runs concurrently. It writes
+// `slots` only inside the window its `fetch_add` on `cursor` reserved
+// (disjoint across commits), updates the `cursor`/`rejected` atomics and
+// pushes to the `windows` mutex. `spare`, `ordered` and every read of
+// `slots` need `&mut self`, so they never overlap a commit. `T: Send`
+// because committed items are written from other threads.
 unsafe impl<T: Copy + Send> Sync for DeviceAppendBuffer<T> {}
 
-impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
+impl<T: Copy + Send> DeviceAppendBuffer<T> {
     /// Allocate a buffer of `capacity` items on `device`.
     pub fn new(device: &Device, capacity: usize) -> Result<Self, DeviceError> {
-        let bytes = capacity * std::mem::size_of::<T>();
-        device.alloc_bytes(bytes)?;
-        let slots: Box<[UnsafeCell<T>]> = (0..capacity)
-            .map(|_| UnsafeCell::new(T::default()))
-            .collect();
+        let reserved_bytes = capacity * std::mem::size_of::<T>();
+        device.alloc_bytes(reserved_bytes)?;
         Ok(DeviceAppendBuffer {
             device: device.clone(),
-            slots,
+            reserved_bytes,
+            slots: uninit_slots(capacity),
+            spare: uninit_slots(0),
             cursor: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
+            windows: Mutex::new(Vec::new()),
+            ordered: 0,
         })
     }
 
@@ -157,7 +201,7 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
         self.slots.len()
     }
 
-    /// Items appended so far (clamped to capacity).
+    /// Items committed so far (clamped to capacity).
     pub fn len(&self) -> usize {
         self.cursor.load(Ordering::Acquire).min(self.capacity())
     }
@@ -166,48 +210,40 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
         self.len() == 0
     }
 
-    /// Whether any append was rejected for lack of space.
+    /// Whether any item was rejected for lack of space.
     pub fn overflowed(&self) -> bool {
         self.rejected.load(Ordering::Relaxed) > 0
     }
 
-    /// Number of rejected appends.
+    /// Number of rejected items. `len() + rejected()` is the exact number
+    /// of items every commit so far attempted.
     pub fn rejected(&self) -> usize {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Append one item; lock-free, callable from concurrent blocks.
-    #[inline]
-    pub fn append(&self, item: T) -> Result<(), DeviceError> {
-        let idx = self.cursor.fetch_add(1, Ordering::AcqRel);
-        if idx >= self.slots.len() {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(DeviceError::BufferOverflow {
-                capacity: self.slots.len(),
-                attempted: idx + 1,
-            });
-        }
-        // SAFETY: idx was uniquely claimed by fetch_add and is in bounds.
-        unsafe { *self.slots[idx].get() = item };
-        Ok(())
-    }
-
-    /// Append a small run of items with a single cursor reservation — the
-    /// device idiom of one `atomicAdd(cursor, n)` per thread-local batch
-    /// instead of one per element. Overflow accounting matches `n`
-    /// individual [`append`](Self::append) calls exactly: items that fit
-    /// in the reserved window are stored, the rest are counted rejected.
-    #[inline]
-    pub fn append_n(&self, items: &[T]) -> Result<(), DeviceError> {
+    /// Commit block `ctx`'s staged `items` with a single cursor
+    /// reservation; callable from concurrent blocks. Items that fit in the
+    /// reserved window are stored, the rest are counted rejected.
+    pub fn commit_block(&self, ctx: &BlockCtx, items: &[T]) -> Result<(), DeviceError> {
         if items.is_empty() {
             return Ok(());
         }
         let start = self.cursor.fetch_add(items.len(), Ordering::AcqRel);
         let cap = self.slots.len();
         let fits = cap.saturating_sub(start).min(items.len());
-        for (i, &item) in items[..fits].iter().enumerate() {
-            // SAFETY: start..start+fits was uniquely claimed and in bounds.
-            unsafe { *self.slots[start + i].get() = item };
+        if fits > 0 {
+            // SAFETY: start..start+fits was uniquely claimed and is in
+            // bounds; `UnsafeCell<MaybeUninit<T>>` has `T`'s layout.
+            unsafe {
+                let dst = UnsafeCell::raw_get(self.slots.as_ptr().add(start)).cast::<T>();
+                std::ptr::copy_nonoverlapping(items.as_ptr(), dst, fits);
+            }
+            self.windows.lock().push(Window {
+                launch: ctx.launch,
+                block: ctx.block_idx,
+                start,
+                len: fits,
+            });
         }
         if fits < items.len() {
             self.rejected
@@ -220,19 +256,58 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
         Ok(())
     }
 
-    /// View of the filled prefix. Requires `&mut self`, i.e. no concurrent
-    /// kernel can still be appending.
-    pub fn as_filled_slice(&mut self) -> &[T] {
-        let n = self.len();
-        // SAFETY: exclusive access; the first `n` slots were initialized.
-        unsafe { std::slice::from_raw_parts(self.slots.as_ptr() as *const T, n) }
+    /// Move the windows committed since the last drain into launch and
+    /// block order, right after the already ordered prefix.
+    fn drain(&mut self) {
+        let windows = self.windows.get_mut();
+        if windows.is_empty() {
+            return;
+        }
+        windows.sort_unstable_by_key(|w| (w.launch, w.block));
+        let mut next = self.ordered;
+        let mut in_order = true;
+        for w in windows.iter() {
+            in_order &= w.start == next;
+            next += w.len;
+        }
+        if !in_order {
+            if self.spare.len() < self.slots.len() {
+                self.spare = uninit_slots(self.slots.len());
+            }
+            let src = self.slots.as_ptr().cast::<T>();
+            let dst = self.spare.as_mut_ptr().cast::<T>();
+            // SAFETY: exclusive access; every source range lies in the
+            // initialized prefix, and the destination ranges tile
+            // `0..next` of the spare storage without overlap.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src, dst, self.ordered);
+                let mut at = self.ordered;
+                for w in windows.iter() {
+                    std::ptr::copy_nonoverlapping(src.add(w.start), dst.add(at), w.len);
+                    at += w.len;
+                }
+            }
+            std::mem::swap(&mut self.slots, &mut self.spare);
+        }
+        windows.clear();
+        self.ordered = next;
     }
 
-    /// Mutable view of the filled prefix (device-side sort operates here).
+    /// View of the filled prefix, drained into launch and block order.
+    /// Requires `&mut self`, i.e. no concurrent kernel can still be
+    /// committing.
+    pub fn as_filled_slice(&mut self) -> &[T] {
+        self.as_filled_mut_slice()
+    }
+
+    /// Mutable view of the drained filled prefix (device-side sort
+    /// operates here).
     pub fn as_filled_mut_slice(&mut self) -> &mut [T] {
+        self.drain();
         let n = self.len();
-        // SAFETY: exclusive access; the first `n` slots were initialized.
-        unsafe { std::slice::from_raw_parts_mut(self.slots.as_mut_ptr() as *mut T, n) }
+        // SAFETY: exclusive access; commits initialized the first `n`
+        // slots (their windows tile `0..n`).
+        unsafe { std::slice::from_raw_parts_mut(self.slots.as_mut_ptr().cast::<T>(), n) }
     }
 
     /// Reset the cursor so the allocation can be reused for the next batch
@@ -240,10 +315,12 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
     pub fn reset(&mut self) {
         self.cursor.store(0, Ordering::Release);
         self.rejected.store(0, Ordering::Relaxed);
+        self.windows.get_mut().clear();
+        self.ordered = 0;
     }
 
-    /// Download the filled prefix to the host, returning data and modeled
-    /// transfer duration.
+    /// Download the drained filled prefix to the host, returning data and
+    /// modeled transfer duration.
     pub fn to_host(&mut self, pinned: bool) -> (Vec<T>, SimDuration) {
         let n = self.len();
         let bytes = n * std::mem::size_of::<T>();
@@ -251,14 +328,11 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
         (self.as_filled_slice().to_vec(), t)
     }
 
-    /// Download the filled prefix straight into a pinned staging buffer —
-    /// the cudaMemcpyAsync(D2H, pinned) shape — without the intermediate
-    /// host `Vec` of [`Self::to_host`]. Returns the staged length and the
-    /// modeled pinned-rate transfer duration.
-    pub fn download_into(&mut self, stage: &mut PinnedBuffer<T>) -> (usize, SimDuration)
-    where
-        T: Default,
-    {
+    /// Download the drained filled prefix straight into a pinned staging
+    /// buffer — the cudaMemcpyAsync(D2H, pinned) shape — without the
+    /// intermediate host `Vec` of [`Self::to_host`]. Returns the staged
+    /// length and the modeled pinned-rate transfer duration.
+    pub fn download_into(&mut self, stage: &mut PinnedBuffer<T>) -> (usize, SimDuration) {
         let n = self.len();
         let bytes = n * std::mem::size_of::<T>();
         let t = self.device.transfer_model().transfer_time(bytes, true);
@@ -268,8 +342,7 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
 
 impl<T: Copy + Send> Drop for DeviceAppendBuffer<T> {
     fn drop(&mut self) {
-        self.device
-            .free_bytes(self.slots.len() * std::mem::size_of::<T>());
+        self.device.free_bytes(self.reserved_bytes);
     }
 }
 
@@ -341,6 +414,8 @@ impl Drop for DeviceCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::BlockKernel;
+    use crate::launch::LaunchConfig;
 
     #[test]
     fn buffer_roundtrip_moves_bytes() {
@@ -368,59 +443,149 @@ mod tests {
         assert!(DeviceBuffer::from_host(&d, &host, false).is_ok());
     }
 
-    #[test]
-    fn append_buffer_sequential() {
-        let d = Device::k20c();
-        let mut buf = DeviceAppendBuffer::<u64>::new(&d, 10).unwrap();
-        for i in 0..10 {
-            buf.append(i).unwrap();
+    /// A thread-per-point kernel: thread `gid < n` emits `gid % 5` pairs
+    /// `(gid, j)`, staged per block and committed with one reservation.
+    struct PerPoint<'a> {
+        out: &'a DeviceAppendBuffer<(u32, u32)>,
+        n: u64,
+    }
+
+    impl BlockKernel for PerPoint<'_> {
+        fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
+            let mut staged = Vec::new();
+            let n = self.n;
+            ctx.for_each_thread(|t| {
+                if t.gid < n {
+                    staged.extend((0..t.gid as u32 % 5).map(|j| (t.gid as u32, j)));
+                }
+            });
+            // Overflow is recorded by the buffer, as in the core kernels.
+            let _ = self.out.commit_block(ctx, &staged);
+            Ok(())
         }
-        assert_eq!(buf.len(), 10);
-        assert!(!buf.overflowed());
-        assert!(buf.append(99).is_err());
-        assert!(buf.overflowed());
-        assert_eq!(buf.rejected(), 1);
-        // Overflowed appends do not clobber valid data.
-        assert_eq!(
-            buf.as_filled_slice(),
-            (0..10).collect::<Vec<_>>().as_slice()
-        );
+    }
+
+    /// Every pair `PerPoint` over `n` points emits, in block order.
+    fn per_point_pairs(n: u32) -> Vec<(u32, u32)> {
+        (0..n)
+            .flat_map(|g| (0..g % 5).map(move |j| (g, j)))
+            .collect()
+    }
+
+    fn on_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// Launch `PerPoint` over `n` points in blocks of 32.
+    fn launch_per_point(d: &Device, out: &DeviceAppendBuffer<(u32, u32)>, n: u64) {
+        let cfg = LaunchConfig::for_elements(n as usize, 32);
+        d.launch(cfg, &PerPoint { out, n }).unwrap();
+    }
+
+    /// Launch `PerPoint` over `n` points on a `threads` pool view and
+    /// drain the buffer.
+    fn drained(threads: usize, n: u64, capacity: usize) -> (Vec<(u32, u32)>, usize, usize) {
+        let d = Device::k20c();
+        let mut buf = DeviceAppendBuffer::new(&d, capacity).unwrap();
+        on_pool(threads, || launch_per_point(&d, &buf, n));
+        let (len, rejected) = (buf.len(), buf.rejected());
+        (buf.as_filled_slice().to_vec(), len, rejected)
     }
 
     #[test]
-    fn append_buffer_concurrent_no_loss() {
+    fn multi_block_drain_is_identical_at_every_thread_count() {
+        let n = 16 * 32 - 7;
+        let (serial, len, rejected) = drained(1, n, 4096);
+        assert_eq!(serial, per_point_pairs(n as u32), "drained in block order");
+        assert_eq!((len, rejected), (serial.len(), 0));
+        for threads in [2, 4] {
+            assert_eq!(
+                drained(threads, n, 4096).0,
+                serial,
+                "{threads}-thread drain differs from the serial one"
+            );
+        }
+    }
+
+    #[test]
+    fn thread_per_point_kernel_drains_with_ascending_keys() {
+        let (pairs, _, _) = drained(4, 24 * 32, 8192);
+        assert!(!pairs.is_empty());
+        assert!(pairs.is_sorted_by_key(|&(k, _)| k));
+    }
+
+    #[test]
+    fn overflow_counts_every_attempted_item() {
+        let n = 12 * 32;
+        let attempted = per_point_pairs(n as u32).len();
+        for threads in [1, 4] {
+            let (kept, len, rejected) = drained(threads, n, attempted / 3);
+            assert_eq!(len, attempted / 3);
+            assert_eq!(kept.len(), len);
+            assert_eq!(len + rejected, attempted, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn reversed_commits_drain_in_block_order() {
         let d = Device::k20c();
-        let mut buf = DeviceAppendBuffer::<u64>::new(&d, 8 * 1000).unwrap();
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let buf = &buf;
-                s.spawn(move || {
-                    for i in 0..1000u64 {
-                        buf.append(t * 1000 + i).unwrap();
-                    }
-                });
-            }
+        let mut buf = DeviceAppendBuffer::new(&d, 64).unwrap();
+        let cfg = LaunchConfig::new(4, 32);
+        for block in (0..4u32).rev() {
+            let ctx = BlockCtx::new(&d, cfg, 0, block);
+            buf.commit_block(&ctx, &[(block, 0), (block, 1)]).unwrap();
+        }
+        let expected: Vec<(u32, u32)> = (0..4).flat_map(|b| [(b, 0), (b, 1)]).collect();
+        assert_eq!(buf.as_filled_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn sequential_launches_drain_in_launch_order() {
+        let d = Device::k20c();
+        let mut buf = DeviceAppendBuffer::new(&d, 4096).unwrap();
+        on_pool(4, || {
+            launch_per_point(&d, &buf, 100);
+            launch_per_point(&d, &buf, 60);
         });
-        assert_eq!(buf.len(), 8000);
-        let mut items = buf.as_filled_slice().to_vec();
-        items.sort_unstable();
-        assert_eq!(items, (0..8000).collect::<Vec<_>>());
+        let mut expected = per_point_pairs(100);
+        expected.extend(per_point_pairs(60));
+        assert_eq!(buf.as_filled_slice(), expected.as_slice());
+        // A drained prefix stays in place under later launches.
+        on_pool(4, || launch_per_point(&d, &buf, 30));
+        expected.extend(per_point_pairs(30));
+        assert_eq!(buf.as_filled_slice(), expected.as_slice());
     }
 
     #[test]
     fn append_buffer_reset_reuses_allocation() {
-        let d = Device::tiny(1024);
-        let mut buf = DeviceAppendBuffer::<u32>::new(&d, 100).unwrap();
+        let d = Device::tiny(1 << 16);
+        let mut buf = DeviceAppendBuffer::<(u32, u32)>::new(&d, 1000).unwrap();
         let used = d.used_bytes();
-        for i in 0..100 {
-            buf.append(i).unwrap();
-        }
+        launch_per_point(&d, &buf, 100);
         buf.reset();
         assert_eq!(buf.len(), 0);
         assert!(!buf.overflowed());
-        buf.append(7).unwrap();
-        assert_eq!(buf.as_filled_slice(), &[7]);
+        launch_per_point(&d, &buf, 3);
+        assert_eq!(buf.as_filled_slice(), &[(1, 0), (2, 0), (2, 1)]);
         assert_eq!(d.used_bytes(), used, "reset must not reallocate");
+    }
+
+    #[test]
+    fn buffers_free_exactly_what_they_reserved() {
+        let d = Device::tiny(1 << 16);
+        let mut host = Vec::with_capacity(64);
+        host.extend(0..10u32);
+        let (buf, _) = DeviceBuffer::from_host(&d, &host, false).unwrap();
+        assert_eq!((d.used_bytes(), buf.bytes()), (40, 40));
+        let app = DeviceAppendBuffer::<(u32, u32)>::new(&d, 100).unwrap();
+        assert_eq!(d.used_bytes(), 840);
+        drop(buf);
+        drop(app);
+        assert_eq!(d.used_bytes(), 0);
     }
 
     #[test]

@@ -27,13 +27,13 @@ pub fn sort_by_key_time(n: usize) -> SimDuration {
 /// Sort `(key, value)` pairs by key on the device, returning the modeled
 /// device duration.
 ///
-/// Ordering is total (`(key, value)` lexicographic) so results are
-/// deterministic even though append order into the source
-/// `DeviceAppendBuffer` varies with host thread interleaving — this is
-/// the canonicalization step the threading determinism policy (DESIGN.md)
-/// requires of every append-buffer consumer. A total order has exactly
-/// one sorted arrangement, so *any* correct sort produces the same
-/// output; the functional sort here is an LSD radix sort over the packed
+/// Ordering is total (`(key, value)` lexicographic): a total order has
+/// exactly one sorted arrangement, so *any* correct sort of the same
+/// pair set produces the same output — whichever kernel or backend
+/// emitted it, in whatever order its blocks committed. This is the
+/// canonicalization step the threading determinism policy (DESIGN.md)
+/// requires before a result set becomes a table. The functional sort
+/// here is an LSD radix sort over the packed
 /// `(key << 32) | value` u64 — the same algorithm Thrust's `sort_by_key`
 /// actually runs, and several times faster on the host than a
 /// comparison sort because the pair comparator never executes.
@@ -70,12 +70,12 @@ fn radix_sort_pairs(pairs: &mut [(u32, u32)]) {
         return;
     }
     let parallel = n >= RADIX_PAR_MIN_PAIRS && rayon::current_num_threads() > 1;
-    // Presorted-key regime: kernels append result chunks in thread order,
-    // so with few host threads the buffer's *keys* are already
-    // non-decreasing — only the values inside each equal-key run need
-    // ordering. One O(n) check buys skipping the grouping passes
-    // entirely; with more interleaving the check fails and the generic
-    // paths below produce the identical total order.
+    // Presorted-key regime: the append buffer drains block commits in
+    // block order, so a thread-per-point kernel's keys arrive
+    // non-decreasing at every host thread count — only the values inside
+    // each equal-key run need ordering. One O(n) check buys skipping the
+    // grouping passes entirely; block-per-cell output fails the check and
+    // the generic paths below produce the identical total order.
     if pairs.is_sorted_by_key(|&(k, _)| k) {
         if parallel {
             sort_value_runs_parallel(pairs);

@@ -14,11 +14,10 @@
 
 use crate::point::PointN;
 use rayon::prelude::*;
-use std::cmp::Ordering;
 
 /// Below this many points the pool dispatch costs more than the permute
-/// or sort saves; the serial paths produce identical output (the
-/// comparator is total, so the permutation is unique).
+/// or sort saves; the serial paths produce identical output (the keys
+/// are distinct, so the permutation is unique).
 const PAR_MIN_POINTS: usize = 1 << 14;
 
 /// The permutation produced by a spatial sort: `order[k]` is the index in
@@ -59,23 +58,38 @@ impl SortPermutation {
     }
 }
 
-/// The unit-width binning order of two points: bins `floor(c_k)` compare
-/// from the last axis down to the first (row-major — `(floor(y),
-/// floor(x))` in 2-D), then the exact coordinates in the same axis order.
-fn bin_order<const D: usize>(a: &PointN<D>, b: &PointN<D>) -> Ordering {
-    for k in (0..D).rev() {
-        match (a.coords[k].floor() as i64).cmp(&(b.coords[k].floor() as i64)) {
-            Ordering::Equal => {}
-            o => return o,
+/// One point's precomputed sort key. Derived `Ord` compares the fields in
+/// declaration order and arrays element by element, so the key order is:
+/// unit bins `floor(c_k)` from the last axis down to the first (row-major
+/// — `(floor(y), floor(x))` in 2-D), then the exact coordinates in the
+/// same axis order under `f64::total_cmp`, then the input index. Each
+/// signed quantity is stored as the unsigned word with the same order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct BinKey<const D: usize> {
+    bins: [u64; D],
+    coords: [u64; D],
+    index: u32,
+}
+
+/// The unsigned word ordered like the signed `v`.
+fn ordered_word(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
+}
+
+impl<const D: usize> BinKey<D> {
+    fn of(p: &PointN<D>, index: u32) -> Self {
+        let last_first = |k: usize| p.coords[D - 1 - k];
+        BinKey {
+            bins: std::array::from_fn(|k| ordered_word(last_first(k).floor() as i64)),
+            coords: std::array::from_fn(|k| {
+                // The integer `f64::total_cmp` compares: flip the
+                // magnitude bits of negatives.
+                let bits = last_first(k).to_bits() as i64;
+                ordered_word(bits ^ (((bits >> 63) as u64) >> 1) as i64)
+            }),
+            index,
         }
     }
-    for k in (0..D).rev() {
-        match a.coords[k].total_cmp(&b.coords[k]) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    Ordering::Equal
 }
 
 /// Compute the unit-bin spatial sort permutation for `data`.
@@ -83,19 +97,22 @@ fn bin_order<const D: usize>(a: &PointN<D>, b: &PointN<D>) -> Ordering {
 /// Points are ordered by their unit-width bin, row-major, and by their
 /// coordinates (last axis first) within a bin. Ties fall back to the
 /// input index, so identical inputs always produce identical
-/// permutations.
+/// permutations. Each point's key is computed once ([`BinKey`]) and the
+/// keys are sorted, so no comparison recomputes a bin or chases `data`.
 pub fn spatial_sort_permutation<const D: usize>(data: &[PointN<D>]) -> SortPermutation {
-    let mut order: Vec<u32> = (0..data.len() as u32).collect();
-    let by_bin =
-        |&a: &u32, &b: &u32| bin_order(&data[a as usize], &data[b as usize]).then(a.cmp(&b));
-    // The index tiebreak makes the comparator total, so the sorted
-    // permutation is unique: the parallel unstable sort and the serial
-    // sort produce the same bytes.
-    if order.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
-        order.par_sort_unstable_by(by_bin);
+    let key = |(i, p): (usize, &PointN<D>)| BinKey::of(p, i as u32);
+    // The index makes every key distinct, so the sorted order is unique:
+    // the parallel unstable sort and the serial sort produce the same
+    // bytes.
+    let order = if data.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
+        let mut keys: Vec<BinKey<D>> = data.par_iter().enumerate().map(key).collect();
+        keys.par_sort_unstable();
+        keys.par_iter().map(|k| k.index).collect()
     } else {
-        order.sort_unstable_by(by_bin);
-    }
+        let mut keys: Vec<BinKey<D>> = data.iter().enumerate().map(key).collect();
+        keys.sort_unstable();
+        keys.iter().map(|k| k.index).collect()
+    };
     SortPermutation { order }
 }
 
@@ -108,6 +125,101 @@ pub fn spatial_sort<const D: usize>(data: &[PointN<D>]) -> Vec<PointN<D>> {
 mod tests {
     use super::*;
     use crate::point::Point2;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+
+    /// The comparator the keyed sort replaced, kept as its oracle: bins
+    /// `floor(c_k)` from the last axis down, then the exact coordinates
+    /// in the same axis order.
+    fn bin_order<const D: usize>(a: &PointN<D>, b: &PointN<D>) -> Ordering {
+        for k in (0..D).rev() {
+            match (a.coords[k].floor() as i64).cmp(&(b.coords[k].floor() as i64)) {
+                Ordering::Equal => {}
+                o => return o,
+            }
+        }
+        for k in (0..D).rev() {
+            match a.coords[k].total_cmp(&b.coords[k]) {
+                Ordering::Equal => {}
+                o => return o,
+            }
+        }
+        Ordering::Equal
+    }
+
+    fn oracle_permutation<const D: usize>(data: &[PointN<D>]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..data.len() as u32).collect();
+        order.sort_by(|&a, &b| bin_order(&data[a as usize], &data[b as usize]).then(a.cmp(&b)));
+        order
+    }
+
+    /// Coordinates on a 1/8 lattice over [-5, 5): negatives, exact bin
+    /// edges and many duplicates; code -41 stands for `-0.0`.
+    fn coord(code: i32) -> f64 {
+        if code == -41 {
+            -0.0
+        } else {
+            f64::from(code) / 8.0
+        }
+    }
+
+    fn points<const D: usize>(codes: &[(i32, i32, i32)]) -> Vec<PointN<D>> {
+        codes
+            .iter()
+            .map(|&(x, y, z)| PointN::from_coords(std::array::from_fn(|k| coord([x, y, z][k]))))
+            .collect()
+    }
+
+    /// The keyed sort equals the comparator oracle at D = 2 and 3, on the
+    /// serial path and on a 2-thread pool.
+    fn keyed_matches_oracle(codes: &[(i32, i32, i32)]) -> proptest::TestCaseResult {
+        fn check<const D: usize>(data: &[PointN<D>]) -> proptest::TestCaseResult {
+            let expected = oracle_permutation(data);
+            let serial = spatial_sort_permutation(data);
+            prop_assert_eq!(serial.as_slice(), expected.as_slice());
+            let pooled = rayon::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build()
+                .unwrap()
+                .install(|| spatial_sort_permutation(data));
+            prop_assert_eq!(pooled.as_slice(), expected.as_slice());
+            Ok(())
+        }
+        check(&points::<2>(codes))?;
+        check(&points::<3>(codes))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn keyed_presort_matches_comparator_below_par_cutoff(
+            codes in prop::collection::vec((-41i32..41, -41i32..41, -41i32..41), 1..400),
+        ) {
+            keyed_matches_oracle(&codes)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn keyed_presort_matches_comparator_above_par_cutoff(
+            codes in prop::collection::vec(
+                (-41i32..41, -41i32..41, -41i32..41),
+                PAR_MIN_POINTS..PAR_MIN_POINTS + 600,
+            ),
+        ) {
+            keyed_matches_oracle(&codes)?;
+        }
+    }
+
+    #[test]
+    fn signed_zeros_order_like_total_cmp() {
+        // Same bin (0, 0); -0.0 sorts before +0.0 on the x coordinate.
+        let data = [Point2::new(0.0, 0.5), Point2::new(-0.0, 0.5)];
+        assert_eq!(spatial_sort_permutation(&data).as_slice(), &[1, 0]);
+    }
 
     #[test]
     fn permutation_is_a_permutation() {

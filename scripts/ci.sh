@@ -38,16 +38,22 @@ step "build" cargo build --workspace --release
 # last stdout line must report "correct": true and "failed": 0.
 step "perfbench build" \
     cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+# perfbench_smoke WORKLOAD [VAR=value ...]: one 1 s run under the given
+# environment.
 perfbench_smoke() {
     local last
-    last=$(cargo run --release --offline --locked --quiet \
+    last=$(env "${@:2}" cargo run --release --offline --locked --quiet \
         --manifest-path perfbench/Cargo.toml -- \
         --workload "$1" --seed 1 --seconds 1 --trace 0 | tail -n 1) || return 1
     echo "$last"
     [[ "$last" == *'"correct": true,'* && "$last" == *'"failed": 0,'* ]]
 }
+# Each workload also runs on a one-thread pool, so the serial presort,
+# drain and sort paths are checked against the oracles too.
 for workload in s2_sweep s3_reuse nd3_lattice; do
     step "perfbench smoke ($workload)" perfbench_smoke "$workload"
+    step "perfbench smoke ($workload, RAYON_NUM_THREADS=1)" \
+        perfbench_smoke "$workload" RAYON_NUM_THREADS=1
 done
 # The test suite runs twice: serial (the rayon pool degraded to one
 # thread) and at 4 threads. The determinism policy (DESIGN.md) promises

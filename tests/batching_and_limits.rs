@@ -8,7 +8,7 @@ use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, HybridError, Kerne
 use hybrid_dbscan::core::reference::ReferenceDbscan;
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::error::DeviceError;
-use hybrid_dbscan::gpu_sim::Device;
+use hybrid_dbscan::gpu_sim::{Device, DeviceBuffer};
 use hybrid_dbscan::spatial::Point2;
 
 fn data(name: &str, scale: f64) -> Vec<Point2> {
@@ -153,4 +153,36 @@ fn modeled_gpu_time_grows_with_workload() {
     let large = hybrid.build_table(&d, 1.0).unwrap();
     assert!(large.gpu.modeled_time > small.gpu.modeled_time);
     assert!(large.gpu.result_pairs > 10 * small.gpu.result_pairs);
+}
+
+#[test]
+fn overflowed_builds_release_exactly_what_they_reserved() {
+    // An undersized plan overflows and replans; a buffer smaller than one
+    // ε-neighborhood overflows at one point per batch and regrows. Either
+    // way every device buffer frees exactly the bytes it reserved, so the
+    // device is back at its pre-call availability — with an unrelated
+    // allocation live throughout, so "back" is not just "empty".
+    let d = &data("SDSS1", 0.001)[..500];
+    let device = Device::k20c();
+    let (_held, _) = DeviceBuffer::from_host(&device, &[0u64; 100], false).unwrap();
+    let before = device.available_bytes();
+    for (alpha, buffer_items) in [(-0.9, 2_000), (0.05, 4)] {
+        let cfg = HybridConfig {
+            batch: BatchConfig {
+                alpha,
+                sample_fraction: 1.0,
+                static_threshold: 0,
+                static_buffer_items: buffer_items,
+                n_streams: 3,
+            },
+            max_retries: 16,
+            ..HybridConfig::default()
+        };
+        let handle = HybridDbscan::new(&device, cfg).build_table(d, 0.5).unwrap();
+        assert!(
+            handle.gpu.retries > 0,
+            "buffer of {buffer_items} must overflow"
+        );
+        assert_eq!(device.available_bytes(), before, "buffer of {buffer_items}");
+    }
 }

@@ -107,7 +107,12 @@ impl ConcurrentUnionFind {
 /// Equivalent to [`crate::dbscan::Dbscan`] on core-point memberships and
 /// noise; border points may attach to a different (still adjacent)
 /// cluster than the sequential visit order would pick.
+///
+/// # Panics
+///
+/// If `minpts` is 0, like [`crate::dbscan::Dbscan::new`].
 pub fn dbscan_disjoint_set(table: &NeighborTable, minpts: usize) -> Clustering {
+    assert!(minpts >= 1, "minpts must be at least 1");
     let n = table.num_points();
     let is_core: Vec<bool> = (0..n as u32)
         .into_par_iter()
@@ -279,5 +284,12 @@ mod tests {
         assert_eq!(none.noise_count(), 200);
         let all = dbscan_disjoint_set(&handle.table, 1);
         assert_eq!(all.noise_count(), 0, "minpts=1 makes everything core");
+    }
+
+    #[test]
+    #[should_panic(expected = "minpts must be at least 1")]
+    fn zero_minpts_panics() {
+        let handle = table_for(&mixed_points(50), 0.4);
+        dbscan_disjoint_set(&handle.table, 0);
     }
 }

@@ -45,6 +45,7 @@ use crate::dbscan::{Clustering, Dbscan, TableSource};
 use crate::kernels::{
     GpuCalcGlobal, GpuCalcShared, GpuCalcTree, NeighborCountKernel, NeighborPair, TreeCountKernel,
 };
+use crate::levels::CoreForest;
 use crate::table::{NeighborTable, NeighborTableBuilder};
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;
@@ -63,7 +64,7 @@ use spatial::grid::{CellRange, CellsView};
 use spatial::presort::{spatial_sort_permutation, SortPermutation};
 use spatial::{GridIndexN, PackedKdTree, Point2, PointN, PointStoreN, TreeView};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Which ε-neighborhood kernel to use.
@@ -224,6 +225,11 @@ pub struct TableHandle {
     /// assignments exactly.
     pub visit_order: Vec<u32>,
     pub gpu: GpuPhaseReport,
+    /// The core-level forest every clustering after the first reads its
+    /// labels from, built by the first call that needs it.
+    forest: OnceLock<CoreForest>,
+    /// Set by the first [`HybridDbscan::cluster_with_table`] call.
+    clustered: AtomicBool,
 }
 
 /// Errors from a Hybrid-DBSCAN run.
@@ -576,10 +582,30 @@ impl HybridDbscan {
     /// Run DBSCAN over an existing table handle (the data-reuse path,
     /// scenario S3). Returns labels in caller order plus the measured
     /// DBSCAN duration.
+    ///
+    /// The first call on a handle runs Algorithm 1 over `T`. Every later
+    /// call reads its clustering off the handle's core-level forest (see
+    /// `levels`), built once by the first of them, so a table clustered
+    /// at many `minpts` is scanned for core points once. Building the
+    /// forest costs more than one seed expansion, so a table clustered
+    /// once never builds it. Both paths give identical labels.
+    ///
+    /// # Panics
+    ///
+    /// If `minpts` is 0, like [`Dbscan::new`].
     pub fn cluster_with_table(handle: &TableHandle, minpts: usize) -> (Clustering, SimDuration) {
+        assert!(minpts >= 1, "minpts must be at least 1");
         let t0 = Instant::now();
-        let clustering =
-            cluster_sorted_table(&handle.table, &handle.perm, &handle.visit_order, minpts);
+        // The flag only picks a path (both give the same labels); the
+        // forest is published by the `OnceLock`.
+        let clustering = if handle.clustered.swap(true, Ordering::Relaxed) {
+            handle
+                .forest
+                .get_or_init(|| CoreForest::build(&handle.table))
+                .snapshot(&handle.table, &handle.perm, &handle.visit_order, minpts)
+        } else {
+            cluster_sorted_table(&handle.table, &handle.perm, &handle.visit_order, minpts)
+        };
         (clustering, t0.elapsed().into())
     }
 
@@ -1018,6 +1044,8 @@ impl HybridDbscan {
             visit_order: visit_order(&perm),
             perm,
             gpu,
+            forest: OnceLock::new(),
+            clustered: AtomicBool::new(false),
         }
     }
 
@@ -1890,6 +1918,30 @@ mod tests {
             let direct = Dbscan::new(minpts).run(&GridSource::new(&grid, &data));
             assert!(clustering.equivalent_to(&direct), "minpts = {minpts}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "minpts must be at least 1")]
+    fn zero_minpts_panics_on_the_first_call() {
+        let data = mixed_points(50);
+        let device = Device::k20c();
+        let handle = HybridDbscan::new(&device, HybridConfig::default())
+            .build_table(&data, 0.8)
+            .unwrap();
+        HybridDbscan::cluster_with_table(&handle, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "minpts must be at least 1")]
+    fn zero_minpts_panics_on_a_later_call() {
+        let data = mixed_points(50);
+        let device = Device::k20c();
+        let handle = HybridDbscan::new(&device, HybridConfig::default())
+            .build_table(&data, 0.8)
+            .unwrap();
+        HybridDbscan::cluster_with_table(&handle, 4);
+        HybridDbscan::cluster_with_table(&handle, 4);
+        HybridDbscan::cluster_with_table(&handle, 0);
     }
 
     #[test]

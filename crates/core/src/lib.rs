@@ -22,6 +22,9 @@
 //!   scenario S2 (§VII-E).
 //! * [`reuse`] — neighbor-table reuse across `minpts` values, scenario S3
 //!   (§VII-F).
+//! * `levels` — the core-level forest a [`hybrid::TableHandle`] builds
+//!   once to serve every `minpts` clustering after its first (S3 as one
+//!   union-find sweep).
 //! * [`reference`] — the sequential R-tree DBSCAN the paper compares
 //!   against, with neighbor-search time accounting (Table I).
 //! * [`scenario`] — the published experiment parameter sets
@@ -60,6 +63,7 @@ pub mod disjoint_set;
 pub mod gdbscan;
 pub mod hybrid;
 pub mod kernels;
+mod levels;
 pub mod nd;
 pub mod optics;
 pub mod oracle;

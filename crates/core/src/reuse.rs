@@ -124,7 +124,11 @@ impl TableReuse {
     }
 
     /// The measurement pass alone, given a prebuilt table: each variant is
-    /// clustered once, serially, and timed.
+    /// clustered once, serially, and timed. Every variant is an
+    /// independent Algorithm-1 run over `T`, as in the paper's Figures 5
+    /// and 6 — not a snapshot of the handle's shared core-level forest,
+    /// which [`Self::run_concurrent`] and
+    /// [`HybridDbscan::cluster_with_table`] use.
     pub fn cluster_variants(handle: &TableHandle, minpts_values: &[usize]) -> ReuseRun {
         Self::cluster_variants_with_recorder(handle, minpts_values, None)
     }
@@ -176,10 +180,11 @@ impl TableReuse {
     }
 
     /// Functional validation path: actually run the variants on a
-    /// `threads`-sized view of the shared rayon pool, one DBSCAN per
-    /// `minpts`. Returns cluster counts in `minpts` order (timings from a
-    /// contended run are not meaningful on arbitrary hosts and are not
-    /// reported).
+    /// `threads`-sized view of the shared rayon pool, one
+    /// [`HybridDbscan::cluster_with_table`] per `minpts`, so the variants
+    /// share the handle's core-level forest. Returns cluster counts in
+    /// `minpts` order (timings from a contended run are not meaningful on
+    /// arbitrary hosts and are not reported).
     pub fn run_concurrent(
         handle: &TableHandle,
         minpts_values: &[usize],
@@ -192,11 +197,7 @@ impl TableReuse {
         pool.install(|| {
             minpts_values
                 .par_iter()
-                .map(|&m| {
-                    Dbscan::new(m)
-                        .run(&TableSource::new(&handle.table))
-                        .num_clusters()
-                })
+                .map(|&m| HybridDbscan::cluster_with_table(handle, m).0.num_clusters())
                 .collect()
         })
     }

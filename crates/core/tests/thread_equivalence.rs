@@ -15,7 +15,9 @@ use gpu_sim::device::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
 use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
+use hybrid_dbscan_core::Clustering;
 use proptest::prelude::*;
+use rayon::prelude::*;
 use spatial::Point2;
 
 /// Everything a run produces that must be schedule-independent.
@@ -79,8 +81,61 @@ fn run_config_at(
     })
 }
 
+/// One handle clustered at every `minpts` concurrently on a
+/// `threads`-sized pool view, then the first `minpts` once more.
+fn shared_handle_at(
+    threads: usize,
+    data: &[Point2],
+    eps: f64,
+    minpts: &[usize],
+) -> (Vec<Clustering>, Clustering) {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool view");
+    pool.install(|| {
+        let device = Device::k20c();
+        let handle = HybridDbscan::new(&device, HybridConfig::default())
+            .build_table(data, eps)
+            .expect("build_table");
+        let all: Vec<Clustering> = minpts
+            .par_iter()
+            .map(|&m| HybridDbscan::cluster_with_table(&handle, m).0)
+            .collect();
+        let again = HybridDbscan::cluster_with_table(&handle, minpts[0]).0;
+        (all, again)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The S3 sweep: whichever concurrent call runs first, and whichever
+    /// builds the shared core-level forest, every `minpts` gets the labels
+    /// of a first call on a fresh handle, at every pool size.
+    #[test]
+    fn shared_handle_sweep_equals_fresh_handles_at_1_2_and_8_threads(
+        raw in prop::collection::vec((0.0f64..8.0, 0.0f64..8.0), 60..220),
+        eps_scaled in 30u32..120,
+    ) {
+        let data: Vec<Point2> = raw.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        let eps = eps_scaled as f64 / 100.0;
+        let minpts: Vec<usize> = (1..=16).collect();
+        let device = Device::k20c();
+        let hybrid = HybridDbscan::new(&device, HybridConfig::default());
+        let fresh: Vec<Clustering> = minpts
+            .iter()
+            .map(|&m| {
+                let handle = hybrid.build_table(&data, eps).expect("build_table");
+                HybridDbscan::cluster_with_table(&handle, m).0
+            })
+            .collect();
+        for threads in [1usize, 2, 8] {
+            let (all, again) = shared_handle_at(threads, &data, eps, &minpts);
+            prop_assert_eq!(&all, &fresh, "{} threads (eps={})", threads, eps);
+            prop_assert_eq!(&again, &fresh[0], "repeat at {} threads", threads);
+        }
+    }
 
     #[test]
     fn identical_results_at_1_2_and_8_threads(

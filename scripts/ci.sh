@@ -55,6 +55,12 @@ for workload in s2_sweep s3_reuse nd3_lattice; do
     step "perfbench smoke ($workload, RAYON_NUM_THREADS=1)" \
         perfbench_smoke "$workload" RAYON_NUM_THREADS=1
 done
+# s3_reuse's 16 clusterings share one table handle, whose core-level
+# forest the first caller after the first clustering builds. On an
+# oversubscribed pool several workers block on that build at once; their
+# labels are still checked against the reference.
+step "perfbench smoke (s3_reuse, RAYON_NUM_THREADS=4)" \
+    perfbench_smoke s3_reuse RAYON_NUM_THREADS=4
 # The test suite runs twice: serial (the rayon pool degraded to one
 # thread) and at 4 threads. The determinism policy (DESIGN.md) promises
 # identical results either way; both configurations must stay green.

@@ -955,6 +955,10 @@ impl HybridDbscan {
                         // largest requirement — deterministic success
                         // on the next pass.
                         plan.buffer_items = plan.buffer_items.max(max_required).max(1);
+                        // Release the old set first: a device that fits
+                        // the grown set must not fail for holding both.
+                        pinned.clear();
+                        dev_buffers.clear();
                         (pinned, dev_buffers) = alloc(plan.buffer_items)?;
                     }
                 }

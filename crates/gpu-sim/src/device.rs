@@ -3,6 +3,7 @@
 
 use crate::cost::CostModel;
 use crate::error::DeviceError;
+use crate::hostmem::HostPool;
 use crate::transfer::TransferModel;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -82,6 +83,9 @@ pub(crate) struct DeviceInner {
     pub compute_lock: Mutex<()>,
     /// Kernel launches so far; each launch takes the next ordinal.
     pub launches: AtomicU64,
+    /// Host storage released by this device's result and staging
+    /// buffers, kept for its later buffers (see `hostmem`).
+    pub host_pool: HostPool,
 }
 
 impl DeviceInner {
@@ -124,6 +128,7 @@ impl Device {
                 peak_bytes: AtomicUsize::new(0),
                 compute_lock: Mutex::new(()),
                 launches: AtomicU64::new(0),
+                host_pool: HostPool::default(),
             }),
         }
     }

@@ -14,12 +14,11 @@
 
 use crate::device::Device;
 use crate::error::DeviceError;
-use crate::hostmem::PinnedBuffer;
+use crate::hostmem::{HostStorage, PinnedBuffer};
 use crate::kernel::BlockCtx;
 use crate::time::SimDuration;
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// An array resident in simulated device global memory.
@@ -53,28 +52,9 @@ impl<T: Copy> DeviceBuffer<T> {
         ))
     }
 
-    /// Allocate zero-initialized device memory without an upload.
-    pub fn zeroed(device: &Device, len: usize) -> Result<Self, DeviceError>
-    where
-        T: Default,
-    {
-        let bytes = len * std::mem::size_of::<T>();
-        device.alloc_bytes(bytes)?;
-        Ok(DeviceBuffer {
-            device: device.clone(),
-            reserved_bytes: bytes,
-            data: vec![T::default(); len],
-        })
-    }
-
     /// Device-side view of the data (what a kernel dereferences).
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable device-side view (used by device-side sorts).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// Download to the host (D2H), returning the data and the modeled
@@ -83,14 +63,6 @@ impl<T: Copy> DeviceBuffer<T> {
         let bytes = std::mem::size_of_val(self.data.as_slice());
         let t = self.device.transfer_model().transfer_time(bytes, pinned);
         (self.data.clone(), t)
-    }
-
-    /// Download a prefix of `n` elements (a partially-filled result buffer).
-    pub fn prefix_to_host(&self, n: usize, pinned: bool) -> (Vec<T>, SimDuration) {
-        let n = n.min(self.data.len());
-        let bytes = n * std::mem::size_of::<T>();
-        let t = self.device.transfer_model().transfer_time(bytes, pinned);
-        (self.data[..n].to_vec(), t)
     }
 
     pub fn len(&self) -> usize {
@@ -136,31 +108,26 @@ impl<T: Copy> Drop for DeviceBuffer<T> {
 /// still canonicalize by a total order (DESIGN.md, "Threading model &
 /// determinism policy").
 ///
-/// Slots are not written at allocation: storage is reserved
-/// uninitialized and filled by commits, while device memory is accounted
-/// by capacity.
+/// Slots are not written at allocation: storage is taken uninitialized
+/// from the device's host pool (recycled from dropped buffers where one
+/// fits, see `hostmem`) and filled by commits, while device memory is
+/// accounted by the requested capacity.
 pub struct DeviceAppendBuffer<T: Copy + Send> {
     device: Device,
     reserved_bytes: usize,
-    slots: Slots<T>,
-    /// Drain target, allocated on the first out-of-order drain and then
+    capacity: usize,
+    /// Storage for at least `capacity` items.
+    slots: HostStorage,
+    /// Drain target, taken on the first out-of-order drain and then
     /// swapped with `slots` on every reordering drain.
-    spare: Slots<T>,
+    spare: Option<HostStorage>,
     cursor: AtomicUsize,
     rejected: AtomicUsize,
     /// Committed windows not yet drained.
     windows: Mutex<Vec<Window>>,
     /// Length of the prefix already drained into launch and block order.
     ordered: usize,
-}
-
-/// Uninitialized slot storage shared by concurrent block commits.
-type Slots<T> = Box<[UnsafeCell<MaybeUninit<T>>]>;
-
-fn uninit_slots<T>(len: usize) -> Slots<T> {
-    // SAFETY: `UnsafeCell<MaybeUninit<T>>` has no validity invariant, so
-    // uninitialized memory is a valid value of it.
-    unsafe { Box::new_uninit_slice(len).assume_init() }
+    _items: PhantomData<T>,
 }
 
 /// One block's committed window: `len` items at `start`, ordered by
@@ -173,11 +140,13 @@ struct Window {
 }
 
 // SAFETY: through `&self` only `commit_block` runs concurrently. It writes
-// `slots` only inside the window its `fetch_add` on `cursor` reserved
-// (disjoint across commits), updates the `cursor`/`rejected` atomics and
-// pushes to the `windows` mutex. `spare`, `ordered` and every read of
-// `slots` need `&mut self`, so they never overlap a commit. `T: Send`
-// because committed items are written from other threads.
+// `slots` (through its raw pointer) only inside the window its `fetch_add`
+// on `cursor` reserved (disjoint across commits, and below `capacity`),
+// updates the `cursor`/`rejected` atomics and pushes to the `windows`
+// mutex. `spare`, `ordered`, the `slots`/`spare` swap and every read of
+// `slots` need `&mut self`, so they never overlap a commit. `device`,
+// `reserved_bytes` and `capacity` are read-only after construction.
+// `T: Send` because committed items are written from other threads.
 unsafe impl<T: Copy + Send> Sync for DeviceAppendBuffer<T> {}
 
 impl<T: Copy + Send> DeviceAppendBuffer<T> {
@@ -188,17 +157,20 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
         Ok(DeviceAppendBuffer {
             device: device.clone(),
             reserved_bytes,
-            slots: uninit_slots(capacity),
-            spare: uninit_slots(0),
+            capacity,
+            slots: HostStorage::new::<T>(device, capacity),
+            spare: None,
             cursor: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             windows: Mutex::new(Vec::new()),
             ordered: 0,
+            _items: PhantomData,
         })
     }
 
+    /// Capacity in items, as requested (recycled storage may be larger).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Items committed so far (clamped to capacity).
@@ -229,13 +201,14 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
             return Ok(());
         }
         let start = self.cursor.fetch_add(items.len(), Ordering::AcqRel);
-        let cap = self.slots.len();
+        let cap = self.capacity;
         let fits = cap.saturating_sub(start).min(items.len());
         if fits > 0 {
-            // SAFETY: start..start+fits was uniquely claimed and is in
-            // bounds; `UnsafeCell<MaybeUninit<T>>` has `T`'s layout.
+            // SAFETY: start..start+fits was uniquely claimed and lies below
+            // `capacity`, inside the storage; no reference to the storage
+            // exists while commits run (see the `Sync` impl).
             unsafe {
-                let dst = UnsafeCell::raw_get(self.slots.as_ptr().add(start)).cast::<T>();
+                let dst = self.slots.as_ptr::<T>().add(start);
                 std::ptr::copy_nonoverlapping(items.as_ptr(), dst, fits);
             }
             self.windows.lock().push(Window {
@@ -271,14 +244,15 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
             next += w.len;
         }
         if !in_order {
-            if self.spare.len() < self.slots.len() {
-                self.spare = uninit_slots(self.slots.len());
-            }
-            let src = self.slots.as_ptr().cast::<T>();
-            let dst = self.spare.as_mut_ptr().cast::<T>();
+            let spare = self
+                .spare
+                .get_or_insert_with(|| HostStorage::new::<T>(&self.device, self.capacity));
+            let src = self.slots.as_ptr::<T>();
+            let dst = spare.as_ptr::<T>();
             // SAFETY: exclusive access; every source range lies in the
             // initialized prefix, and the destination ranges tile
-            // `0..next` of the spare storage without overlap.
+            // `0..next` (`next <= capacity`) of the distinct spare
+            // storage without overlap.
             unsafe {
                 std::ptr::copy_nonoverlapping(src, dst, self.ordered);
                 let mut at = self.ordered;
@@ -287,7 +261,7 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
                     at += w.len;
                 }
             }
-            std::mem::swap(&mut self.slots, &mut self.spare);
+            std::mem::swap(&mut self.slots, spare);
         }
         windows.clear();
         self.ordered = next;
@@ -307,7 +281,7 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
         let n = self.len();
         // SAFETY: exclusive access; commits initialized the first `n`
         // slots (their windows tile `0..n`).
-        unsafe { std::slice::from_raw_parts_mut(self.slots.as_mut_ptr().cast::<T>(), n) }
+        unsafe { std::slice::from_raw_parts_mut(self.slots.as_ptr::<T>(), n) }
     }
 
     /// Reset the cursor so the allocation can be reused for the next batch
@@ -319,18 +293,8 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
         self.ordered = 0;
     }
 
-    /// Download the drained filled prefix to the host, returning data and
-    /// modeled transfer duration.
-    pub fn to_host(&mut self, pinned: bool) -> (Vec<T>, SimDuration) {
-        let n = self.len();
-        let bytes = n * std::mem::size_of::<T>();
-        let t = self.device.transfer_model().transfer_time(bytes, pinned);
-        (self.as_filled_slice().to_vec(), t)
-    }
-
     /// Download the drained filled prefix straight into a pinned staging
-    /// buffer — the cudaMemcpyAsync(D2H, pinned) shape — without the
-    /// intermediate host `Vec` of [`Self::to_host`]. Returns the staged
+    /// buffer — the cudaMemcpyAsync(D2H, pinned) shape. Returns the staged
     /// length and the modeled pinned-rate transfer duration.
     pub fn download_into(&mut self, stage: &mut PinnedBuffer<T>) -> (usize, SimDuration) {
         let n = self.len();
@@ -575,6 +539,86 @@ mod tests {
     }
 
     #[test]
+    fn dropped_buffer_storage_is_reused() {
+        let d = Device::k20c();
+        let mut buf = DeviceAppendBuffer::<(u32, u32)>::new(&d, 4096).unwrap();
+        let cfg = LaunchConfig::new(2, 32);
+        for block in [1, 0] {
+            buf.commit_block(&BlockCtx::new(&d, cfg, 0, block), &[(block, 0)])
+                .unwrap();
+        }
+        assert_eq!(buf.as_filled_slice(), &[(0, 0), (1, 0)]);
+        // The out-of-order drain took a spare: two blocks to recycle.
+        let mut released = [
+            buf.slots.as_ptr::<u8>().cast_const(),
+            buf.spare.as_ref().unwrap().as_ptr::<u8>().cast_const(),
+        ];
+        drop(buf);
+        let again = DeviceAppendBuffer::<(u32, u32)>::new(&d, 4096).unwrap();
+        let stage = PinnedBuffer::<(u32, u32)>::new(&d, 4096);
+        let mut taken = [
+            again.slots.as_ptr::<u8>().cast_const(),
+            stage.as_slice().as_ptr().cast::<u8>(),
+        ];
+        released.sort();
+        taken.sort();
+        assert_eq!(taken, released, "both blocks were taken again");
+    }
+
+    #[test]
+    fn recycled_larger_storage_keeps_the_requested_capacity() {
+        let n = 12 * 32;
+        let attempted = per_point_pairs(n as u32).len();
+        let d = Device::k20c();
+        drop(DeviceAppendBuffer::<(u32, u32)>::new(&d, 1 << 16).unwrap());
+        for threads in [1, 4] {
+            let buf = DeviceAppendBuffer::new(&d, attempted / 3).unwrap();
+            assert!(buf.slots.bytes() >= 8 << 16, "took the larger block");
+            assert_eq!(buf.capacity(), attempted / 3);
+            on_pool(threads, || launch_per_point(&d, &buf, n));
+            assert_eq!(buf.len(), attempted / 3);
+            assert_eq!(buf.len() + buf.rejected(), attempted, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn recycling_leaves_device_accounting_unchanged() {
+        // One allocation sequence on a device with an empty pool and on
+        // one whose pool was filled through pinned buffers (host memory
+        // only): availability and peak after every step, and the
+        // out-of-memory report, must not differ.
+        let run = |d: &Device| {
+            let mut seen = Vec::new();
+            let mut note = |d: &Device| seen.push((d.available_bytes(), d.peak_bytes()));
+            let a = DeviceAppendBuffer::<(u32, u32)>::new(d, 1000).unwrap();
+            note(d);
+            let stage = PinnedBuffer::<(u32, u32)>::new(d, 1000);
+            note(d);
+            let b = DeviceAppendBuffer::<u64>::new(d, 3000).unwrap();
+            note(d);
+            let oom = match DeviceAppendBuffer::<u64>::new(d, 1 << 13) {
+                Err(DeviceError::OutOfMemory {
+                    requested_bytes,
+                    available_bytes,
+                }) => (requested_bytes, available_bytes),
+                _ => panic!("expected out of memory"),
+            };
+            drop(a);
+            note(d);
+            drop((b, stage));
+            note(d);
+            (seen, oom)
+        };
+        let fresh = Device::tiny(1 << 16);
+        let warm = Device::tiny(1 << 16);
+        drop([1000, 1000, 3000].map(|items| PinnedBuffer::<u64>::new(&warm, items)));
+        assert_eq!(warm.inner.host_pool.held().0, 3);
+        let expected = run(&fresh);
+        assert_eq!(run(&warm), expected);
+        assert_eq!(warm.used_bytes(), 0);
+    }
+
+    #[test]
     fn buffers_free_exactly_what_they_reserved() {
         let d = Device::tiny(1 << 16);
         let mut host = Vec::with_capacity(64);
@@ -616,14 +660,5 @@ mod tests {
         assert!(RawAlloc::new(&d, 50).is_err());
         drop(a);
         assert_eq!(d.used_bytes(), 0);
-    }
-
-    #[test]
-    fn zeroed_allocates() {
-        let d = Device::tiny(64);
-        let b = DeviceBuffer::<u64>::zeroed(&d, 8).unwrap();
-        assert_eq!(b.as_slice(), &[0u64; 8]);
-        assert_eq!(d.used_bytes(), 64);
-        assert!(DeviceBuffer::<u64>::zeroed(&d, 1).is_err());
     }
 }

@@ -6,6 +6,18 @@
 //! grouping of keys, executed "on the device") and the *cost* (a modeled
 //! device duration derived from radix-sort throughput); the functional
 //! sort runs on the host pool.
+//!
+//! The functional sort first groups pairs by key — a no-op when the
+//! kernel's blocks already drained in key order, a counting pass for
+//! dense keys, LSD radix passes otherwise — and then sorts each equal-key
+//! value run. A run is one neighbor row: distinct point ids within a
+//! narrow span (a few times the row length). Such a run is sorted through
+//! a bitmap over `[min, max]`: set one bit per value, check by popcount
+//! that no value repeated, and read the bits back in ascending order, in
+//! O(len + span / 64) instead of a comparison sort's O(len · log len).
+//! Runs that are short, wide, or hold repeated values take the comparison
+//! sort. Both give the unique `(key, value)` order, so the output does not
+//! depend on which path ran.
 
 use crate::device::Device;
 use crate::time::SimDuration;
@@ -326,7 +338,7 @@ fn par_counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
             // SAFETY: key runs are disjoint slices of `values`, and the
             // write-back covers the same disjoint range of `pairs`.
             let run = unsafe { std::slice::from_raw_parts_mut(vals.get().add(s), e - s) };
-            run.sort_unstable();
+            sort_run(run);
             for (i, &v) in run.iter().enumerate() {
                 unsafe { out.get().add(s + i).write((k as u32, v)) };
             }
@@ -356,7 +368,7 @@ fn sort_value_runs_parallel(pairs: &mut [(u32, u32)]) {
         // SAFETY: runs are disjoint subslices.
         let run =
             unsafe { std::slice::from_raw_parts_mut(base.get().add(s as usize), (e - s) as usize) };
-        run.sort_unstable_by_key(|&(_, v)| v);
+        sort_run(run);
     });
 }
 
@@ -370,13 +382,13 @@ fn sort_value_runs(pairs: &mut [(u32, u32)]) {
         while j < pairs.len() && pairs[j].0 == key {
             j += 1;
         }
-        pairs[i..j].sort_unstable_by_key(|&(_, v)| v);
+        sort_run(&mut pairs[i..j]);
         i = j;
     }
 }
 
 /// Counting sort on the key (one stable scatter of the values into
-/// per-key runs), then an in-place `sort_unstable` of each run. Requires
+/// per-key runs), then an in-place [`sort_run`] of each run. Requires
 /// keys in `0..n_keys`.
 fn counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
     let n = pairs.len();
@@ -400,7 +412,7 @@ fn counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
     for &end in ends.iter().take(n_keys) {
         let end = end as usize;
         let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - consumed);
-        run.sort_unstable();
+        sort_run(run);
         rest = tail;
         consumed = end;
     }
@@ -412,6 +424,99 @@ fn counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
             i += 1;
         }
     }
+}
+
+/// An item of an equal-key run: a bare value, or a pair whose key is the
+/// same across the run. Its `Ord` is then the order of its value.
+trait RunItem: Copy + Ord {
+    fn value(self) -> u32;
+    fn with_value(self, v: u32) -> Self;
+}
+
+impl RunItem for u32 {
+    fn value(self) -> u32 {
+        self
+    }
+    fn with_value(self, v: u32) -> Self {
+        v
+    }
+}
+
+impl RunItem for (u32, u32) {
+    fn value(self) -> u32 {
+        self.1
+    }
+    fn with_value(self, v: u32) -> Self {
+        (self.0, v)
+    }
+}
+
+/// Runs shorter than this go straight to the comparison sort (insertion
+/// sort at these lengths), which beats the bitmap's fixed costs.
+const BITMAP_MIN_RUN: usize = 8;
+/// Widest value span (`max − min + 1`), in bits per run item, that the
+/// bitmap path takes: its set, count and read-back passes cost
+/// O(len + span / 64), and a neighbor row's span is a few times its length.
+const BITMAP_BITS_PER_ITEM: usize = 64;
+/// Widest value span in bits overall, keeping the bitmap cache-resident.
+const BITMAP_MAX_BITS: usize = 1 << 18;
+
+thread_local! {
+    /// Per-thread bitmap words, all zero between calls.
+    static BITMAP: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Sort one equal-key run by value, in place.
+///
+/// Neighbor rows hold distinct values (point ids) over a narrow span, so
+/// a run whose span fits the bitmap bounds sets one bit per value over
+/// `[min, max]` and reads the bits back in ascending order, in
+/// O(len + span / 64). When the bitmap's popcount is short of the run
+/// length, values repeat and the bitmap cannot hold them; that run, and a
+/// run too wide or too short, takes the comparison sort. Every path yields
+/// the same, unique ascending order.
+fn sort_run<T: RunItem>(run: &mut [T]) {
+    let n = run.len();
+    if n < BITMAP_MIN_RUN {
+        run.sort_unstable();
+        return;
+    }
+    let (lo, hi) = run.iter().fold((u32::MAX, 0), |(lo, hi), x| {
+        (lo.min(x.value()), hi.max(x.value()))
+    });
+    let span = (hi - lo) as usize + 1;
+    if span > BITMAP_MAX_BITS || span > BITMAP_BITS_PER_ITEM * n {
+        run.sort_unstable();
+        return;
+    }
+    BITMAP.with_borrow_mut(|bitmap| {
+        let words = span.div_ceil(64);
+        if bitmap.len() < words {
+            bitmap.resize(words, 0);
+        }
+        let bits = &mut bitmap[..words];
+        for x in run.iter() {
+            let off = (x.value() - lo) as usize;
+            bits[off / 64] |= 1 << (off % 64);
+        }
+        let distinct: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        if distinct < n {
+            bits.fill(0);
+            run.sort_unstable();
+            return;
+        }
+        let template = run[0];
+        let mut out = 0;
+        for (i, word) in bits.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                let v = lo + (i * 64) as u32 + w.trailing_zeros();
+                run[out] = template.with_value(v);
+                out += 1;
+                w &= w - 1;
+            }
+        }
+    });
 }
 
 /// Device-side reduction (sum) of a `u64` array, with a modeled duration.

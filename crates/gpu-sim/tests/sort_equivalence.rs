@@ -11,7 +11,9 @@
 //! `RADIX_PAR_MIN_PAIRS = 2^16` (serial radix below, parallel at and
 //! above). Key distributions cover the three radix regimes: presorted
 //! keys (value-run repair), dense keys (counting sort), and sparse keys
-//! (full-width 4×16-bit passes).
+//! (full-width 4×16-bit passes). Neighbor-row-shaped inputs drive the
+//! per-run bitmap sort and its comparison-sort fallbacks on both the
+//! presorted and the counting path.
 
 use gpu_sim::thrust::sort_by_key;
 use gpu_sim::Device;
@@ -22,6 +24,10 @@ use proptest::prelude::*;
 const RADIX_MIN_PAIRS: usize = 1 << 12;
 /// Keep in sync with `thrust::RADIX_PAR_MIN_PAIRS`.
 const RADIX_PAR_MIN_PAIRS: usize = 1 << 16;
+/// Keep in sync with `thrust::BITMAP_BITS_PER_ITEM`.
+const BITMAP_BITS_PER_ITEM: u64 = 64;
+/// Keep in sync with `thrust::BITMAP_MAX_BITS`.
+const BITMAP_MAX_BITS: u64 = 1 << 18;
 
 /// Sort a copy of `pairs` on a `threads`-wide pool view; the modeled
 /// duration depends only on the length, so only bytes are compared.
@@ -38,17 +44,17 @@ fn sort_with_threads(pairs: &[(u32, u32)], threads: usize) -> Vec<(u32, u32)> {
     })
 }
 
-/// Assert serial (1 thread), parallel (4 threads), and std agree exactly.
+/// Assert the sort on 1, 2 and 4 threads and std agree exactly.
 fn assert_canonical(pairs: &[(u32, u32)]) {
     let mut reference = pairs.to_vec();
     reference.sort_unstable();
-    let serial = sort_with_threads(pairs, 1);
-    let parallel = sort_with_threads(pairs, 4);
-    assert_eq!(serial, reference, "serial sort is not the canonical order");
-    assert_eq!(
-        parallel, reference,
-        "parallel sort diverged from the canonical order"
-    );
+    for threads in [1, 2, 4] {
+        assert_eq!(
+            sort_with_threads(pairs, threads),
+            reference,
+            "{threads}-thread sort is not the canonical order"
+        );
+    }
 }
 
 // ---- adversarial fixed cases -------------------------------------------
@@ -185,5 +191,143 @@ proptest! {
         let key_bits = match regime { 0 => 12, 1 => 20, _ => 32 };
         let pairs = random_pairs(RADIX_PAR_MIN_PAIRS + extra, key_bits, seed);
         assert_canonical(&pairs);
+    }
+}
+
+// ---- neighbor-row-shaped inputs (the bitmap run sort) ------------------
+
+/// Fisher–Yates shuffle driven by splitmix.
+fn shuffle<T>(xs: &mut [T], seed: &mut u64) {
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, (splitmix(seed) % (i as u64 + 1)) as usize);
+    }
+}
+
+/// `len ≥ 2` distinct values spanning exactly `[lo, lo + span)` (both
+/// ends present), shuffled.
+fn distinct_run(lo: u32, span: u64, len: usize, seed: &mut u64) -> Vec<u32> {
+    assert!(len >= 2 && span >= len as u64 && u64::from(lo) + span - 1 <= u64::from(u32::MAX));
+    let inner = len as u64 - 2;
+    let mut run = vec![lo, (u64::from(lo) + span - 1) as u32];
+    // One value per equal slice of the interior `(lo, lo + span - 1)`.
+    if let Some(slice) = (span - 2).checked_div(inner) {
+        run.extend(
+            (0..inner).map(|i| (u64::from(lo) + 1 + i * slice + splitmix(seed) % slice) as u32),
+        );
+    }
+    shuffle(&mut run, seed);
+    run
+}
+
+/// Rows from `make_row(key, seed)` for keys 0, 1, … until they hold at
+/// least `target` values.
+fn rows_filling(
+    target: usize,
+    seed: u64,
+    mut make_row: impl FnMut(u32, &mut u64) -> Vec<u32>,
+) -> Vec<Vec<u32>> {
+    let mut s = seed;
+    let mut rows = Vec::new();
+    let mut total = 0;
+    while total < target {
+        let row = make_row(rows.len() as u32, &mut s);
+        total += row.len();
+        rows.push(row);
+    }
+    rows
+}
+
+/// Pairs of `rows` (row index = key) with keys ascending — the presorted
+/// path — and with rows in reverse key order — the counting path (keys
+/// are dense) — each sorted at 1, 2 and 4 threads against std.
+fn assert_rows_canonical(rows: &[Vec<u32>]) {
+    let pairs = |keys: &mut dyn Iterator<Item = usize>| -> Vec<(u32, u32)> {
+        keys.flat_map(|k| rows[k].iter().map(move |&v| (k as u32, v)))
+            .collect()
+    };
+    assert_canonical(&pairs(&mut (0..rows.len())));
+    assert_canonical(&pairs(&mut (0..rows.len()).rev()));
+}
+
+/// Serial-sized (radix path, below the parallel threshold) and
+/// parallel-sized value totals.
+const ROW_TOTALS: [usize; 2] = [RADIX_MIN_PAIRS * 3, RADIX_PAR_MIN_PAIRS + 1000];
+
+#[test]
+fn neighbor_rows_with_distinct_clustered_values() {
+    // Rows of 1–150 distinct ids over a span of 4–27× the row length
+    // near the key, as the grid kernels emit them: short rows take the
+    // comparison sort, the rest the bitmap.
+    for (i, total) in ROW_TOTALS.into_iter().enumerate() {
+        for spread in [1, 4, 27] {
+            let rows = rows_filling(total, (i * 31 + spread) as u64, |key, s| {
+                let len = 1 + (splitmix(s) % 150) as usize;
+                if len < 2 {
+                    return vec![key];
+                }
+                distinct_run(key * 3, (spread * len) as u64, len, s)
+            });
+            assert_rows_canonical(&rows);
+        }
+    }
+}
+
+#[test]
+fn neighbor_rows_with_repeated_values() {
+    // Narrow runs that repeat values: the bitmap's popcount falls short
+    // of the run length and the run takes the comparison sort.
+    for (i, total) in ROW_TOTALS.into_iter().enumerate() {
+        let rows = rows_filling(total, 90 + i as u64, |key, s| {
+            let len = 16 + (splitmix(s) % 100) as usize;
+            let repeats = splitmix(s).is_multiple_of(4);
+            let mut row = distinct_run(key, 2 * len as u64, len, s);
+            if repeats {
+                let dup = row[len / 2];
+                row[len - 1] = dup;
+                shuffle(&mut row, s);
+            }
+            row
+        });
+        assert_rows_canonical(&rows);
+    }
+}
+
+#[test]
+fn runs_touching_zero_and_u32_max() {
+    // Bitmap runs at both ends of the value range, and runs holding both
+    // 0 and u32::MAX (a span of 2^32, far past the bitmap bounds).
+    for (i, total) in ROW_TOTALS.into_iter().enumerate() {
+        let rows = rows_filling(total, 7 + i as u64, |key, s| {
+            let len = 16 + (splitmix(s) % 64) as usize;
+            let span = 3 * len as u64;
+            match key % 3 {
+                0 => distinct_run(0, span, len, s),
+                1 => distinct_run((u64::from(u32::MAX) + 1 - span) as u32, span, len, s),
+                _ => distinct_run(0, 1 << 32, len, s),
+            }
+        });
+        assert_rows_canonical(&rows);
+    }
+}
+
+#[test]
+fn spans_at_the_bitmap_bounds() {
+    // Just inside and just past each span bound: the per-item bound on
+    // short rows, and the overall bound on rows long enough that the
+    // per-item bound does not bind.
+    let short = 32usize;
+    let long = (BITMAP_MAX_BITS / BITMAP_BITS_PER_ITEM) as usize * 2;
+    for (len, bound) in [
+        (short, BITMAP_BITS_PER_ITEM * short as u64),
+        (long, BITMAP_MAX_BITS),
+    ] {
+        for span in [bound, bound + 1] {
+            for (i, total) in ROW_TOTALS.into_iter().enumerate() {
+                let rows = rows_filling(total, span ^ i as u64, |key, s| {
+                    distinct_run(key * 5, span, len, s)
+                });
+                assert_rows_canonical(&rows);
+            }
+        }
     }
 }

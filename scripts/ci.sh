@@ -61,6 +61,14 @@ done
 # labels are still checked against the reference.
 step "perfbench smoke (s3_reuse, RAYON_NUM_THREADS=4)" \
     perfbench_smoke s3_reuse RAYON_NUM_THREADS=4
+# Result, drain and staging storage is recycled through the device's host
+# pool across builds; on an oversubscribed pool the stream workers take
+# and return that storage concurrently, and every request's outputs are
+# still checked against the warm-up's and the oracles.
+step "perfbench smoke (s2_sweep, RAYON_NUM_THREADS=4)" \
+    perfbench_smoke s2_sweep RAYON_NUM_THREADS=4
+step "perfbench smoke (nd3_lattice, RAYON_NUM_THREADS=4)" \
+    perfbench_smoke nd3_lattice RAYON_NUM_THREADS=4
 # The test suite runs twice: serial (the rayon pool degraded to one
 # thread) and at 4 threads. The determinism policy (DESIGN.md) promises
 # identical results either way; both configurations must stay green.

@@ -186,3 +186,50 @@ fn overflowed_builds_release_exactly_what_they_reserved() {
         assert_eq!(device.available_bytes(), before, "buffer of {buffer_items}");
     }
 }
+
+#[test]
+fn buffer_growth_releases_the_old_buffers_first() {
+    // Buffers one item short of the largest ε-neighborhood overflow even
+    // at one point per batch, so the build regrows them to the largest
+    // row. A device with room for the grown set, but not for the grown
+    // and the old set together, must complete the build.
+    let d = &data("SDSS1", 0.001)[..500];
+    let eps = 0.5;
+    let reference = HybridDbscan::new(&Device::k20c(), HybridConfig::default())
+        .build_table(d, eps)
+        .unwrap();
+    let largest = (0..d.len() as u32)
+        .map(|id| reference.table.neighbor_count(id))
+        .max()
+        .unwrap();
+    let n_streams = 3;
+    let cfg = |buffer_items| HybridConfig {
+        batch: BatchConfig {
+            static_threshold: 0,
+            static_buffer_items: buffer_items,
+            n_streams,
+            ..BatchConfig::default()
+        },
+        max_retries: 16,
+        ..HybridConfig::default()
+    };
+    // Peak device use with buffers that fit every row from the start:
+    // the inputs plus one buffer set of the grown size.
+    let roomy = Device::k20c();
+    HybridDbscan::new(&roomy, cfg(largest))
+        .build_table(d, eps)
+        .unwrap();
+    let needed = roomy.peak_bytes();
+    let old_set = n_streams * (largest - 1) * std::mem::size_of::<(u32, u32)>();
+    let device = Device::tiny(needed + old_set / 2);
+    let handle = HybridDbscan::new(&device, cfg(largest - 1))
+        .build_table(d, eps)
+        .expect("the grown buffer set alone fits");
+    assert!(handle.gpu.retries > 0, "the buffers must overflow");
+    assert_eq!(device.peak_bytes(), needed);
+    for id in 0..d.len() as u32 {
+        assert_eq!(handle.table.neighbors(id), reference.table.neighbors(id));
+    }
+    drop(handle);
+    assert_eq!(device.used_bytes(), 0);
+}

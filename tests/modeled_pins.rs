@@ -1,7 +1,9 @@
 //! Bit pins of the table build: for small fixed inputs, the neighbor-table
 //! fingerprint, the clustering fingerprint and the bits of the modeled
 //! GPU-phase time. Every 2-D kernel and backend, a multi-batch plan, and
-//! the 3-D/4-D grid and tree builds are covered; a change to how the index
+//! the 3-D/4-D grid and tree builds are covered, plus the estimation
+//! kernels' sample count `e_b` of the 3-D builds and the CUDA-DClust
+//! comparator's clustering and modeled time; a change to how the index
 //! or the kernels are organized must leave all of them untouched.
 //!
 //! The one exception is the sparse-layout 2-D grid, whose modeled time
@@ -10,6 +12,7 @@
 
 use hybrid_dbscan::core::backend::IndexBackend;
 use hybrid_dbscan::core::batch::BatchConfig;
+use hybrid_dbscan::core::cuda_dclust::cuda_dclust;
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan::core::nd::{build_table_nd, cluster_table_nd};
 use hybrid_dbscan::core::{clustering_fingerprint, table_fingerprint};
@@ -160,6 +163,54 @@ fn nd_builds_keep_their_bits() {
             (0x3328043e7eceeffd, 0x95d623f7eaf3e9a4, 0x3f433d0b3b669c5a),
         ),
     ]);
+}
+
+#[test]
+fn nd_estimates_keep_their_counts() {
+    let e_b = |backend| {
+        let data = lattice_nd::<3>(600, 1.0, 0.25, 0x5eed + 3);
+        build_table_nd(
+            &Device::k20c(),
+            &data,
+            2.0,
+            backend,
+            &BatchConfig::default(),
+            256,
+        )
+        .expect("3-D build")
+        .e_b
+    };
+    assert_eq!(
+        (e_b(IndexBackend::Grid), e_b(IndexBackend::Tree)),
+        (834, 834),
+        "3-D estimation counts moved"
+    );
+}
+
+/// CUDA-DClust's chains claim points with racing compare-and-swaps, so
+/// on a pool of several threads which chain wins a point — and with it
+/// the collision searches, hence the modeled time — varies from run to
+/// run. On one thread the blocks run in block order and both are fixed.
+#[test]
+fn cuda_dclust_keeps_its_bits() {
+    let sw = dataset("SW1", 0.0005);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let r = pool
+        .install(|| cuda_dclust(&Device::k20c(), &sw, 0.2, MINPTS, 8))
+        .expect("CUDA-DClust run");
+    let got = (
+        clustering_fingerprint(&r.clustering),
+        r.report.modeled_time.as_secs().to_bits(),
+    );
+    let want: (u64, u64) = (0x83536ade6c54c14e, 0x3f79a6481bc3dde6);
+    assert_eq!(
+        got, want,
+        "CUDA-DClust bits moved: got ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
 }
 
 #[test]

@@ -9,7 +9,7 @@ use hybrid_dbscan_core::kernels::{
     GpuCalcGlobal, GpuCalcShared, NeighborCountKernel, NeighborPair,
 };
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, PointStore};
+use spatial::{GridIndex, MemberStoreN, PointStore};
 
 /// Conservative result-set capacity: per-cell neighborhood bound.
 fn capacity_bound(grid: &GridIndex) -> usize {
@@ -37,6 +37,7 @@ fn bench_kernels(c: &mut Criterion) {
         let eps = 0.3;
         let grid = GridIndex::build(&data, eps);
         let store = PointStore::from_points(&data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let bound = capacity_bound(&grid) + 64;
 
         group.bench_with_input(BenchmarkId::new("global", name), &data, |b, _data| {
@@ -46,7 +47,7 @@ fn bench_kernels(c: &mut Criterion) {
                     let kernel = GpuCalcGlobal {
                         points: store.view(),
                         grid: grid.cells_view(),
-                        lookup: grid.lookup(),
+                        members: members.view(),
                         geom: grid.geometry(),
                         eps,
                         batch: 0,
@@ -65,9 +66,8 @@ fn bench_kernels(c: &mut Criterion) {
                 || DeviceAppendBuffer::<NeighborPair>::new(&device, bound).unwrap(),
                 |result| {
                     let kernel = GpuCalcShared {
-                        points: store.view(),
                         grid: grid.cells_view(),
-                        lookup: grid.lookup(),
+                        members: members.view(),
                         geom: grid.geometry(),
                         eps,
                         schedule: grid.non_empty_cells(),
@@ -85,7 +85,7 @@ fn bench_kernels(c: &mut Criterion) {
                 let kernel = NeighborCountKernel {
                     points: store.view(),
                     grid: grid.cells_view(),
-                    lookup: grid.lookup(),
+                    members: members.view(),
                     geom: grid.geometry(),
                     eps,
                     stride: 100,

@@ -25,7 +25,7 @@ use hybrid_dbscan_core::dbscan::{Dbscan, GridSource, KdTreeSource, RTreeSource};
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan_core::kernels::{GpuCalcGlobal, GpuCalcShared, NeighborPair};
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, PointStore, RTree};
+use spatial::{GridIndex, MemberStoreN, PointStore, RTree};
 use std::time::Instant;
 
 /// On-GPU competitor comparison: Hybrid-DBSCAN vs G-DBSCAN vs
@@ -179,6 +179,7 @@ pub fn blocksize(opts: &Options) {
         let eps = 0.2;
         let grid = GridIndex::build(&data, eps);
         let store = PointStore::from_points(&data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let bound: usize = grid
             .non_empty_cells()
             .iter()
@@ -192,9 +193,8 @@ pub fn blocksize(opts: &Options) {
         for block in [32u32, 64, 128, 256, 512] {
             let mut result = DeviceAppendBuffer::<NeighborPair>::new(&device, bound + 64).unwrap();
             let kernel = GpuCalcShared {
-                points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 schedule: grid.non_empty_cells(),
@@ -313,6 +313,7 @@ pub fn hybrid_split(opts: &Options) {
         let eps = 0.2;
         let grid = GridIndex::build(&data, eps);
         let store = PointStore::from_points(&data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let bound: usize = grid
             .non_empty_cells()
             .iter()
@@ -330,7 +331,7 @@ pub fn hybrid_split(opts: &Options) {
             let gk = GpuCalcGlobal {
                 points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 batch: 0,
@@ -346,9 +347,8 @@ pub fn hybrid_split(opts: &Options) {
         // Pure Shared.
         let shared = {
             let sk = GpuCalcShared {
-                points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 schedule: grid.non_empty_cells(),
@@ -373,9 +373,8 @@ pub fn hybrid_split(opts: &Options) {
             None
         } else {
             let k = GpuCalcShared {
-                points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 schedule: &dense,
@@ -388,7 +387,7 @@ pub fn hybrid_split(opts: &Options) {
             let mk = GpuCalcGlobal {
                 points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 batch: 0,

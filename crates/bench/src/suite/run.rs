@@ -44,7 +44,7 @@ use obs::analyze::RunAnalysis;
 use obs::bench::WorkloadResult;
 use obs::Recorder;
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, GridLayout, Point2, PointN, PointStore};
+use spatial::{GridIndex, GridLayout, MemberStoreN, Point2, PointN, PointStore};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -591,13 +591,14 @@ fn micro_trial(points: &[Point2], eps: f64) -> Trial {
     let data = spatial_sort(points);
     let grid = GridIndex::build(&data, eps);
     let store = PointStore::from_points(&data);
+    let members = MemberStoreN::gather(store.view(), grid.lookup());
     // Size the result buffer with the Section VI estimation kernel (exact
     // at stride 1).
     let counter = DeviceCounter::new(&device).unwrap();
     let count = NeighborCountKernel {
         points: store.view(),
         grid: grid.cells_view(),
-        lookup: grid.lookup(),
+        members: members.view(),
         geom: grid.geometry(),
         eps,
         stride: 1,
@@ -619,7 +620,7 @@ fn micro_trial(points: &[Point2], eps: f64) -> Trial {
     let gk = GpuCalcGlobal {
         points: store.view(),
         grid: grid.cells_view(),
-        lookup: grid.lookup(),
+        members: members.view(),
         geom: grid.geometry(),
         eps,
         batch: 0,
@@ -636,9 +637,8 @@ fn micro_trial(points: &[Point2], eps: f64) -> Trial {
 
     let result = DeviceAppendBuffer::<NeighborPair>::new(&device, cap).unwrap();
     let sk = GpuCalcShared {
-        points: store.view(),
         grid: grid.cells_view(),
-        lookup: grid.lookup(),
+        members: members.view(),
         geom: grid.geometry(),
         eps,
         schedule: grid.non_empty_cells(),

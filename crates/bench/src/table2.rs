@@ -13,7 +13,7 @@ use gpu_sim::Device;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan_core::kernels::{GpuCalcGlobal, GpuCalcShared, NeighborPair};
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, PointStore};
+use spatial::{GridIndex, MemberStoreN, PointStore};
 
 /// The published settings and results: (dataset, ε, global ms, global
 /// n_GPU, shared ms, shared n_GPU).
@@ -48,6 +48,7 @@ pub fn measure(device: &Device, points: &[spatial::Point2], eps: f64) -> Row {
     let sorted = spatial_sort(points);
     let grid = GridIndex::build(&sorted, eps);
     let store = PointStore::from_points(&sorted);
+    let members = MemberStoreN::gather(store.view(), grid.lookup());
 
     // Capacity: exact pair count is unknown; bound generously via the
     // per-cell neighborhood bound (same bound the shared batcher uses).
@@ -68,7 +69,7 @@ pub fn measure(device: &Device, points: &[spatial::Point2], eps: f64) -> Row {
     let global_kernel = GpuCalcGlobal {
         points: store.view(),
         grid: grid.cells_view(),
-        lookup: grid.lookup(),
+        members: members.view(),
         geom: grid.geometry(),
         eps,
         batch: 0,
@@ -83,9 +84,8 @@ pub fn measure(device: &Device, points: &[spatial::Point2], eps: f64) -> Row {
     result.reset();
 
     let shared_kernel = GpuCalcShared {
-        points: store.view(),
         grid: grid.cells_view(),
-        lookup: grid.lookup(),
+        members: members.view(),
         geom: grid.geometry(),
         eps,
         schedule: grid.non_empty_cells(),

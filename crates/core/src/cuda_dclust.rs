@@ -28,7 +28,7 @@
 
 use crate::dbscan::{Clustering, PointLabel};
 use crate::hybrid::DeviceCells;
-use crate::kernels::scan_stencil;
+use crate::kernels::{scan_stencil, LaneBuf};
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
@@ -38,7 +38,7 @@ use gpu_sim::profiler::KernelProfile;
 use gpu_sim::time::SimDuration;
 use parking_lot::Mutex;
 use spatial::grid::CellsView;
-use spatial::{GridGeometry, Point2, PointStore, PointsView};
+use spatial::{GridGeometry, MemberStoreN, MembersViewN, Point2, PointStore, PointsView};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Sentinel: point not yet owned by any chain.
@@ -54,7 +54,9 @@ const UNOWNED: u32 = u32::MAX;
 struct ChainExpandKernel<'a> {
     points: PointsView<'a>,
     grid: CellsView<'a>,
-    lookup: &'a [u32],
+    /// `A` with the points' coordinates in the same order (the host-side
+    /// mirror the scans read).
+    members: MembersViewN<'a, 2>,
     geom: GridGeometry,
     eps: f64,
     minpts: usize,
@@ -73,18 +75,20 @@ struct ChainExpandKernel<'a> {
 }
 
 impl ChainExpandKernel<'_> {
-    /// Neighbor ids of `p` within ε via the grid, charging `t`.
-    fn neighbors(&self, t: &mut gpu_sim::kernel::ThreadCtx, pi: u32, out: &mut Vec<u32>) {
+    /// Replace `out` with the neighbor ids of `p` within ε via the grid,
+    /// charging `t`.
+    fn neighbors(&self, t: &mut gpu_sim::kernel::ThreadCtx, pi: u32, out: &mut LaneBuf<u32>) {
+        out.clear();
         scan_stencil(
             t,
             self.points,
             &self.grid,
-            self.lookup,
+            self.members,
             &self.geom,
             self.eps * self.eps,
             pi as usize,
             None,
-            |_, hits| out.extend_from_slice(hits),
+            |ids, mask| out.push(mask, |j| ids[j]),
         );
     }
 }
@@ -109,9 +113,8 @@ impl BlockKernel for ChainExpandKernel<'_> {
                 // the block's cost, so other lanes charge nothing extra.
                 return;
             }
-            let mut nbrs = Vec::new();
+            let (mut nbrs, mut qn) = (LaneBuf::new(), LaneBuf::new());
             for &pi in frontier {
-                nbrs.clear();
                 self.neighbors(t, pi, &mut nbrs);
                 self.degree[pi as usize].store(nbrs.len() as u32, Ordering::Relaxed);
                 if nbrs.len() < self.minpts {
@@ -119,7 +122,7 @@ impl BlockKernel for ChainExpandKernel<'_> {
                     // a border member of this chain but does not expand.
                     continue;
                 }
-                for &q in &nbrs {
+                for &q in nbrs.as_slice() {
                     t.charge_atomic();
                     match self.owner[q as usize].compare_exchange(
                         UNOWNED,
@@ -142,7 +145,6 @@ impl BlockKernel for ChainExpandKernel<'_> {
                                 if cached > 0 {
                                     cached as usize
                                 } else {
-                                    let mut qn = Vec::new();
                                     self.neighbors(t, q, &mut qn);
                                     self.degree[q as usize]
                                         .store(qn.len() as u32, Ordering::Relaxed);
@@ -213,7 +215,9 @@ pub fn cuda_dclust(
     // the buffer is held for device-memory accounting.
     let (_d_buf, up_d) = DeviceBuffer::from_host(device, data, false)?;
     let (g_buf, up_g) = DeviceCells::upload(device, grid.cells_view())?;
-    let (a_buf, up_a) = DeviceBuffer::from_host(device, grid.lookup(), false)?;
+    // A is uploaded and charged; the kernel scans its host-side mirror.
+    let (_a_buf, up_a) = DeviceBuffer::from_host(device, grid.lookup(), false)?;
+    let members = MemberStoreN::gather(store.view(), grid.lookup());
     total += up_d + up_g + up_a;
     // Ownership + degree arrays live on the device.
     let _state_alloc = RawAlloc::new(device, n * 8)?;
@@ -254,7 +258,7 @@ pub fn cuda_dclust(
         let kernel = ChainExpandKernel {
             points: store.view(),
             grid: g_buf.view(),
-            lookup: a_buf.as_slice(),
+            members: members.view(),
             geom,
             eps,
             minpts,

@@ -62,7 +62,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spatial::grid::{CellRange, CellsView};
 use spatial::presort::{spatial_sort_permutation, SortPermutation};
-use spatial::{GridIndexN, PackedKdTree, Point2, PointN, PointStoreN, TreeView};
+use spatial::{GridIndexN, MemberStoreN, PackedKdTree, Point2, PointN, PointStoreN, TreeView};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -442,7 +442,9 @@ enum DeviceIndex<const D: usize> {
     Grid {
         grid: GridIndexN<D>,
         cells: DeviceCells,
-        lookup: DeviceBuffer<u32>,
+        /// `A`, held for device-memory accounting: the kernels scan its
+        /// host-side mirror ([`Prepared::members`]).
+        _lookup: DeviceBuffer<u32>,
     },
     Tree(TreeBuffers),
 }
@@ -456,14 +458,19 @@ struct Uploaded<const D: usize> {
     time: SimDuration,
 }
 
-/// The prepare stage's output: the sorted points with their SoA mirror
+/// The prepare stage's output: the sorted points with their SoA mirrors
 /// and the chosen backend's host index.
 struct Prepared<const D: usize> {
     perm: SortPermutation,
     sorted: Vec<PointN<D>>,
-    /// The SoA coordinate mirror the kernels' inner loops scan (host-side
-    /// layout only — the device upload stays the one point array).
+    /// The SoA coordinate store the kernels load each thread's point from
+    /// (host-side layout only — the device upload stays the one point
+    /// array).
     store: PointStoreN<D>,
+    /// The same coordinates in the index's member order (`A` for the
+    /// grid, leaf order for the tree): the runs the kernels' inner loops
+    /// scan. Host-side layout only, like `store`.
+    members: MemberStoreN<D>,
     decision: BackendDecision,
     index: HostIndex<D>,
 }
@@ -627,17 +634,14 @@ impl HybridDbscan {
         let prep = self.prepare(data, eps)?;
         let up = self.upload(&prep.sorted, prep.index)?;
         let (n, points, block_dim) = (data.len(), prep.store.view(), self.config.block_dim);
+        let members = prep.members.view();
         let dev = &self.device;
         let est = self.estimate(n, |stride, counter| match &up.index {
-            DeviceIndex::Grid {
-                grid,
-                cells,
-                lookup,
-            } => {
+            DeviceIndex::Grid { grid, cells, .. } => {
                 let k = NeighborCountKernel {
                     points,
                     grid: cells.view(),
-                    lookup: lookup.as_slice(),
+                    members,
                     geom: grid.geometry(),
                     eps,
                     stride,
@@ -649,6 +653,7 @@ impl HybridDbscan {
                 let k = TreeCountKernel {
                     points,
                     tree: tree.view(),
+                    members,
                     eps,
                     stride,
                     counter,
@@ -672,6 +677,7 @@ impl HybridDbscan {
                     let k = GpuCalcTree {
                         points,
                         tree: tree.view(),
+                        members,
                         eps,
                         batch,
                         n_batches,
@@ -679,16 +685,12 @@ impl HybridDbscan {
                     };
                     Some(dev.launch(k.launch_config(block_dim), &k))
                 }
-                DeviceIndex::Grid {
-                    grid,
-                    cells,
-                    lookup,
-                } => match &shared_batches {
+                DeviceIndex::Grid { grid, cells, .. } => match &shared_batches {
                     None => {
                         let k = GpuCalcGlobal {
                             points,
                             grid: cells.view(),
-                            lookup: lookup.as_slice(),
+                            members,
                             geom: grid.geometry(),
                             eps,
                             batch,
@@ -702,9 +704,8 @@ impl HybridDbscan {
                     Some(batches) if batches[batch].is_empty() => None,
                     Some(batches) => {
                         let k = GpuCalcShared {
-                            points,
                             grid: cells.view(),
-                            lookup: lookup.as_slice(),
+                            members,
                             geom: grid.geometry(),
                             eps,
                             schedule: &batches[batch],
@@ -762,10 +763,16 @@ impl HybridDbscan {
             ),
             ChosenBackend::Tree => HostIndex::Tree(PackedKdTree::build(store.view())),
         };
+        let order = match &index {
+            HostIndex::Grid(grid) => grid.lookup(),
+            HostIndex::Tree(tree) => tree.view().ids,
+        };
+        let members = MemberStoreN::gather(store.view(), order);
         Ok(Prepared {
             perm,
             sorted,
             store,
+            members,
             decision,
             index,
         })
@@ -789,7 +796,7 @@ impl HybridDbscan {
                     DeviceIndex::Grid {
                         grid,
                         cells,
-                        lookup,
+                        _lookup: lookup,
                     },
                     t_g + t_a,
                 )

@@ -5,10 +5,10 @@
 //! memory: it loads its point, enumerates the ≤`3^D` grid cells that can
 //! contain neighbors (9 in 2-D), resolves each cell's `[A_min, A_max]`
 //! range of the lookup array (a direct read on the dense layout, plus
-//! binary-search key probes on the sparse one), computes distances with
-//! the shared chunked scan ([`super::scan_ids`]), and stages each hit as
-//! a `(point, neighbor)` pair for its block's one commit to the device
-//! result buffer.
+//! binary-search key probes on the sparse one), computes distances over
+//! that run of the `A`-ordered member mirror with the one chunked scan
+//! ([`super::scan_members`]), and stages each hit as a `(point, neighbor)`
+//! pair for its block's one commit to the device result buffer.
 //!
 //! **Batching** (Section VI): with `n_b` batches, batch `l` processes the
 //! points `{gid · n_b + l}` — a strided assignment over the spatially
@@ -25,13 +25,13 @@
 //! set R, which requires significant overhead"), so it runs in negligible
 //! time; the estimate is then `a_b = e_b / f`.
 
-use super::{points_in_batch, sample_size, scan_ids, BlockStage, NeighborPair};
+use super::{points_in_batch, sample_size, scan_events, scan_members, BlockStage, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::{DeviceAppendBuffer, DeviceCounter};
 use spatial::grid::{CellRange, CellsView};
-use spatial::{GridGeometryN, PointsViewN};
+use spatial::{GridGeometryN, MembersViewN, PointsViewN, SCAN_LANES};
 
 /// Resolve and load cell `h`'s `[start, end)` range from `G`, charging
 /// the modeled cost: the `CellRange` read itself, plus — for the sparse
@@ -48,21 +48,23 @@ pub(crate) fn load_cell_range(t: &mut ThreadCtx, grid: &CellsView<'_>, h: u64) -
 
 /// One thread's ε-neighborhood of point `pi` through the grid: the point
 /// load, the stencil arithmetic, then each stencil cell's resolution and
-/// chunked scan, handing every chunk's hits to `on_hits`. With
-/// `skip_dense_at`, a point whose own cell holds at least that many points
-/// returns before scanning.
+/// chunked scan over its run of `members` (the mirror in `A` order),
+/// handing every chunk's ids and hit mask to `on_chunk`. The scans'
+/// per-candidate events are charged once, from the cells' summed
+/// lengths. With `skip_dense_at`, a point whose own cell holds at least
+/// that many points returns before scanning.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_stencil<const D: usize>(
     t: &mut ThreadCtx,
     points: PointsViewN<'_, D>,
     grid: &CellsView<'_>,
-    lookup: &[u32],
+    members: MembersViewN<'_, D>,
     geom: &GridGeometryN<D>,
     eps_sq: f64,
     pi: usize,
     skip_dense_at: Option<usize>,
-    mut on_hits: impl FnMut(&mut ThreadCtx, &[u32]),
+    mut on_chunk: impl FnMut(&[u32; SCAN_LANES], u32),
 ) {
     // point <- D[gid'] (registers).
     t.read_global::<f64>(D as u64);
@@ -78,12 +80,15 @@ pub(crate) fn scan_stencil<const D: usize>(
             return;
         }
     }
+    let mut candidates = 0;
     geom.for_each_stencil_cell(&c, |h| {
         // lookupMin/Max <- G[cellID].
         let range = load_cell_range(t, grid, h);
-        let ids = &lookup[range.start as usize..range.end as usize];
-        scan_ids(t, points, ids, &q.coords, eps_sq, &mut on_hits);
+        candidates += range.len() as u64;
+        let run = range.start as usize..range.end as usize;
+        scan_members(members, run, &q.coords, eps_sq, &mut on_chunk);
     });
+    t.charge_batch(scan_events::<D>(candidates));
 }
 
 /// Algorithm 2: thread-per-point ε-neighborhood kernel over global memory.
@@ -92,8 +97,9 @@ pub struct GpuCalcGlobal<'a, const D: usize> {
     pub points: PointsViewN<'a, D>,
     /// `G`: per-cell ranges into `A`, in either layout.
     pub grid: CellsView<'a>,
-    /// `A`: point ids grouped by cell.
-    pub lookup: &'a [u32],
+    /// `A` (point ids grouped by cell) with the points' coordinates in the
+    /// same order: the host-side mirror the scans read.
+    pub members: MembersViewN<'a, D>,
     /// Grid geometry (device constants).
     pub geom: GridGeometryN<D>,
     /// Search radius; must equal the grid's cell width.
@@ -134,17 +140,19 @@ impl<const D: usize> BlockKernel for GpuCalcGlobal<'_, D> {
             // Strided batch assignment: gid -> point id.
             let pi = (t.gid as usize) * self.n_batches + self.batch;
             debug_assert!(pi < n_points);
+            let mark = stage.len();
             scan_stencil(
                 t,
                 self.points,
                 &self.grid,
-                self.lookup,
+                self.members,
                 &self.geom,
                 eps_sq,
                 pi,
                 self.skip_dense_at,
-                |t, hits| stage.hits(t, pi, hits),
+                |ids, mask| stage.push(pi as u32, ids, mask),
             );
+            stage.charge(t, mark);
         });
         stage.commit(ctx, self.result);
         Ok(())
@@ -157,8 +165,8 @@ pub struct NeighborCountKernel<'a, const D: usize> {
     pub points: PointsViewN<'a, D>,
     /// `G`, in either layout.
     pub grid: CellsView<'a>,
-    /// `A`.
-    pub lookup: &'a [u32],
+    /// `A` with the points' coordinates in the same order.
+    pub members: MembersViewN<'a, D>,
     /// Grid geometry.
     pub geom: GridGeometryN<D>,
     /// Search radius.
@@ -198,12 +206,12 @@ impl<const D: usize> BlockKernel for NeighborCountKernel<'_, D> {
                 t,
                 self.points,
                 &self.grid,
-                self.lookup,
+                self.members,
                 &self.geom,
                 eps_sq,
                 pi,
                 None,
-                |_, hits| local += hits.len() as u64,
+                |_, mask| local += mask.count_ones() as u64,
             );
             // One atomic per thread, not per hit.
             t.charge_atomic();
@@ -221,7 +229,7 @@ mod tests {
     use super::*;
     use gpu_sim::Device;
     use spatial::distance::brute_force_count;
-    use spatial::{GridIndexN, GridLayout, Point2, PointN, PointStoreN};
+    use spatial::{GridIndexN, GridLayout, MemberStoreN, Point2, PointN, PointStoreN};
 
     fn run_kernel<const D: usize>(
         data: &[PointN<D>],
@@ -232,6 +240,7 @@ mod tests {
         let device = Device::k20c();
         let grid = GridIndexN::build_with_layout(data, eps, layout);
         let store = PointStoreN::from_points(data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         // Size the result buffer the way production does: via the
         // estimation kernel (exact at stride 1), not O(n²) scratch.
         let cap = estimate_result_capacity(&device, &store, &grid, eps);
@@ -241,7 +250,7 @@ mod tests {
             let kernel = GpuCalcGlobal {
                 points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 batch,
@@ -271,11 +280,12 @@ mod tests {
         let device = Device::k20c();
         let grid = GridIndexN::build(data, eps);
         let store = PointStoreN::from_points(data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let counter = DeviceCounter::new(&device).unwrap();
         let kernel = NeighborCountKernel {
             points: store.view(),
             grid: grid.cells_view(),
-            lookup: grid.lookup(),
+            members: members.view(),
             geom: grid.geometry(),
             eps,
             stride,
@@ -381,12 +391,13 @@ mod tests {
         let device = Device::k20c();
         let grid = GridIndexN::build(&data, eps);
         let store = PointStoreN::from_points(&data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         // Deliberately undersized buffer.
         let result = DeviceAppendBuffer::new(&device, 10).unwrap();
         let kernel = GpuCalcGlobal {
             points: store.view(),
             grid: grid.cells_view(),
-            lookup: grid.lookup(),
+            members: members.view(),
             geom: grid.geometry(),
             eps,
             batch: 0,
@@ -408,10 +419,12 @@ mod tests {
         let device = Device::k20c();
         let store = PointStoreN::from_points(&data);
         let tree = spatial::PackedKdTree::<3>::build(store.view());
+        let members = MemberStoreN::gather(store.view(), tree.view().ids);
         let mut result = DeviceAppendBuffer::new(&device, 300 * 300).unwrap();
         let kernel = super::super::GpuCalcTree {
             points: store.view(),
             tree: tree.view(),
+            members: members.view(),
             eps,
             batch: 0,
             n_batches: 1,

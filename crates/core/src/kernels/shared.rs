@@ -6,11 +6,12 @@
 //! shared memory in block-size tiles, synchronizes, and then each thread
 //! compares its origin point against every staged comparison point —
 //! exploiting shared-memory bandwidth for the O(m·n) distance work. The
-//! staged tiles are SoA (one array per axis, same byte footprint), and
-//! the per-thread compare loop runs chunk-wise with the hoisted axis-0
-//! filter of [`super::scan_ids`] — same hits, same modeled cost. The
-//! kernel is generic over `D`: the stencil (9 cells in 2-D, `3^D` in
-//! general) comes from the grid geometry.
+//! staged tiles are SoA (one array per axis, same byte footprint), copied
+//! from the `A`-ordered member mirror (a cell's tile is a contiguous run
+//! of it), and the per-thread compare loop is the one chunked scan,
+//! [`super::scan_members`], over the staged tile — same hits, same
+//! modeled cost. The kernel is generic over `D`: the stencil (9 cells in
+//! 2-D, `3^D` in general) comes from the grid geometry.
 //!
 //! The paper's pseudo-code assumes cells no larger than the block; the
 //! real implementation (and this one) adds the outer tiling loop it
@@ -25,23 +26,22 @@
 //! that trade-off.
 
 use super::grid::load_cell_range;
-use super::{BlockStage, NeighborPair, SCAN_LANES};
+use super::{scan_members, BlockStage, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::DeviceAppendBuffer;
 use spatial::grid::{CellsView, MAX_STENCIL};
-use spatial::{GridGeometryN, PointsViewN};
+use spatial::{GridGeometryN, MembersViewN, SCAN_LANES};
 
 /// Algorithm 3: block-per-cell ε-neighborhood kernel staging through
 /// shared memory.
 pub struct GpuCalcShared<'a, const D: usize> {
-    /// `D` (device-resident, spatially sorted), as the SoA coordinate view.
-    pub points: PointsViewN<'a, D>,
     /// `G`: per-cell ranges into `A`, in either layout.
     pub grid: CellsView<'a>,
-    /// `A`: point ids grouped by cell.
-    pub lookup: &'a [u32],
+    /// `A` (point ids grouped by cell) with the points' coordinates in the
+    /// same order: the host-side mirror the tiles are staged from.
+    pub members: MembersViewN<'a, D>,
     /// Grid geometry (device constants).
     pub geom: GridGeometryN<D>,
     /// Search radius; must equal the grid's cell width.
@@ -87,6 +87,12 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
                 *axis = ctx.alloc_shared(bd)?;
             }
         }
+        // The compare scan reads the comparison tile in full-width chunks:
+        // pad its host arrays (not the modeled allocation) to a whole
+        // chunk.
+        for axis in s_comp.iter_mut() {
+            axis.resize(bd.next_multiple_of(SCAN_LANES), f64::NAN);
+        }
         // Origin point ids travel with the staged coordinates (the result
         // pair needs them); a real kernel stages them in shared memory too.
         let mut s_origin_ids: Vec<u32> = ctx.alloc_shared(bd)?;
@@ -124,11 +130,10 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
                 if k < o_count {
                     // lookupOffset <- G[cellToProc].min + threadId.x;
                     // dataID <- A[lookupOffset]; copy D[dataID] to shared.
-                    let id = self.lookup[o_base + k];
                     for (axis, s) in s_origin.iter_mut().enumerate() {
-                        s[k] = self.points.coords[axis][id as usize];
+                        s[k] = self.members.coords[axis][o_base + k];
                     }
-                    s_origin_ids[k] = id;
+                    s_origin_ids[k] = self.members.ids[o_base + k];
                 }
             });
 
@@ -152,25 +157,25 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
                         t.read_global::<f64>(point_words);
                         t.access_shared::<f64>(point_words);
                         if k < c_count {
-                            let id = self.lookup[c_base + k];
                             for (axis, s) in s_comp.iter_mut().enumerate() {
-                                s[k] = self.points.coords[axis][id as usize];
+                                s[k] = self.members.coords[axis][c_base + k];
                             }
                         }
                     });
 
                     // Compare: thread k owns origin point k (if staged)
                     // and scans the staged comparison tile from shared
-                    // memory, chunk-wise over SoA lanes with the axis-0
-                    // filter hoisted (bit-identical hit decisions; see
-                    // scan_ids for the argument). Lanes without an origin
-                    // point idle, but the warp-max accounting still
-                    // charges their warp the active lanes' cost — and the
-                    // block keeps paying the staging loads and barriers
-                    // above, which is what sinks this kernel on sparse
-                    // cells (Table II).
-                    let comp: [&[f64]; D] = std::array::from_fn(|a| &s_comp[a][..c_count]);
-                    let ids = &self.lookup[c_base..c_base + c_count];
+                    // memory with the one chunked scan (the tile's ids
+                    // are the run of `A` it was staged from). Lanes
+                    // without an origin point idle, but the warp-max
+                    // accounting still charges their warp the active
+                    // lanes' cost — and the block keeps paying the
+                    // staging loads and barriers above, which is what
+                    // sinks this kernel on sparse cells (Table II).
+                    let tile = MembersViewN {
+                        coords: std::array::from_fn(|a| s_comp[a].as_slice()),
+                        ids: &self.members.ids[c_base..],
+                    };
                     ctx.phase(|t| {
                         let k = t.tid as usize;
                         if k >= o_count {
@@ -185,37 +190,11 @@ impl<const D: usize> BlockKernel for GpuCalcShared<'_, D> {
                         // arithmetic (the DP dependency chain pipelines
                         // poorly inside a warp).
                         t.charge_flops((3 * point_words + 6) * c_count as u64);
-                        let mut j = 0;
-                        while j < c_count {
-                            let c = (c_count - j).min(SCAN_LANES);
-                            let mut d2 = [0.0f64; SCAN_LANES];
-                            let mut all_far = true;
-                            for (d, &x) in d2.iter_mut().zip(&comp[0][j..j + c]) {
-                                let dx = p[0] - x;
-                                *d = dx * dx;
-                                all_far &= *d > eps_sq;
-                            }
-                            if !all_far {
-                                for (axis, col) in comp.iter().enumerate().skip(1) {
-                                    for (d, &x) in d2.iter_mut().zip(&col[j..j + c]) {
-                                        let dx = p[axis] - x;
-                                        *d += dx * dx;
-                                    }
-                                }
-                                let mut hits = [0u32; SCAN_LANES];
-                                let mut h = 0;
-                                for (&d, &id) in d2.iter().zip(&ids[j..j + c]) {
-                                    if d <= eps_sq {
-                                        hits[h] = id;
-                                        h += 1;
-                                    }
-                                }
-                                if h > 0 {
-                                    stage.hits(t, pid as usize, &hits[..h]);
-                                }
-                            }
-                            j += c;
-                        }
+                        let mark = stage.len();
+                        scan_members(tile, 0..c_count, &p, eps_sq, |ids, mask| {
+                            stage.push(pid, ids, mask)
+                        });
+                        stage.charge(t, mark);
                     });
                 }
             }
@@ -230,7 +209,7 @@ mod tests {
     use super::super::test_support::{brute_force_pairs, estimate_result_capacity, mixed_points};
     use super::*;
     use gpu_sim::Device;
-    use spatial::{GridIndex, Point2, PointStore};
+    use spatial::{GridIndex, MemberStoreN, Point2, PointStore};
 
     fn run_kernel(
         data: &[Point2],
@@ -240,14 +219,14 @@ mod tests {
         let device = Device::k20c();
         let grid = GridIndex::build(data, eps);
         let store = PointStore::from_points(data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         // Size via the estimation kernel (exact at stride 1), as
         // production does — not O(n²) scratch.
         let cap = estimate_result_capacity(&device, &store, &grid, eps);
         let result = DeviceAppendBuffer::new(&device, cap).unwrap();
         let kernel = GpuCalcShared {
-            points: store.view(),
             grid: grid.cells_view(),
-            lookup: grid.lookup(),
+            members: members.view(),
             geom: grid.geometry(),
             eps,
             schedule: grid.non_empty_cells(),
@@ -315,6 +294,7 @@ mod tests {
         let device = Device::k20c();
         let grid = GridIndex::build(&data, eps);
         let store = PointStore::from_points(&data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let cap = estimate_result_capacity(&device, &store, &grid, eps);
         let full_schedule = grid.non_empty_cells();
         // Split the schedule in two and verify the union matches.
@@ -323,9 +303,8 @@ mod tests {
         for part in [&full_schedule[..mid], &full_schedule[mid..]] {
             let result = DeviceAppendBuffer::new(&device, cap).unwrap();
             let kernel = GpuCalcShared {
-                points: store.view(),
                 grid: grid.cells_view(),
-                lookup: grid.lookup(),
+                members: members.view(),
                 geom: grid.geometry(),
                 eps,
                 schedule: part,
@@ -346,12 +325,12 @@ mod tests {
         let data = mixed_points(50);
         let grid = GridIndex::build(&data, 1.0);
         let store = PointStore::from_points(&data);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let device = Device::k20c();
         let result = DeviceAppendBuffer::new(&device, 10_000).unwrap();
         let kernel = GpuCalcShared {
-            points: store.view(),
             grid: grid.cells_view(),
-            lookup: grid.lookup(),
+            members: members.view(),
             geom: grid.geometry(),
             eps: 1.0,
             schedule: grid.non_empty_cells(),

@@ -4,9 +4,10 @@
 //! device-resident packed kd-tree ([`spatial::PackedKdTree`]) with a
 //! fixed-size stack — the BVH-style traversal GPUs use when a grid is a
 //! poor fit (skewed density, d > 2). The thread visits every node whose
-//! subtree can intersect the closed ε-ball, scans reached leaves' id
-//! ranges chunk-wise against the SoA coordinate arrays, and stages hits
-//! for its block's one commit exactly like [`super::GpuCalcGlobal`].
+//! subtree can intersect the closed ε-ball, scans each reached leaf's
+//! `[start, end)` run of the leaf-ordered member mirror with the one
+//! chunked scan ([`super::scan_members`]), and stages hits for its
+//! block's one commit exactly like [`super::GpuCalcGlobal`].
 //!
 //! **Same contract as the grid kernels**: identical strided batch
 //! assignment (Section VI), identical hit predicate (the ordered
@@ -18,41 +19,44 @@
 //!
 //! **Cost shape**: traversal pays a [`ThreadCtx::read_global_dependent`]
 //! surcharge per visited node (each child address depends on the parent's
-//! node record — a pointer chase the scheduler cannot pipeline), while
-//! leaf scans touch a candidate volume of roughly `(2ε)^d` around the
-//! query versus the grid stencil's `(3ε)^d`. Dense or skewed regions and
-//! higher dimensions amortize the per-node latency over bigger savings;
-//! sparse uniform 2-D data does not — which is exactly the trade-off the
-//! [`crate::backend`] selector navigates.
+//! node record — a pointer chase the scheduler cannot pipeline; charged
+//! once per thread from the visit count, like the leaf scans'
+//! candidates), while leaf scans touch a candidate volume of roughly
+//! `(2ε)^d` around the query versus the grid stencil's `(3ε)^d`. Dense or
+//! skewed regions and higher dimensions amortize the per-node latency
+//! over bigger savings; sparse uniform 2-D data does not — which is
+//! exactly the trade-off the [`crate::backend`] selector navigates.
 
-use super::{points_in_batch, sample_size, scan_ids, BlockStage, NeighborPair};
+use super::{points_in_batch, sample_size, scan_events, scan_members, BlockStage, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::{DeviceAppendBuffer, DeviceCounter};
 use spatial::packed_tree::LEAF_AXIS;
-use spatial::{PointsViewN, TreeView};
+use spatial::{MembersViewN, PointsViewN, TreeView, SCAN_LANES};
 
 /// Traversal stack capacity: comfortably above the packed tree's depth
 /// cap (24) plus the push-two-pop-one slack.
 const STACK_CAP: usize = 32;
 
-/// Stack-based ε-ball traversal of the packed tree, invoking `on_hits`
-/// per hit chunk. Shared by the calc and count kernels so both charge the
-/// same traversal cost.
+/// Stack-based ε-ball traversal of the packed tree, handing every leaf
+/// chunk's ids and hit mask to `on_chunk`. Shared by the calc and count
+/// kernels so both charge the same traversal cost.
 ///
 /// Per visited node the thread pays one *dependent* global read for the
 /// 8-byte node record (split or leaf range — its address came from the
-/// parent's visit) plus the 4-byte axis tag and the two bound
-/// comparisons; leaves then scan their id range via [`super::scan_ids`].
+/// parent's visit) plus the 4-byte axis tag, and per inner node the two
+/// bound comparisons; leaves then scan their run of `members` (the mirror
+/// in leaf order) via [`super::scan_members`]. All of it is charged once,
+/// from the visit and candidate counts.
 #[inline]
 fn traverse_eps<const D: usize>(
     t: &mut ThreadCtx,
-    points: PointsViewN<'_, D>,
     tree: &TreeView<'_>,
+    members: MembersViewN<'_, D>,
     q: &[f64; D],
     eps: f64,
-    on_hits: &mut impl FnMut(&mut ThreadCtx, &[u32]),
+    mut on_chunk: impl FnMut(&[u32; SCAN_LANES], u32),
 ) {
     let eps_sq = eps * eps;
     let mut lo = [0.0f64; D];
@@ -61,41 +65,38 @@ fn traverse_eps<const D: usize>(
         lo[k] = q[k] - eps;
         hi[k] = q[k] + eps;
     }
+    let (mut visited, mut inner, mut candidates) = (0u64, 0u64, 0u64);
     let mut stack = [0u32; STACK_CAP];
     let mut sp = 1usize;
     while sp > 0 {
         sp -= 1;
         let node = stack[sp] as usize;
-        // Node record fetch: one dependent hop (address chased from the
-        // parent) for the 8-byte payload, plus the axis tag.
-        t.read_global_dependent::<f64>(1);
-        t.read_global::<u32>(1);
+        visited += 1;
         let axis = tree.axes[node];
         if axis == LEAF_AXIS {
             let r = tree.ranges[node];
-            scan_ids(
-                t,
-                points,
-                &tree.ids[r.start as usize..r.end as usize],
-                q,
-                eps_sq,
-                &mut *on_hits,
-            );
+            candidates += r.len() as u64;
+            let run = r.start as usize..r.end as usize;
+            scan_members(members, run, q, eps_sq, &mut on_chunk);
             continue;
         }
+        inner += 1;
         let split = tree.splits[node];
         let a = axis as usize;
-        t.charge_flops(2);
-        if hi[a] >= split {
-            stack[sp] = (2 * node + 2) as u32;
-            sp += 1;
-        }
-        if lo[a] <= split {
-            stack[sp] = (2 * node + 1) as u32;
-            sp += 1;
-        }
+        // Branch-free push, right child under the left one: a child
+        // outside the ε-ball is written but not kept.
+        stack[sp] = (2 * node + 2) as u32;
+        sp += (hi[a] >= split) as usize;
+        stack[sp] = (2 * node + 1) as u32;
+        sp += (lo[a] <= split) as usize;
         debug_assert!(sp <= STACK_CAP);
     }
+    // Node record fetches: one dependent hop (address chased from the
+    // parent) for the 8-byte payload, plus the axis tag.
+    t.read_global_dependent::<f64>(visited);
+    t.read_global::<u32>(visited);
+    t.charge_flops(2 * inner);
+    t.charge_batch(scan_events::<D>(candidates));
 }
 
 /// Thread-per-point ε-neighborhood kernel over the packed kd-tree.
@@ -104,6 +105,9 @@ pub struct GpuCalcTree<'a, const D: usize> {
     pub points: PointsViewN<'a, D>,
     /// The packed node pool (splits/axes/ranges/ids buffers).
     pub tree: TreeView<'a>,
+    /// The tree's leaf ids with the points' coordinates in the same
+    /// order: the host-side mirror the leaf scans read.
+    pub members: MembersViewN<'a, D>,
     /// Search radius.
     pub eps: f64,
     /// Batch number `l ∈ 0..n_batches`.
@@ -141,9 +145,11 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
             // ε-ball bounds: one sub and one add per dimension.
             t.charge_flops(2 * D as u64);
 
-            traverse_eps(t, self.points, &self.tree, &q, self.eps, &mut |t, hits| {
-                stage.hits(t, pi, hits)
+            let mark = stage.len();
+            traverse_eps(t, &self.tree, self.members, &q, self.eps, |ids, mask| {
+                stage.push(pi as u32, ids, mask)
             });
+            stage.charge(t, mark);
         });
         stage.commit(ctx, self.result);
         Ok(())
@@ -155,6 +161,8 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
 pub struct TreeCountKernel<'a, const D: usize> {
     pub points: PointsViewN<'a, D>,
     pub tree: TreeView<'a>,
+    /// The leaf-ordered member mirror, as in [`GpuCalcTree`].
+    pub members: MembersViewN<'a, D>,
     pub eps: f64,
     /// Sample stride: thread `g` counts the neighbors of point
     /// `g · stride`.
@@ -191,8 +199,8 @@ impl<const D: usize> BlockKernel for TreeCountKernel<'_, D> {
             t.charge_flops(2 * D as u64);
 
             let mut local = 0u64;
-            traverse_eps(t, self.points, &self.tree, &q, self.eps, &mut |_, hits| {
-                local += hits.len() as u64
+            traverse_eps(t, &self.tree, self.members, &q, self.eps, |_, mask| {
+                local += mask.count_ones() as u64
             });
             // One atomic per thread, not per hit.
             t.charge_atomic();
@@ -207,7 +215,7 @@ mod tests {
     use super::super::test_support::{brute_force_pairs, estimate_result_capacity, mixed_points};
     use super::*;
     use gpu_sim::Device;
-    use spatial::{GridIndex, PackedKdTree, Point2, PointN, PointStore, PointStoreN};
+    use spatial::{GridIndex, MemberStoreN, PackedKdTree, Point2, PointN, PointStore, PointStoreN};
 
     fn nd_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
         (0..n)
@@ -228,10 +236,12 @@ mod tests {
         let device = Device::k20c();
         let store = PointStoreN::from_points(data);
         let tree = PackedKdTree::<D>::build(store.view());
+        let members = MemberStoreN::gather(store.view(), tree.view().ids);
         let counter = DeviceCounter::new(&device).unwrap();
         let count = TreeCountKernel {
             points: store.view(),
             tree: tree.view(),
+            members: members.view(),
             eps,
             stride: 1,
             counter: &counter,
@@ -243,6 +253,7 @@ mod tests {
             let kernel = GpuCalcTree {
                 points: store.view(),
                 tree: tree.view(),
+                members: members.view(),
                 eps,
                 batch,
                 n_batches,
@@ -301,12 +312,13 @@ mod tests {
         let device = Device::k20c();
         let grid = GridIndex::build(&data2, eps);
         let store = PointStore::from_points(&data2);
+        let members = MemberStoreN::gather(store.view(), grid.lookup());
         let cap = estimate_result_capacity(&device, &store, &grid, eps);
         let mut result = DeviceAppendBuffer::new(&device, cap).unwrap();
         let kernel = super::super::GpuCalcGlobal {
             points: store.view(),
             grid: grid.cells_view(),
-            lookup: grid.lookup(),
+            members: members.view(),
             geom: grid.geometry(),
             eps,
             batch: 0,
@@ -331,10 +343,12 @@ mod tests {
         let device = Device::k20c();
         let store = PointStoreN::from_points(&data);
         let tree = PackedKdTree::<3>::build(store.view());
+        let members = MemberStoreN::gather(store.view(), tree.view().ids);
         let counter = DeviceCounter::new(&device).unwrap();
         let kernel = TreeCountKernel {
             points: store.view(),
             tree: tree.view(),
+            members: members.view(),
             eps,
             stride: 1,
             counter: &counter,
@@ -357,10 +371,12 @@ mod tests {
         let time_of = |data: &[PointN<2>]| {
             let store = PointStoreN::from_points(data);
             let tree = PackedKdTree::<2>::build(store.view());
+            let members = MemberStoreN::gather(store.view(), tree.view().ids);
             let counter = DeviceCounter::new(&device).unwrap();
             let kernel = TreeCountKernel {
                 points: store.view(),
                 tree: tree.view(),
+                members: members.view(),
                 eps: 0.5,
                 stride: 1,
                 counter: &counter,
@@ -378,10 +394,12 @@ mod tests {
         let device = Device::k20c();
         let store = PointStoreN::from_points(&data);
         let tree = PackedKdTree::<2>::build(store.view());
+        let members = MemberStoreN::gather(store.view(), tree.view().ids);
         let result = DeviceAppendBuffer::new(&device, 10).unwrap();
         let kernel = GpuCalcTree {
             points: store.view(),
             tree: tree.view(),
+            members: members.view(),
             eps: 1.0,
             batch: 0,
             n_batches: 1,

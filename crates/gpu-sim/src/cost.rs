@@ -1,8 +1,9 @@
 //! The analytic SIMT cost model.
 //!
-//! Kernels charge abstract events (flops, global/shared memory traffic,
-//! atomics) per simulated thread as they execute. [`crate::kernel`]
-//! aggregates thread cycles to warp granularity (lockstep: a warp costs the
+//! Kernels count abstract events (flops, global/shared memory traffic,
+//! atomics, dependent reads) per simulated thread as they execute.
+//! [`crate::kernel`] prices each thread's counts as cycles, aggregates
+//! thread cycles to warp granularity (lockstep: a warp costs the
 //! *maximum* over its threads, so divergence and idle lanes are paid for),
 //! sums warps into per-block cycles, and this module turns block cycles
 //! into a kernel duration by scheduling blocks onto SMs at the achievable
@@ -17,6 +18,11 @@ use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Per-event cycle/byte charges and scheduling constants.
+///
+/// The per-event cycle constants are integers: a thread's cycles are its
+/// event counts priced once, which equals summing the charges one by one
+/// bit for bit only because every term is then exact in f64 (see
+/// [`crate::kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Cycles per floating-point op (fused multiply-add counts as one).

@@ -16,15 +16,28 @@
 //!
 //! ## Cost accounting
 //!
-//! Each simulated thread charges events ([`ThreadCtx`] charge methods) as
-//! it executes. At each phase boundary the per-thread cycle counts are
+//! Each simulated thread counts events ([`ThreadCtx`] charge methods) as
+//! it executes: flops, global/shared bytes, atomics and dependent reads,
+//! all integers. At each phase boundary every thread's counts are priced
+//! once, in closed form, as Σ count × cost
+//! ([`Counters::thread_cycles`] plus the dependent-read surcharge), and
 //! folded at **warp granularity**: a warp costs the *maximum* over its 32
 //! lanes (SIMT lockstep), so divergent or idle lanes are paid for — the
 //! effect that makes the paper's block-per-cell shared-memory kernel lose
 //! to the thread-per-point global kernel on sparse cells. Per-block cycles
 //! are then converted to a kernel duration by [`crate::cost`].
+//!
+//! Pricing counts instead of summing a running cycle total changes no
+//! bit as long as every cost constant is an integer (true of
+//! [`CostModel::kepler`], the only shipped model): each term is then a
+//! dyadic rational with at most two fractional bits (bytes are priced per
+//! 4-byte word), so every f64 sum below 2^50 cycles is exact and the order
+//! in which a thread made its charges cannot matter. Kernels therefore
+//! charge a loop's events once from its counts, and the
+//! `chunked accounting` test pins the equivalence with per-element
+//! charging.
 
-use crate::cost::{kernel_duration, Counters};
+use crate::cost::{kernel_duration, CostModel, Counters};
 use crate::device::Device;
 use crate::error::DeviceError;
 use crate::launch::LaunchConfig;
@@ -34,18 +47,16 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::Ordering;
 
 /// Per-thread execution context handed to phase closures.
+///
+/// The charge methods only count events; [`BlockCtx::phase`] prices a
+/// thread's counts once, after its closure returns (see the module docs).
 pub struct ThreadCtx {
     /// Thread index within the block (`threadIdx.x`).
     pub tid: u32,
     /// Global thread id (`blockIdx.x * blockDim.x + threadIdx.x`).
     pub gid: u64,
     counters: Counters,
-    cycles: f64,
-    flop_cost: f64,
-    global_word_cost: f64,
-    shared_word_cost: f64,
-    atomic_cost: f64,
-    dependent_read_cost: f64,
+    dependent_reads: u64,
 }
 
 impl ThreadCtx {
@@ -53,14 +64,12 @@ impl ThreadCtx {
     #[inline]
     pub fn charge_flops(&mut self, n: u64) {
         self.counters.flops += n;
-        self.cycles += n as f64 * self.flop_cost;
     }
 
     /// Charge a global-memory read of `bytes`.
     #[inline]
     pub fn charge_global_read(&mut self, bytes: u64) {
         self.counters.global_read_bytes += bytes;
-        self.cycles += bytes as f64 / 4.0 * self.global_word_cost;
     }
 
     /// Charge a global-memory read of `n` elements of type `T`.
@@ -73,7 +82,6 @@ impl ThreadCtx {
     #[inline]
     pub fn charge_global_write(&mut self, bytes: u64) {
         self.counters.global_write_bytes += bytes;
-        self.cycles += bytes as f64 / 4.0 * self.global_word_cost;
     }
 
     /// Charge a global-memory write of `n` elements of type `T`.
@@ -86,7 +94,6 @@ impl ThreadCtx {
     #[inline]
     pub fn charge_shared(&mut self, bytes: u64) {
         self.counters.shared_bytes += bytes;
-        self.cycles += bytes as f64 / 4.0 * self.shared_word_cost;
     }
 
     /// Charge shared-memory traffic of `n` elements of type `T`.
@@ -98,83 +105,25 @@ impl ThreadCtx {
     /// Charge `n` *dependent* global reads of element type `T` — loads
     /// whose addresses chain through previous loads (tree/pointer
     /// traversal). Counts the same bytes as [`ThreadCtx::read_global`]
-    /// plus the cost model's per-hop latency surcharge
-    /// ([`crate::cost::CostModel::dependent_read_cycles`]), which is an
-    /// integer constant so the cycle total stays exact in f64.
+    /// plus `n` hops, each priced at the cost model's latency surcharge
+    /// ([`crate::cost::CostModel::dependent_read_cycles`]).
     #[inline]
     pub fn read_global_dependent<T>(&mut self, n: u64) {
         self.read_global::<T>(n);
-        self.cycles += n as f64 * self.dependent_read_cost;
+        self.dependent_reads += n;
     }
 
     /// Charge one global atomic RMW (e.g. the result-set `atomicAdd`).
     #[inline]
     pub fn charge_atomic(&mut self) {
         self.counters.atomics += 1;
-        self.cycles += self.atomic_cost;
     }
 
-    /// Charge an aggregated batch of events in one call.
-    ///
-    /// Semantically identical to issuing the individual charge calls
-    /// element by element; kernels use it to account a whole inner-loop
-    /// chunk at once so the host-side bookkeeping overhead is paid per
-    /// chunk, not per candidate. With the integer-valued cost models
-    /// shipped in this crate the cycle total is *bitwise* identical to
-    /// per-element accounting: every term below is an exact integer in
-    /// f64 (byte counts are multiples of 4, and dividing by 4.0 is exact
-    /// regardless), and f64 addition of exact integers below 2^53 is
-    /// exact and therefore associative. See the `chunked accounting`
-    /// test, which pins this equivalence.
+    /// Charge a whole set of events in one call: identical to issuing the
+    /// individual charge calls, since every charge is a count.
     #[inline]
-    pub fn charge_batch(&mut self, b: ChargeBatch) {
-        self.counters.flops += b.flops;
-        self.counters.global_read_bytes += b.global_read_bytes;
-        self.counters.global_write_bytes += b.global_write_bytes;
-        self.counters.shared_bytes += b.shared_bytes;
-        self.counters.atomics += b.atomics;
-        self.cycles += b.flops as f64 * self.flop_cost
-            + b.global_read_bytes as f64 / 4.0 * self.global_word_cost
-            + b.global_write_bytes as f64 / 4.0 * self.global_word_cost
-            + b.shared_bytes as f64 / 4.0 * self.shared_word_cost
-            + b.atomics as f64 * self.atomic_cost;
-    }
-}
-
-/// An aggregated set of cost events, charged in one call via
-/// [`ThreadCtx::charge_batch`]. Counts are raw event totals (bytes for
-/// memory traffic), exactly as the per-element charge methods take them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChargeBatch {
-    /// Floating-point operations.
-    pub flops: u64,
-    /// Global-memory bytes read.
-    pub global_read_bytes: u64,
-    /// Global-memory bytes written.
-    pub global_write_bytes: u64,
-    /// Shared-memory bytes accessed (read or write).
-    pub shared_bytes: u64,
-    /// Global atomic RMW operations.
-    pub atomics: u64,
-}
-
-impl ChargeBatch {
-    /// Accumulate `n` global reads of element type `T` into the batch.
-    #[inline]
-    pub fn read_global<T>(&mut self, n: u64) {
-        self.global_read_bytes += n * std::mem::size_of::<T>() as u64;
-    }
-
-    /// Accumulate `n` global writes of element type `T` into the batch.
-    #[inline]
-    pub fn write_global<T>(&mut self, n: u64) {
-        self.global_write_bytes += n * std::mem::size_of::<T>() as u64;
-    }
-
-    /// Accumulate `n` shared-memory accesses of element type `T`.
-    #[inline]
-    pub fn access_shared<T>(&mut self, n: u64) {
-        self.shared_bytes += n * std::mem::size_of::<T>() as u64;
+    pub fn charge_batch(&mut self, events: Counters) {
+        self.counters.merge(&events);
     }
 }
 
@@ -192,12 +141,7 @@ pub struct BlockCtx {
     warp_size: u32,
     shared_used: usize,
     shared_limit: usize,
-    flop_cost: f64,
-    global_word_cost: f64,
-    shared_word_cost: f64,
-    atomic_cost: f64,
-    dependent_read_cost: f64,
-    barrier_cost: f64,
+    model: CostModel,
     block_cycles: f64,
     counters: Counters,
 }
@@ -214,12 +158,7 @@ impl BlockCtx {
             warp_size: props.warp_size,
             shared_used: 0,
             shared_limit: props.shared_mem_per_block,
-            flop_cost: model.cycles_per_flop,
-            global_word_cost: model.cycles_per_global_word,
-            shared_word_cost: model.cycles_per_shared_word,
-            atomic_cost: model.cycles_per_atomic,
-            dependent_read_cost: model.dependent_read_cycles,
-            barrier_cost: model.barrier_cycles,
+            model: *model,
             block_cycles: 0.0,
             counters: Counters::default(),
         }
@@ -240,9 +179,9 @@ impl BlockCtx {
     }
 
     /// Execute one barrier-delimited phase: `f` runs once per thread id in
-    /// `0..block_dim`, then per-thread cycles are folded to warp granularity
-    /// (max over lanes) and accumulated into the block cost — the
-    /// `__syncthreads()` accounting point.
+    /// `0..block_dim`, then each thread's counts are priced as cycles,
+    /// folded to warp granularity (max over lanes) and accumulated into
+    /// the block cost — the `__syncthreads()` accounting point.
     pub fn phase(&mut self, mut f: impl FnMut(&mut ThreadCtx)) {
         let mut warp_max = 0.0f64;
         let mut phase_cycles = 0.0f64;
@@ -251,16 +190,13 @@ impl BlockCtx {
                 tid,
                 gid: self.block_idx as u64 * self.block_dim as u64 + tid as u64,
                 counters: Counters::default(),
-                cycles: 0.0,
-                flop_cost: self.flop_cost,
-                global_word_cost: self.global_word_cost,
-                shared_word_cost: self.shared_word_cost,
-                atomic_cost: self.atomic_cost,
-                dependent_read_cost: self.dependent_read_cost,
+                dependent_reads: 0,
             };
             f(&mut t);
             self.counters.merge(&t.counters);
-            warp_max = warp_max.max(t.cycles);
+            let cycles = t.counters.thread_cycles(&self.model)
+                + t.dependent_reads as f64 * self.model.dependent_read_cycles;
+            warp_max = warp_max.max(cycles);
             if (tid + 1) % self.warp_size == 0 {
                 phase_cycles += warp_max;
                 warp_max = 0.0;
@@ -274,7 +210,7 @@ impl BlockCtx {
         // at the phase boundary. The cost model divides by the device's
         // aggregate warp-issue width.
         let n_warps = self.block_dim.div_ceil(self.warp_size) as f64;
-        self.block_cycles += phase_cycles + self.barrier_cost * n_warps;
+        self.block_cycles += phase_cycles + self.model.barrier_cycles * n_warps;
     }
 
     /// Single-phase helper for kernels with no `__syncthreads()` (the
@@ -563,84 +499,165 @@ mod tests {
         );
     }
 
-    /// Charges the canonical per-candidate sequence of the ε-neighborhood
-    /// inner loop (id read, point read, distance flops, occasional
-    /// atomic+write) one element at a time.
-    struct PerElement {
-        candidates: u64,
+    /// One charge of a thread's event stream.
+    #[derive(Clone, Copy)]
+    enum Event {
+        Flops(u64),
+        Read(u64),
+        Write(u64),
+        Shared(u64),
+        Atomic,
+        Dependent(u64),
     }
 
-    impl BlockKernel for PerElement {
-        fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
-            let n = self.candidates;
-            ctx.for_each_thread(|t| {
-                for i in 0..n {
-                    t.read_global::<u32>(1);
-                    t.read_global::<[f64; 2]>(1);
-                    t.charge_flops(5);
-                    if i % 7 == 0 {
-                        t.charge_atomic();
-                        t.write_global::<[u32; 2]>(1);
-                    }
+    /// The events thread `gid` charges in phase `phase`: a divergent mix
+    /// of every kind, with odd byte counts among them.
+    fn events(gid: u64, phase: u64) -> Vec<Event> {
+        let n = (gid * 7 + phase * 5) % 23;
+        (0..n)
+            .map(|i| match (gid + i + phase) % 6 {
+                0 => Event::Flops(1 + i % 9),
+                1 => Event::Read(4 * (1 + i % 5) + (gid % 3)),
+                2 => Event::Write(8 * (1 + i % 2)),
+                3 => Event::Shared(2 + i % 11),
+                4 => Event::Atomic,
+                _ => Event::Dependent(1 + i % 3),
+            })
+            .collect()
+    }
+
+    /// The cycles of `events` under `m`, summed one charge at a time in
+    /// order — the running total the closed-form pricing must equal.
+    fn running_cycles(m: &CostModel, events: &[Event]) -> f64 {
+        let mut cycles = 0.0f64;
+        for e in events {
+            cycles += match *e {
+                Event::Flops(n) => n as f64 * m.cycles_per_flop,
+                Event::Read(b) | Event::Write(b) => b as f64 / 4.0 * m.cycles_per_global_word,
+                Event::Shared(b) => b as f64 / 4.0 * m.cycles_per_shared_word,
+                Event::Atomic => m.cycles_per_atomic,
+                Event::Dependent(n) => {
+                    8.0 * n as f64 / 4.0 * m.cycles_per_global_word
+                        + n as f64 * m.dependent_read_cycles
                 }
-            });
-            Ok(())
+            };
         }
+        cycles
     }
 
-    /// The same work accounted as one [`ChargeBatch`] per 8-wide chunk.
-    struct Chunked {
-        candidates: u64,
+    /// Two phases of [`events`], charged one event at a time or, with
+    /// `counted`, once per thread from the summed counts.
+    struct EventKernel {
+        counted: bool,
     }
 
-    impl BlockKernel for Chunked {
-        fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
-            let n = self.candidates;
-            ctx.for_each_thread(|t| {
-                let mut i = 0;
-                while i < n {
-                    let c = (n - i).min(8);
-                    let mut batch = ChargeBatch {
-                        flops: 5 * c,
-                        ..ChargeBatch::default()
-                    };
-                    batch.read_global::<u32>(c);
-                    batch.read_global::<[f64; 2]>(c);
-                    for j in i..i + c {
-                        if j % 7 == 0 {
-                            batch.atomics += 1;
-                            batch.global_write_bytes += std::mem::size_of::<[u32; 2]>() as u64;
+    impl EventKernel {
+        fn phase(&self, ctx: &mut BlockCtx, phase: u64) {
+            let counted = self.counted;
+            ctx.phase(|t| {
+                let events = events(t.gid, phase);
+                if !counted {
+                    for e in events {
+                        match e {
+                            Event::Flops(n) => t.charge_flops(n),
+                            Event::Read(b) => t.charge_global_read(b),
+                            Event::Write(b) => t.charge_global_write(b),
+                            Event::Shared(b) => t.charge_shared(b),
+                            Event::Atomic => t.charge_atomic(),
+                            Event::Dependent(n) => t.read_global_dependent::<f64>(n),
                         }
                     }
-                    t.charge_batch(batch);
-                    i += c;
+                    return;
                 }
+                let mut sum = Counters::default();
+                let mut hops = 0;
+                for e in events {
+                    match e {
+                        Event::Flops(n) => sum.flops += n,
+                        Event::Read(b) => sum.global_read_bytes += b,
+                        Event::Write(b) => sum.global_write_bytes += b,
+                        Event::Shared(b) => sum.shared_bytes += b,
+                        Event::Atomic => sum.atomics += 1,
+                        Event::Dependent(n) => hops += n,
+                    }
+                }
+                t.charge_batch(sum);
+                t.read_global_dependent::<f64>(hops);
             });
+        }
+    }
+
+    impl BlockKernel for EventKernel {
+        fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
+            self.phase(ctx, 0);
+            self.phase(ctx, 1);
             Ok(())
         }
+    }
+
+    /// Block `block`'s cycles for [`EventKernel`], folded by hand from
+    /// the running per-thread totals.
+    fn reference_block_cycles(d: &Device, block_dim: u32, block: u32) -> f64 {
+        let (m, warp) = (d.cost_model(), d.props().warp_size);
+        let mut total = 0.0;
+        for phase in 0..2 {
+            let mut phase_cycles = 0.0;
+            let mut warp_max = 0.0f64;
+            for tid in 0..block_dim {
+                let gid = (block * block_dim + tid) as u64;
+                warp_max = warp_max.max(running_cycles(m, &events(gid, phase)));
+                if (tid + 1) % warp == 0 || tid + 1 == block_dim {
+                    phase_cycles += warp_max;
+                    warp_max = 0.0;
+                }
+            }
+            total += phase_cycles + m.barrier_cycles * block_dim.div_ceil(warp) as f64;
+        }
+        total
     }
 
     #[test]
     fn chunked_accounting_is_bitwise_identical_to_per_element() {
-        // The guarantee the kernels' chunk-wise inner loop rests on:
-        // charging a whole chunk through ChargeBatch reproduces the
-        // per-element modeled cost *exactly* — same counters, and a
-        // bitwise-equal duration (integer cost constants make every f64
-        // addition exact; see the charge_batch docs).
-        let d = Device::k20c();
-        let cfg = LaunchConfig::new(16, 128);
-        for candidates in [0u64, 1, 5, 8, 13, 100, 257] {
-            let per = d.launch(cfg, &PerElement { candidates }).unwrap();
-            let chk = d.launch(cfg, &Chunked { candidates }).unwrap();
-            assert_eq!(per.counters, chk.counters, "candidates = {candidates}");
+        // The guarantee every kernel's count-then-charge loops rest on:
+        // charging a thread's events once from their counts reproduces
+        // per-element charging and the running cycle total *exactly* —
+        // same counters, bitwise-equal block cycles and duration (integer
+        // cost constants make every f64 sum exact; see the module docs).
+        let k20c = Device::k20c();
+        let mut props = k20c.props().clone();
+        props.warp_size = 16;
+        let half_warp = Device::with_props(props, *k20c.cost_model(), *k20c.transfer_model());
+        // block_dim 48 is a warp multiple only on the 16-lane device.
+        for (d, cfg) in [
+            (&k20c, LaunchConfig::new(16, 128)),
+            (&half_warp, LaunchConfig::new(9, 48)),
+        ] {
+            let per = d.launch(cfg, &EventKernel { counted: false }).unwrap();
+            let cnt = d.launch(cfg, &EventKernel { counted: true }).unwrap();
+            assert_eq!(per.counters, cnt.counters, "{cfg:?}");
             assert_eq!(
                 per.duration.as_secs().to_bits(),
-                chk.duration.as_secs().to_bits(),
-                "modeled duration must be bit-identical (candidates = {candidates}): \
-                 {} vs {}",
+                cnt.duration.as_secs().to_bits(),
+                "{cfg:?}: {} vs {}",
                 per.duration.as_micros(),
-                chk.duration.as_micros()
+                cnt.duration.as_micros()
             );
+        }
+        // Block by block against the running totals, including a partial
+        // last warp (40 = 32 + 8 lanes) that launch validation rules out.
+        for (block_dim, blocks) in [(128, 16), (40, 3)] {
+            let cfg = LaunchConfig::new(blocks, block_dim);
+            for block in 0..blocks {
+                for counted in [false, true] {
+                    let mut ctx = BlockCtx::new(&k20c, cfg, 0, block);
+                    EventKernel { counted }.run_block(&mut ctx).unwrap();
+                    assert_eq!(
+                        ctx.block_cycles.to_bits(),
+                        reference_block_cycles(&k20c, block_dim, block).to_bits(),
+                        "block_dim {block_dim}, block {block}, counted = {counted}"
+                    );
+                }
+            }
         }
     }
 

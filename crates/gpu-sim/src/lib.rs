@@ -43,7 +43,7 @@ pub mod transfer;
 
 pub use device::{Device, DeviceProps};
 pub use error::DeviceError;
-pub use kernel::{BlockCtx, BlockKernel, ChargeBatch, KernelReport, ThreadCtx};
+pub use kernel::{BlockCtx, BlockKernel, KernelReport, ThreadCtx};
 pub use launch::LaunchConfig;
 pub use memory::{DeviceAppendBuffer, DeviceBuffer, DeviceCounter, RawAlloc};
 pub use time::{SimDuration, SimTime};

@@ -7,7 +7,8 @@
 //!
 //! * [`point`] — [`PointN`], with the one ordered distance rounding chain
 //!   every index and kernel reproduces bit for bit.
-//! * [`nd`] — the SoA coordinate store the kernels scan, and AABBs.
+//! * [`nd`] — the SoA coordinate store, its index-ordered member mirror
+//!   that the kernels scan, and AABBs.
 //! * [`grid`] — the GPU-friendly grid index `(G, A)` of Section IV: ε
 //!   cells over the data extent (`3^D` stencil, `u64` mixed-radix keys),
 //!   a cell array `G` holding `[A_min, A_max]` ranges in a dense or
@@ -38,7 +39,9 @@ pub use aabb::Aabb;
 pub use grid::{
     CellRange, CellsView, GridGeometry, GridGeometryN, GridIndex, GridIndexN, GridLayout, GridStats,
 };
-pub use nd::{AabbN, PointStore, PointStoreN, PointsView, PointsViewN};
+pub use nd::{
+    AabbN, MemberStoreN, MembersViewN, PointStore, PointStoreN, PointsView, PointsViewN, SCAN_LANES,
+};
 pub use packed_tree::{PackedKdTree, TreeStats, TreeView};
 pub use point::{Point2, PointN};
 pub use rtree::{RTree, RTreeStats};

@@ -2,15 +2,23 @@
 //!
 //! * [`PointStoreN`] / [`PointsViewN`] — the structure-of-arrays
 //!   coordinate store, one contiguous array per axis ([`PointStore`] /
-//!   [`PointsView`] at `D = 2`). The kernels' inner loop touches only
-//!   coordinates, in long runs (every candidate of a cell range), so each
-//!   axis becomes a stride-1 stream the host-side simulation can
-//!   autovectorize instead of a gather of every `D`-th lane of an
-//!   interleaved layout. (On a real GPU the same split is what makes the
-//!   loads coalesce; see the accelerator guide's SoA discussion.) The
-//!   store is built once per clustering run from the same sorted array
-//!   that is uploaded to the device — a host-side layout decision that
-//!   adds no modeled transfer.
+//!   [`PointsView`] at `D = 2`), indexed by point id. Kernels read a
+//!   thread's own point from it. (On a real GPU the same split is what
+//!   makes the loads coalesce; see the accelerator guide's SoA
+//!   discussion.)
+//! * [`MemberStoreN`] / [`MembersViewN`] — the same coordinates in an
+//!   index's member order: the grid's lookup array `A` or the kd-tree's
+//!   leaf order. A cell's or leaf's members are then one contiguous
+//!   `[start, end)` run of every axis array, so the kernels' inner loop
+//!   reads each axis as a stride-1 stream in full-width
+//!   [`SCAN_LANES`]-lane chunks instead of gathering through ids; the
+//!   arrays are padded by [`SCAN_LANES`] entries so the last chunk of any
+//!   run stays in bounds.
+//!
+//! Both stores are built once per table build from the same sorted array
+//! that is uploaded to the device — host-side layout decisions the cost
+//! model never sees: no device upload and no modeled transfer (the
+//! kernels still charge the `A` reads they stand for).
 //! * [`AabbN`] — axis-aligned bounds.
 //! * [`spatial_sort_permutation_nd`] / [`apply_permutation_nd`] — the
 //!   names the N-D callers use for the one pre-sort in [`crate::presort`].
@@ -133,6 +141,68 @@ impl<const D: usize> PointsViewN<'_, D> {
     }
 }
 
+/// Lane width of the kernels' chunked ε-scan, and the padding of every
+/// [`MemberStoreN`] array. Eight f64 lanes are one cache line per axis and
+/// small enough for the autovectorizer to keep a chunk's distance
+/// computation in SIMD registers.
+pub const SCAN_LANES: usize = 8;
+
+/// The coordinates and ids of a point store in an index's member order,
+/// each array padded by [`SCAN_LANES`] entries: `coords[k][j]` is
+/// coordinate `k` of point `ids[j]`.
+#[derive(Debug, Clone)]
+pub struct MemberStoreN<const D: usize> {
+    coords: [Vec<f64>; D],
+    ids: Vec<u32>,
+}
+
+impl<const D: usize> MemberStoreN<D> {
+    /// Gather `points` in `order` (a permutation of its ids: the grid's
+    /// `A` or the tree's leaf ids). The padding lanes hold NaN
+    /// coordinates, which are never within ε of anything, and the id
+    /// `u32::MAX`. The gather is index-addressed, so the parallel and
+    /// serial paths write identical bytes.
+    pub fn gather(points: PointsViewN<'_, D>, order: &[u32]) -> Self {
+        let par = order.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1;
+        let pad = |mut v: Vec<f64>| {
+            v.resize(order.len() + SCAN_LANES, f64::NAN);
+            v
+        };
+        let mut ids = Vec::with_capacity(order.len() + SCAN_LANES);
+        ids.extend_from_slice(order);
+        ids.resize(order.len() + SCAN_LANES, u32::MAX);
+        Self {
+            coords: std::array::from_fn(|k| {
+                let axis = points.coords[k];
+                pad(if par {
+                    order.par_iter().map(|&i| axis[i as usize]).collect()
+                } else {
+                    order.iter().map(|&i| axis[i as usize]).collect()
+                })
+            }),
+            ids,
+        }
+    }
+
+    /// Borrowed view for kernels.
+    pub fn view(&self) -> MembersViewN<'_, D> {
+        MembersViewN {
+            coords: std::array::from_fn(|k| self.coords[k].as_slice()),
+            ids: &self.ids,
+        }
+    }
+}
+
+/// Borrowed view of a [`MemberStoreN`] (`Copy`, like the other device
+/// constants). Every slice is padded: a full [`SCAN_LANES`]-wide chunk
+/// starting at any member position lies in bounds. Kernels may also
+/// build one over other padded arrays, such as shared-memory tiles.
+#[derive(Debug, Clone, Copy)]
+pub struct MembersViewN<'a, const D: usize> {
+    pub coords: [&'a [f64]; D],
+    pub ids: &'a [u32],
+}
+
 /// The unit-bin spatial sort permutation of `data` (see
 /// [`crate::presort::spatial_sort_permutation`]).
 pub fn spatial_sort_permutation_nd<const D: usize>(data: &[PointN<D>]) -> SortPermutation {
@@ -193,6 +263,57 @@ mod tests {
             .unwrap()
             .install(|| PointStore::from_points(&pts));
         assert_eq!(par.view().coords, serial.view().coords);
+    }
+
+    #[test]
+    fn members_follow_the_order_and_are_padded() {
+        let pts: Vec<PointN<3>> = (0..20)
+            .map(|i| PointN::from_coords([i as f64, -(i as f64), 0.5 * i as f64]))
+            .collect();
+        let store = PointStoreN::from_points(&pts);
+        let order: Vec<u32> = (0..20).map(|i| (i * 7) % 20).collect();
+        let members = MemberStoreN::gather(store.view(), &order);
+        let v = members.view();
+        assert_eq!(&v.ids[..20], &order[..]);
+        for (j, &id) in order.iter().enumerate() {
+            for k in 0..3 {
+                assert_eq!(
+                    v.coords[k][j].to_bits(),
+                    pts[id as usize].coords[k].to_bits()
+                );
+            }
+        }
+        for k in 0..3 {
+            assert_eq!(v.coords[k].len(), 20 + SCAN_LANES);
+            assert!(v.coords[k][20..].iter().all(|x| x.is_nan()));
+        }
+        assert!(v.ids[20..].iter().all(|&id| id == u32::MAX));
+        let empty = MemberStoreN::<2>::gather(PointStore::from_points(&[]).view(), &[]);
+        assert_eq!(empty.view().ids.len(), SCAN_LANES);
+    }
+
+    #[test]
+    fn parallel_gather_matches_serial() {
+        let pts: Vec<Point2> = (0..PAR_MIN_POINTS + 7)
+            .map(|i| Point2::new(i as f64 * 0.25, -(i as f64)))
+            .collect();
+        let store = PointStore::from_points(&pts);
+        let order: Vec<u32> = (0..pts.len() as u32).rev().collect();
+        let gather = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| MemberStoreN::gather(store.view(), &order))
+        };
+        let (par, serial) = (gather(2), gather(1));
+        for k in 0..2 {
+            let bits = |m: &MemberStoreN<2>| -> Vec<u64> {
+                m.view().coords[k].iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&par), bits(&serial));
+        }
+        assert_eq!(par.view().ids, serial.view().ids);
     }
 
     #[test]

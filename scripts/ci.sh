@@ -82,6 +82,14 @@ step "differential quick (RAYON_NUM_THREADS=1)" \
     env RAYON_NUM_THREADS=1 cargo test -p hybrid-dbscan-core --test differential -q
 step "differential quick (RAYON_NUM_THREADS=4)" \
     env RAYON_NUM_THREADS=4 cargo test -p hybrid-dbscan-core --test differential -q
+# Bit pins (tests/modeled_pins.rs): table, clustering and modeled-time
+# bits of fixed small builds, the 3-D estimation counts and CUDA-DClust's
+# modeled time. Also part of the workspace suite above; repeated here so
+# bit drift is named in the CI output.
+step "modeled pins (RAYON_NUM_THREADS=1)" \
+    env RAYON_NUM_THREADS=1 cargo test -q --test modeled_pins
+step "modeled pins (RAYON_NUM_THREADS=4)" \
+    env RAYON_NUM_THREADS=4 cargo test -q --test modeled_pins
 # Benchmark smoke tier: one tiny-scale trial of the full S1/S2/S3 suite
 # plus the hot-path micro workload (grid build per layout, single kernel
 # launches, table ingest — DESIGN.md §11), compared against the

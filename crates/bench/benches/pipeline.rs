@@ -28,6 +28,7 @@ fn bench_pipeline(c: &mut Criterion) {
                     &device,
                     PipelineConfig {
                         consumers,
+                        concurrent: true,
                         ..Default::default()
                     },
                 );

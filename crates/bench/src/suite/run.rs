@@ -384,9 +384,10 @@ fn summarize(w: &Workload, id: &str, points: usize, trials: &[Trial]) -> Workloa
     r
 }
 
-/// Run one trial of `w`: build the table, then cluster it with both host
-/// consumers (seed expansion as `dbscan`, union-find as `disjoint_set`).
-/// A grouped row times only the build and clusters once, untimed, for
+/// Run one trial of `w`: build the table, then cluster it twice: seed
+/// expansion in the caller's order as `dbscan`, and `dbscan_disjoint_set`
+/// (a serial core-level forest build plus one table-order read, so its
+/// thread speedup is ~1) as `disjoint_set`. A grouped row times only the build and clusters once, untimed, for
 /// its clustering fingerprint. With a recorder, the whole trial is one
 /// root span whose children are the analysis stages.
 fn trial(w: &Workload, points: &Points, rec: Option<&Arc<Recorder>>) -> Trial {

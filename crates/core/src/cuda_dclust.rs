@@ -29,6 +29,7 @@
 use crate::dbscan::{Clustering, PointLabel};
 use crate::hybrid::DeviceCells;
 use crate::kernels::{scan_stencil, LaneBuf};
+use crate::levels::find;
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
@@ -285,13 +286,6 @@ pub fn cuda_dclust(
 
     // Host-side collision resolution: union-find over chains.
     let mut parent: Vec<u32> = (0..n_chains).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
     let collision_pairs = collisions.into_inner();
     for &(a, b) in &collision_pairs {
         let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));

@@ -289,7 +289,7 @@ fn validate_input<const D: usize>(
 }
 
 /// `visit_order[original id] = sorted position`: the inverse of `perm`.
-fn visit_order(perm: &[u32]) -> Vec<u32> {
+pub(crate) fn visit_order(perm: &[u32]) -> Vec<u32> {
     let mut order = vec![0u32; perm.len()];
     for (k, &orig) in perm.iter().enumerate() {
         order[orig as usize] = k as u32;

@@ -1,7 +1,7 @@
-//! One core-level forest per neighbor table: every `minpts` clustering
-//! of the table read off a single union-find pass (scenario S3 as one
-//! sweep, after the union-find DBSCAN of Wang, Gu and Shun,
-//! arXiv:1912.06255).
+//! The crate's one union-find: a table's core-level forest, from which
+//! every `minpts` clustering of the table is read off a single pass
+//! (scenario S3 as one sweep, after the union-find DBSCAN of Wang, Gu
+//! and Shun, arXiv:1912.06255).
 //!
 //! Let `c(i)` be the neighbor count of point `i` (itself included). The
 //! core set at `minpts = m` is `{i : c(i) ≥ m}`, so core sets are nested:
@@ -11,19 +11,20 @@
 //! level at once: its edges of weight `≥ m` connect exactly the
 //! components of `core(m)` (Kruskal's invariant). [`CoreForest::build`]
 //! finds that forest with one pass over `T`, visiting points by
-//! descending count, which is Kruskal's edge order; each
-//! [`CoreForest::snapshot`] then unions a prefix of its edges and assigns
-//! border points, without re-scanning `T` for core points.
+//! descending count, which is Kruskal's edge order; a snapshot then
+//! unions a prefix of its edges and assigns border points, without
+//! re-scanning `T` for core points.
 //!
 //! A snapshot is bitwise equal to Algorithm 1 visiting the points in the
-//! caller's order ([`crate::hybrid::cluster_sorted_table`]): that walk
-//! opens a cluster at the first core point of each component it meets,
-//! i.e. at the component's smallest original id, and a border point joins
-//! the first opened cluster with a core point among its neighbors. The
-//! snapshot roots every component at its smallest original id, numbers
-//! clusters by ascending root, and gives each border point the smallest
-//! adjacent cluster number. Both assume a symmetric table, which every
-//! ε-ball table is.
+//! same order: the caller's ([`CoreForest::snapshot`], which table
+//! handles use) or the table's ([`CoreForest::snapshot_in_table_order`],
+//! which is [`crate::disjoint_set::dbscan_disjoint_set`]). Algorithm 1
+//! opens a cluster at the first visited core point of each component,
+//! and a border point joins the first opened cluster with a core point
+//! among its neighbors. The snapshot roots every component at its first
+//! visited point, numbers clusters by ascending root, and gives each
+//! border point the smallest adjacent cluster number. Both assume a
+//! symmetric table, which every ε-ball table is.
 
 use crate::dbscan::{Clustering, PointLabel};
 use crate::table::NeighborTable;
@@ -44,7 +45,7 @@ pub(crate) struct CoreForest {
 }
 
 /// Root of `x` with path halving.
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
+pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         let grand = parent[parent[x as usize] as usize];
         parent[x as usize] = grand;
@@ -140,28 +141,56 @@ impl CoreForest {
         visit_order: &[u32],
         minpts: usize,
     ) -> Clustering {
+        self.labels_at(
+            table,
+            minpts,
+            |i| perm[i as usize],
+            visit_order.iter().copied(),
+        )
+        .unpermute(perm)
+    }
+
+    /// The clustering at `minpts`, labels in table id order: equal to
+    /// Algorithm 1 over `table` in its own id order.
+    pub(crate) fn snapshot_in_table_order(
+        &self,
+        table: &NeighborTable,
+        minpts: usize,
+    ) -> Clustering {
+        self.labels_at(table, minpts, |i| i, 0..self.count.len() as u32)
+    }
+
+    /// The snapshot body, labels in table id order. `rank(i)` is point
+    /// `i`'s position in the visit order and `visit` lists the points in
+    /// that order.
+    fn labels_at(
+        &self,
+        table: &NeighborTable,
+        minpts: usize,
+        rank: impl Fn(u32) -> u32,
+        visit: impl Iterator<Item = u32>,
+    ) -> Clustering {
         let n = self.count.len();
         let core = |i: u32| self.count[i as usize] as usize >= minpts;
-        // Union the edges of weight ≥ minpts, the larger original id's
-        // root under the smaller's: every root is its component's
-        // smallest original id.
+        // Union the edges of weight ≥ minpts, the later-ranked root under
+        // the earlier: every root is its component's first visited point.
         let mut parent: Vec<u32> = (0..n as u32).collect();
         let level = self.weights.partition_point(|&w| w as usize >= minpts);
         for &[a, b] in &self.edges[..level] {
             let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
             if ra != rb {
-                if perm[ra as usize] < perm[rb as usize] {
+                if rank(ra) < rank(rb) {
                     parent[rb as usize] = ra;
                 } else {
                     parent[ra as usize] = rb;
                 }
             }
         }
-        // Clusters numbered by ascending root original id: walking
-        // original ids upward meets each root before its members.
+        // Clusters numbered by ascending root rank: walking the visit
+        // order meets each root before its members.
         let mut labels = vec![PointLabel::NOISE; n];
         let mut n_clusters = 0u32;
-        for &i in visit_order {
+        for i in visit {
             if core(i) {
                 let root = find(&mut parent, i);
                 labels[i as usize] = if root == i {
@@ -187,13 +216,14 @@ impl CoreForest {
                 labels[i as usize] = PointLabel::cluster(k);
             }
         }
-        Clustering::new(labels, n_clusters).unpermute(perm)
+        Clustering::new(labels, n_clusters)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dbscan::{Dbscan, TableSource};
     use crate::hybrid::{cluster_sorted_table, HybridConfig, HybridDbscan, TableHandle};
     use crate::kernels::test_support::mixed_points;
     use gpu_sim::Device;
@@ -207,7 +237,8 @@ mod tests {
             .unwrap()
     }
 
-    /// Every level from 1 to one past the largest count, and `usize::MAX`.
+    /// Every level from 1 to one past the largest count, and `usize::MAX`,
+    /// read in caller order and in table order.
     fn assert_snapshots_equal_seed_expansion(h: &TableHandle, case: &str) {
         let forest = CoreForest::build(&h.table);
         let max_count = *forest.count.iter().max().unwrap() as usize;
@@ -216,6 +247,9 @@ mod tests {
             let want = cluster_sorted_table(&h.table, &h.perm, &h.visit_order, m);
             // Labels and cluster count.
             assert_eq!(got, want, "{case}: minpts {m}");
+            let got = forest.snapshot_in_table_order(&h.table, m);
+            let want = Dbscan::new(m).run(&TableSource::new(&h.table));
+            assert_eq!(got, want, "{case}: minpts {m}, table order");
         }
     }
 

@@ -22,9 +22,10 @@
 //!   scenario S2 (§VII-E).
 //! * [`reuse`] — neighbor-table reuse across `minpts` values, scenario S3
 //!   (§VII-F).
-//! * `levels` — the core-level forest a [`hybrid::TableHandle`] builds
-//!   once to serve every `minpts` clustering after its first (S3 as one
-//!   union-find sweep).
+//! * `levels` — the crate's one union-find: the core-level forest a
+//!   [`hybrid::TableHandle`] builds once to serve every `minpts`
+//!   clustering after its first (S3 as one union-find sweep), and that
+//!   [`disjoint_set`] reads in table order.
 //! * [`reference`] — the sequential R-tree DBSCAN the paper compares
 //!   against, with neighbor-search time accounting (Table I).
 //! * [`scenario`] — the published experiment parameter sets
@@ -34,9 +35,9 @@
 //!
 //! * [`optics`] — OPTICS and its ε'-cut extraction, the technique the
 //!   paper positions S3 against.
-//! * [`disjoint_set`] — a lock-free union-find DBSCAN that parallelizes a
-//!   *single* clustering over the GPU-built table (after Patwary et al.,
-//!   the paper's reference [9]).
+//! * [`disjoint_set`] — the disjoint-set DBSCAN formulation (after
+//!   Patwary et al., the paper's reference [9]) over the GPU-built table:
+//!   the `levels` forest read at one `minpts` in table id order.
 //! * [`gdbscan`] — G-DBSCAN (Andrade et al., the paper's reference [6]):
 //!   the "cluster entirely on the GPU" competitor family, for head-to-head
 //!   comparison with the hybrid approach.

@@ -72,7 +72,8 @@ pub struct PipelineReport {
     pub non_pipelined_total: SimDuration,
     /// Makespan of the overlapped producer-consumer schedule.
     pub pipelined_total: SimDuration,
-    /// Wall-clock time of the actual concurrent execution.
+    /// Wall-clock time of the run: the serial measurement pass, or the
+    /// concurrent execution under [`PipelineConfig::concurrent`].
     pub wall_time: std::time::Duration,
     /// Cluster counts per variant (full label vectors are dropped to keep
     /// sweep memory bounded; rerun a single variant to inspect labels).
@@ -153,19 +154,6 @@ impl MultiClusterPipeline {
         }
     }
 
-    fn record_totals(&self, report: &PipelineReport) {
-        if let Some(rec) = &self.recorder {
-            let m = rec.metrics();
-            m.gauge_set(
-                "pipeline.non_pipelined_ms",
-                report.non_pipelined_total.as_millis(),
-            );
-            m.gauge_set("pipeline.pipelined_ms", report.pipelined_total.as_millis());
-            m.gauge_set("pipeline.speedup", report.pipeline_speedup());
-            m.counter_add("pipeline.variants", report.per_variant.len() as u64);
-        }
-    }
-
     /// Cluster `data` under every variant. Stage durations are measured
     /// serially (uncontended) unless [`PipelineConfig::concurrent`] is
     /// set; the pipelined/non-pipelined totals are modeled either way.
@@ -183,11 +171,11 @@ impl MultiClusterPipeline {
     /// The serial pass with a **sharded** producer (DESIGN.md §14): each
     /// variant's table comes from [`ShardedHybrid::build_table`] — k
     /// devices concurrently or out-of-core tiling, per `shard_cfg` — and
-    /// the consumer stage is the concurrent disjoint-set pass over the
-    /// merged table. The merged rows are bitwise identical to the
-    /// unsharded build's, so cluster counts match [`Self::run`] exactly;
-    /// `gpu_phase` is the sharded modeled time (max over shards when
-    /// concurrent, sum when out-of-core).
+    /// the consumer stage is the union-find pass ([`dbscan_disjoint_set`])
+    /// over the merged table. The merged rows are bitwise identical to
+    /// the unsharded build's, so cluster counts match [`Self::run`]
+    /// exactly; `gpu_phase` is the sharded modeled time (max over shards
+    /// when concurrent, sum when out-of-core).
     pub fn run_sharded(
         &self,
         data: &[Point2],
@@ -201,42 +189,12 @@ impl MultiClusterPipeline {
                 None => s,
             }
         };
-        let rec = self.recorder.as_deref();
-        let wall_start = Instant::now();
-        let mut per_variant = Vec::with_capacity(variants.len());
-        let mut cluster_counts = Vec::with_capacity(variants.len());
-        for (i, v) in variants.iter().enumerate() {
-            let produce_span = rec.map(|r| {
-                let mut s = r.span(format!("produce-sharded[{i}]"), "pipeline");
-                s.arg("eps", v.eps);
-                s
-            });
-            let handle = sharded.build_table(data, v.eps)?;
-            drop(produce_span);
-            let consume_span = rec.map(|r| {
-                let mut s = r.span(format!("consume[{i}]"), "pipeline");
-                s.arg("minpts", v.minpts);
-                s
-            });
-            let t0 = Instant::now();
-            let clustering = dbscan_disjoint_set(&handle.table, v.minpts).unpermute(&handle.perm);
-            let dbscan_time: SimDuration = t0.elapsed().into();
-            drop(consume_span);
-            per_variant.push(VariantTiming {
-                variant: *v,
-                gpu_phase: handle.modeled_time,
-                dbscan: dbscan_time,
-            });
-            cluster_counts.push(clustering.num_clusters());
-        }
-        let report = Self::assemble(
-            per_variant,
-            cluster_counts,
-            self.config.consumers,
-            wall_start,
-        );
-        self.record_totals(&report);
-        Ok(report)
+        self.sweep(
+            variants,
+            "produce-sharded",
+            |eps| sharded.build_table(data, eps).map(|h| (h.modeled_time, h)),
+            |handle, minpts| dbscan_disjoint_set(&handle.table, minpts).unpermute(&handle.perm),
+        )
     }
 
     /// Serial measurement pass: build `T`, run DBSCAN, one variant at a
@@ -247,60 +205,89 @@ impl MultiClusterPipeline {
         variants: &[Variant],
     ) -> Result<PipelineReport, HybridError> {
         let hybrid = self.make_hybrid();
+        self.sweep(
+            variants,
+            "produce",
+            |eps| {
+                hybrid
+                    .build_table(data, eps)
+                    .map(|h| (h.gpu.modeled_time, h))
+            },
+            |handle, minpts| HybridDbscan::cluster_with_table(handle, minpts).0,
+        )
+    }
+
+    /// The serial sweep both passes share: per variant, `produce` builds
+    /// the table at ε (span `{produce_name}[i]`) and returns its modeled
+    /// GPU phase with it, then `consume` clusters it (span `consume[i]`,
+    /// timed as the variant's `dbscan`).
+    fn sweep<H>(
+        &self,
+        variants: &[Variant],
+        produce_name: &str,
+        mut produce: impl FnMut(f64) -> Result<(SimDuration, H), HybridError>,
+        consume: impl Fn(&H, usize) -> Clustering,
+    ) -> Result<PipelineReport, HybridError> {
         let rec = self.recorder.as_deref();
         let wall_start = Instant::now();
         let mut per_variant = Vec::with_capacity(variants.len());
         let mut cluster_counts = Vec::with_capacity(variants.len());
         for (i, v) in variants.iter().enumerate() {
             let produce_span = rec.map(|r| {
-                let mut s = r.span(format!("produce[{i}]"), "pipeline");
+                let mut s = r.span(format!("{produce_name}[{i}]"), "pipeline");
                 s.arg("eps", v.eps);
                 s
             });
-            let handle = hybrid.build_table(data, v.eps)?;
+            let (gpu_phase, handle) = produce(v.eps)?;
             drop(produce_span);
             let consume_span = rec.map(|r| {
                 let mut s = r.span(format!("consume[{i}]"), "pipeline");
                 s.arg("minpts", v.minpts);
                 s
             });
-            let (clustering, dbscan_time) = HybridDbscan::cluster_with_table(&handle, v.minpts);
+            let t0 = Instant::now();
+            let clustering = consume(&handle, v.minpts);
+            let dbscan: SimDuration = t0.elapsed().into();
             drop(consume_span);
             per_variant.push(VariantTiming {
                 variant: *v,
-                gpu_phase: handle.gpu.modeled_time,
-                dbscan: dbscan_time,
+                gpu_phase,
+                dbscan,
             });
             cluster_counts.push(clustering.num_clusters());
         }
-        let report = Self::assemble(
-            per_variant,
-            cluster_counts,
-            self.config.consumers,
-            wall_start,
-        );
-        self.record_totals(&report);
-        Ok(report)
+        Ok(self.assemble(per_variant, cluster_counts, wall_start))
     }
 
+    /// The report of a finished sweep, with its totals recorded.
     fn assemble(
+        &self,
         per_variant: Vec<VariantTiming>,
         cluster_counts: Vec<u32>,
-        consumers: usize,
         wall_start: Instant,
     ) -> PipelineReport {
         let g: Vec<SimDuration> = per_variant.iter().map(|t| t.gpu_phase).collect();
         let d: Vec<SimDuration> = per_variant.iter().map(|t| t.dbscan).collect();
         let non_pipelined_total =
             g.iter().copied().sum::<SimDuration>() + d.iter().copied().sum::<SimDuration>();
-        let pipelined_total = pipeline_makespan(&g, &d, consumers);
-        PipelineReport {
+        let report = PipelineReport {
+            pipelined_total: pipeline_makespan(&g, &d, self.config.consumers),
             per_variant,
             non_pipelined_total,
-            pipelined_total,
             wall_time: wall_start.elapsed(),
             cluster_counts,
+        };
+        if let Some(rec) = &self.recorder {
+            let m = rec.metrics();
+            m.gauge_set(
+                "pipeline.non_pipelined_ms",
+                report.non_pipelined_total.as_millis(),
+            );
+            m.gauge_set("pipeline.pipelined_ms", report.pipelined_total.as_millis());
+            m.gauge_set("pipeline.speedup", report.pipeline_speedup());
+            m.counter_add("pipeline.variants", report.per_variant.len() as u64);
         }
+        report
     }
 
     /// Concurrent execution: the producer runs on the calling thread and
@@ -416,14 +403,7 @@ impl MultiClusterPipeline {
             per_variant.push(timing);
             cluster_counts.push(clustering.num_clusters());
         }
-        let report = Self::assemble(
-            per_variant,
-            cluster_counts,
-            self.config.consumers,
-            wall_start,
-        );
-        self.record_totals(&report);
-        Ok(report)
+        Ok(self.assemble(per_variant, cluster_counts, wall_start))
     }
 }
 

@@ -21,6 +21,7 @@
 
 use crate::dbscan::{Clustering, Dbscan, TableSource};
 use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
+use crate::pipeline::pipeline_makespan;
 use gpu_sim::device::Device;
 use gpu_sim::time::SimDuration;
 use obs::Recorder;
@@ -31,21 +32,10 @@ use std::time::Instant;
 
 /// Work-queue makespan: `t` lanes pull jobs in order; each job runs on
 /// the earliest-free lane. This models the paper's "up to 16 threads
-/// [that] consume T for executing DBSCAN".
+/// [that] consume T for executing DBSCAN": the S2 pipeline schedule with
+/// every table already produced.
 pub fn work_queue_makespan(durations: &[SimDuration], lanes: usize) -> SimDuration {
-    let lanes = lanes.max(1);
-    let mut free = vec![0.0f64; lanes];
-    for d in durations {
-        // Earliest-free lane takes the next job.
-        let lane = free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(k, _)| k)
-            .unwrap();
-        free[lane] += d.as_secs();
-    }
-    SimDuration::from_secs(free.iter().cloned().fold(0.0, f64::max))
+    pipeline_makespan(&vec![SimDuration::ZERO; durations.len()], durations, lanes)
 }
 
 /// All measurements of one S3 run over a fixed table.

@@ -7,10 +7,9 @@
 //! the ε-halo, so every owned point's ε-neighborhood is complete — and
 //! merges the per-shard tables into one global [`NeighborTable`] whose
 //! rows are **bitwise identical** to the unsharded build's. Clustering
-//! then runs a single concurrent disjoint-set pass over the merged table;
-//! cross-shard edges are exactly the halo columns of owned rows, so the
-//! union-find stitches boundary clusters without any dedicated message
-//! passing.
+//! then runs a single disjoint-set pass over the merged table; cross-shard
+//! edges are exactly the halo columns of owned rows, so the union-find
+//! stitches boundary clusters without any dedicated message passing.
 //!
 //! ## Why the merge is exact
 //!
@@ -43,7 +42,7 @@
 //! the unsharded build exactly.
 
 use crate::disjoint_set::dbscan_disjoint_set;
-use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
+use crate::hybrid::{visit_order, HybridConfig, HybridDbscan, HybridError, TableHandle};
 use crate::table::NeighborTable;
 use crate::Clustering;
 use gpu_sim::device::Device;
@@ -127,8 +126,8 @@ pub struct ShardedTableHandle {
 
 /// The output of [`ShardedHybrid::run`].
 pub struct ShardedResult {
-    /// Cluster labels in the caller's point order, from the concurrent
-    /// disjoint-set pass over the merged table — a pure function of
+    /// Cluster labels in the caller's point order, from the disjoint-set
+    /// pass over the merged table — a pure function of
     /// `(table rows, minpts)`, identical at every `(k, thread count)`.
     pub clustering: Clustering,
     /// Combined modeled GPU-phase time.
@@ -347,23 +346,19 @@ impl ShardedHybrid {
             }
         }
 
-        let perm_slice = perm.as_slice();
-        let mut visit_order = vec![0u32; n];
-        for (pos, &orig) in perm_slice.iter().enumerate() {
-            visit_order[orig as usize] = pos as u32;
-        }
+        let perm = perm.as_slice().to_vec();
         Ok(ShardedTableHandle {
             table,
-            perm: perm_slice.to_vec(),
-            visit_order,
+            visit_order: visit_order(&perm),
+            perm,
             modeled_time,
             shards,
             peak_bytes,
         })
     }
 
-    /// Build the merged table and cluster it with the concurrent
-    /// disjoint-set pass. Labels come back in the caller's point order.
+    /// Build the merged table and cluster it with the disjoint-set pass
+    /// ([`dbscan_disjoint_set`]). Labels come back in the caller's point order.
     pub fn run(
         &self,
         data: &[Point2],

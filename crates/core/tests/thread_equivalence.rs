@@ -29,7 +29,7 @@ struct RunFingerprint {
     neighborhoods: Vec<(u32, Vec<u32>)>,
     /// Sequential (visit-order) clustering labels.
     labels: Vec<i64>,
-    /// Parallel disjoint-set clustering labels.
+    /// Disjoint-set (table-order) clustering labels.
     ds_labels: Vec<i64>,
     /// Modeled GPU-phase time, bit-exact.
     modeled_time_bits: u64,

@@ -59,7 +59,7 @@ fn main() {
         report.pipeline_speedup()
     );
     println!(
-        "wall time (actual concurrent execution): {:.2?}",
+        "wall time (serial measurement pass): {:.2?}",
         report.wall_time
     );
 }

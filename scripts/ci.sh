@@ -90,6 +90,15 @@ step "modeled pins (RAYON_NUM_THREADS=1)" \
     env RAYON_NUM_THREADS=1 cargo test -q --test modeled_pins
 step "modeled pins (RAYON_NUM_THREADS=4)" \
     env RAYON_NUM_THREADS=4 cargo test -q --test modeled_pins
+# Host consumers (tests/border_differential.rs): seed expansion and the
+# union-find read of the core-level forest against the reference on
+# contested borders, exactly where the visit order fixes the answer. Also
+# part of the workspace suite above; repeated here so a label change in
+# either consumer is named in the CI output.
+step "host consumers (RAYON_NUM_THREADS=1)" \
+    env RAYON_NUM_THREADS=1 cargo test -q --test border_differential
+step "host consumers (RAYON_NUM_THREADS=4)" \
+    env RAYON_NUM_THREADS=4 cargo test -q --test border_differential
 # Benchmark smoke tier: one tiny-scale trial of the full S1/S2/S3 suite
 # plus the hot-path micro workload (grid build per layout, single kernel
 # launches, table ingest — DESIGN.md §11), compared against the

@@ -9,8 +9,11 @@
 //!   claim contested borders in their own order; each must pass the
 //!   brute-force oracle and agree with the reference up to the border
 //!   ambiguity.
+//! * `dbscan_disjoint_set` visits the table in its own id order, so its
+//!   labels must be identical to seed expansion over the table as stored.
 
 use hybrid_dbscan::core::cuda_dclust::cuda_dclust;
+use hybrid_dbscan::core::dbscan::{Dbscan, TableSource};
 use hybrid_dbscan::core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan::core::oracle::{
@@ -127,6 +130,22 @@ fn disjoint_set_agrees_with_the_reference_up_to_borders() {
             check_clustering(&data, EPS, minpts, &got).unwrap_or_else(|e| panic!("{case}: {e}"));
             equivalent_up_to_borders(&data, EPS, minpts, &got, &reference)
                 .unwrap_or_else(|e| panic!("{case}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn disjoint_set_labels_equal_table_order_seed_expansion() {
+    let device = Device::k20c();
+    let hybrid = HybridDbscan::new(&device, HybridConfig::default());
+    for seed in SEEDS {
+        let (data, _) = contested(seed);
+        let handle = hybrid.build_table(&data, EPS).unwrap();
+        for minpts in MINPTS {
+            let got = dbscan_disjoint_set(&handle.table, minpts);
+            let want = Dbscan::new(minpts).run(&TableSource::new(&handle.table));
+            // Labels and cluster count.
+            assert_eq!(got, want, "seed {seed} minpts {minpts}");
         }
     }
 }

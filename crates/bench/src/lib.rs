@@ -1,5 +1,5 @@
-//! Experiment harness library: one module per table/figure of the paper,
-//! shared by the `repro` binary and the criterion benches.
+//! Experiment harness library behind the `repro` binary: one module per
+//! table/figure of the paper, plus the measurement suite (`suite`).
 //!
 //! Every experiment prints the same rows/series the paper reports and a
 //! short note recalling the published shape, so paper-vs-measured

@@ -506,8 +506,11 @@ mod tests {
     fn strict_gating_trend_findings() {
         let report = obs::trend::TrendReport {
             findings: vec![obs::trend::TrendFinding {
-                command: "bench".into(),
-                workload: "s1/sw1-eps0.2/global".into(),
+                series: obs::trend::SeriesKey {
+                    command: "bench".into(),
+                    scale: 0.002,
+                    workload: "s1/sw1-eps0.2/global".into(),
+                },
                 stage: "modeled".into(),
                 kind: obs::trend::TrendKind::BitsChange {
                     from: 1,

@@ -268,8 +268,9 @@ impl From<DeviceError> for HybridError {
 
 /// The prepare stage's input check, run before the pre-sort: a NaN would
 /// break the pre-sort's total order and the grid's cell mapping, and
-/// point ids are `u32` on the device.
-fn validate_input<const D: usize>(
+/// point ids are `u32` on the device. The sharded build runs it too,
+/// before its global pre-sort and slab plan.
+pub(crate) fn validate_input<const D: usize>(
     eps: f64,
     mut points: impl ExactSizeIterator<Item = [f64; D]>,
 ) -> Result<(), HybridError> {

@@ -11,12 +11,9 @@
 //! durations *uncontended* (serial execution) and computes the
 //! deterministic modeled totals: the non-pipelined response time
 //! `Σ (g_i + d_i)` and the pipelined makespan of the two-stage schedule
-//! (Figure 4 / Table IV compare exactly these). Setting
-//! [`PipelineConfig::concurrent`] instead really executes the producer
-//! (on the calling thread) and the consumers (on the shared rayon pool,
-//! crossbeam channel between them) — functionally identical, but stage
-//! timings then depend on the benchmark host's core count. On a
-//! single-thread pool concurrent mode degrades to the serial pass.
+//! (Figure 4 / Table IV compare exactly these). The overlap is modeled,
+//! not executed, so the reported numbers do not depend on the benchmark
+//! host's core count.
 
 use crate::dbscan::Clustering;
 use crate::disjoint_set::dbscan_disjoint_set;
@@ -26,7 +23,6 @@ use crate::shard::{ShardConfig, ShardedHybrid};
 use gpu_sim::device::Device;
 use gpu_sim::time::SimDuration;
 use obs::Recorder;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spatial::Point2;
 use std::sync::Arc;
@@ -39,9 +35,6 @@ pub struct PipelineConfig {
     pub consumers: usize,
     /// Hybrid-DBSCAN settings used by the producer.
     pub hybrid: HybridConfig,
-    /// Execute stages on real threads (functional validation) instead of
-    /// measuring them serially and modeling the overlap.
-    pub concurrent: bool,
 }
 
 impl Default for PipelineConfig {
@@ -49,7 +42,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             consumers: 3,
             hybrid: HybridConfig::default(),
-            concurrent: false,
         }
     }
 }
@@ -72,8 +64,7 @@ pub struct PipelineReport {
     pub non_pipelined_total: SimDuration,
     /// Makespan of the overlapped producer-consumer schedule.
     pub pipelined_total: SimDuration,
-    /// Wall-clock time of the run: the serial measurement pass, or the
-    /// concurrent execution under [`PipelineConfig::concurrent`].
+    /// Wall-clock time of the serial measurement pass.
     pub wall_time: std::time::Duration,
     /// Cluster counts per variant (full label vectors are dropped to keep
     /// sweep memory bounded; rerun a single variant to inspect labels).
@@ -138,34 +129,37 @@ impl MultiClusterPipeline {
         }
     }
 
-    /// Attach an [`obs::Recorder`]: stage spans, queue telemetry, and the
-    /// pipeline totals are recorded into it (and propagated to the
-    /// producer's [`HybridDbscan`]).
+    /// Attach an [`obs::Recorder`]: stage spans and the pipeline totals
+    /// are recorded into it (and propagated to the producer's
+    /// [`HybridDbscan`]).
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
     }
 
-    fn make_hybrid(&self) -> HybridDbscan {
-        let hybrid = HybridDbscan::new(&self.device, self.config.hybrid);
-        match &self.recorder {
-            Some(rec) => hybrid.with_recorder(rec.clone()),
-            None => hybrid,
-        }
-    }
-
-    /// Cluster `data` under every variant. Stage durations are measured
-    /// serially (uncontended) unless [`PipelineConfig::concurrent`] is
-    /// set; the pipelined/non-pipelined totals are modeled either way.
+    /// Cluster `data` under every variant: build `T`, run DBSCAN, one
+    /// variant at a time, then model the pipelined/non-pipelined totals
+    /// over the measured stage durations.
     pub fn run(
         &self,
         data: &[Point2],
         variants: &[Variant],
     ) -> Result<PipelineReport, HybridError> {
-        if !self.config.concurrent {
-            return self.run_serial(data, variants);
-        }
-        self.run_concurrent(data, variants)
+        let hybrid = HybridDbscan::new(&self.device, self.config.hybrid);
+        let hybrid = match &self.recorder {
+            Some(rec) => hybrid.with_recorder(rec.clone()),
+            None => hybrid,
+        };
+        self.sweep(
+            variants,
+            "produce",
+            |eps| {
+                hybrid
+                    .build_table(data, eps)
+                    .map(|h| (h.gpu.modeled_time, h))
+            },
+            |handle, minpts| HybridDbscan::cluster_with_table(handle, minpts).0,
+        )
     }
 
     /// The serial pass with a **sharded** producer (DESIGN.md §14): each
@@ -194,26 +188,6 @@ impl MultiClusterPipeline {
             "produce-sharded",
             |eps| sharded.build_table(data, eps).map(|h| (h.modeled_time, h)),
             |handle, minpts| dbscan_disjoint_set(&handle.table, minpts).unpermute(&handle.perm),
-        )
-    }
-
-    /// Serial measurement pass: build `T`, run DBSCAN, one variant at a
-    /// time.
-    fn run_serial(
-        &self,
-        data: &[Point2],
-        variants: &[Variant],
-    ) -> Result<PipelineReport, HybridError> {
-        let hybrid = self.make_hybrid();
-        self.sweep(
-            variants,
-            "produce",
-            |eps| {
-                hybrid
-                    .build_table(data, eps)
-                    .map(|h| (h.gpu.modeled_time, h))
-            },
-            |handle, minpts| HybridDbscan::cluster_with_table(handle, minpts).0,
         )
     }
 
@@ -288,122 +262,6 @@ impl MultiClusterPipeline {
             m.counter_add("pipeline.variants", report.per_variant.len() as u64);
         }
         report
-    }
-
-    /// Concurrent execution: the producer runs on the calling thread and
-    /// `consumers` DBSCAN consumers run on the shared rayon pool.
-    ///
-    /// The consumers block on the channel while the producer works, so
-    /// real overlap needs at least two threads. On a 1-thread pool there
-    /// is no thread to host a consumer while the caller produces —
-    /// running "concurrently" would deadlock on the bounded channel — so
-    /// this degrades to the (functionally identical) serial pass, with
-    /// zero queue-wait telemetry recorded for shape parity.
-    fn run_concurrent(
-        &self,
-        data: &[Point2],
-        variants: &[Variant],
-    ) -> Result<PipelineReport, HybridError> {
-        if rayon::current_num_threads() < 2 {
-            let report = self.run_serial(data, variants)?;
-            if let Some(rec) = &self.recorder {
-                for _ in variants {
-                    rec.metrics().observe("pipeline.queue_wait_ms", 0.0);
-                }
-                rec.metrics().gauge_set("pipeline.queue_depth", 0.0);
-            }
-            return Ok(report);
-        }
-        let hybrid = self.make_hybrid();
-        let rec = self.recorder.as_deref();
-        let n = variants.len();
-        let results: Mutex<Vec<Option<(VariantTiming, Clustering)>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let error: Mutex<Option<HybridError>> = Mutex::new(None);
-
-        let wall_start = Instant::now();
-        // Each message carries its send instant so consumers can report
-        // how long tables sat in the queue (producer/consumer imbalance).
-        let (tx, rx) =
-            crossbeam::channel::bounded::<(usize, Variant, crate::hybrid::TableHandle, Instant)>(
-                self.config.consumers.max(1),
-            );
-
-        rayon::scope(|s| {
-            // Consumers: run DBSCAN over each received table. Spawned
-            // first so pool workers pick them up while the producer
-            // (below, on the calling thread) builds the first table.
-            for _ in 0..self.config.consumers.max(1) {
-                let rx = rx.clone();
-                let results = &results;
-                s.spawn(move |_| {
-                    while let Ok((i, v, handle, sent_at)) = rx.recv() {
-                        if let Some(r) = rec {
-                            r.metrics().observe(
-                                "pipeline.queue_wait_ms",
-                                sent_at.elapsed().as_secs_f64() * 1e3,
-                            );
-                            r.metrics()
-                                .gauge_set("pipeline.queue_depth", rx.len() as f64);
-                        }
-                        let consume_span = rec.map(|r| {
-                            let mut span = r.span(format!("consume[{i}]"), "pipeline");
-                            span.arg("minpts", v.minpts);
-                            span
-                        });
-                        let (clustering, dbscan_time) =
-                            HybridDbscan::cluster_with_table(&handle, v.minpts);
-                        drop(consume_span);
-                        let timing = VariantTiming {
-                            variant: v,
-                            gpu_phase: handle.gpu.modeled_time,
-                            dbscan: dbscan_time,
-                        };
-                        results.lock()[i] = Some((timing, clustering));
-                    }
-                });
-            }
-            drop(rx);
-
-            // Producer: builds tables in variant order on this thread
-            // (table construction is serialized on the GPU anyway). The
-            // bounded channel provides backpressure so at most
-            // `consumers` tables are alive.
-            for (i, v) in variants.iter().enumerate() {
-                let produce_span = rec.map(|r| {
-                    let mut span = r.span(format!("produce[{i}]"), "pipeline");
-                    span.arg("eps", v.eps);
-                    span
-                });
-                match hybrid.build_table(data, v.eps) {
-                    Ok(handle) => {
-                        drop(produce_span);
-                        if tx.send((i, *v, handle, Instant::now())).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        *error.lock() = Some(e);
-                        break;
-                    }
-                }
-            }
-            drop(tx);
-        });
-
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-
-        let collected = results.into_inner();
-        let mut per_variant = Vec::with_capacity(n);
-        let mut cluster_counts = Vec::with_capacity(n);
-        for slot in collected {
-            let (timing, clustering) = slot.expect("every variant must complete");
-            per_variant.push(timing);
-            cluster_counts.push(clustering.num_clusters());
-        }
-        Ok(self.assemble(per_variant, cluster_counts, wall_start))
     }
 }
 
@@ -502,31 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_queue_telemetry_in_concurrent_mode() {
-        let data = mixed_points(200);
-        let device = Device::k20c();
-        let rec = std::sync::Arc::new(obs::Recorder::new());
-        let pipeline = MultiClusterPipeline::new(
-            &device,
-            PipelineConfig {
-                concurrent: true,
-                ..Default::default()
-            },
-        )
-        .with_recorder(rec.clone());
-        let variants = vec![
-            Variant::new(0.5, 4),
-            Variant::new(0.8, 4),
-            Variant::new(1.0, 4),
-        ];
-        pipeline.run(&data, &variants).unwrap();
-        let metrics = rec.metrics().snapshot();
-        let wait = &metrics.histograms["pipeline.queue_wait_ms"];
-        assert_eq!(wait.count, 3, "one queue-wait sample per variant");
-        assert!(metrics.gauges.contains_key("pipeline.queue_depth"));
-    }
-
-    #[test]
     fn pipeline_runs_all_variants_correctly() {
         let data = mixed_points(400);
         let device = Device::k20c();
@@ -598,32 +431,5 @@ mod tests {
         let variants = vec![Variant::new(0.5, 4), Variant::new(1.0, 4)];
         let report = pipeline.run(&data, &variants).unwrap();
         assert_eq!(report.per_variant.len(), 2);
-    }
-
-    #[test]
-    fn concurrent_execution_matches_serial() {
-        let data = mixed_points(300);
-        let device = Device::k20c();
-        let variants = vec![
-            Variant::new(0.4, 4),
-            Variant::new(0.7, 4),
-            Variant::new(1.0, 4),
-        ];
-        let serial = MultiClusterPipeline::new(&device, PipelineConfig::default())
-            .run(&data, &variants)
-            .unwrap();
-        let concurrent = MultiClusterPipeline::new(
-            &device,
-            PipelineConfig {
-                concurrent: true,
-                ..Default::default()
-            },
-        )
-        .run(&data, &variants)
-        .unwrap();
-        assert_eq!(serial.cluster_counts, concurrent.cluster_counts);
-        // Per-variant records exist for both (timings are measured and
-        // host-dependent, so only structure is asserted).
-        assert_eq!(serial.per_variant.len(), concurrent.per_variant.len());
     }
 }

@@ -16,8 +16,9 @@
 //! deterministic discrete-event approach the GPU phase uses for streams.
 //! This keeps the reported scaling faithful to the algorithm rather than
 //! to the benchmark host's core count (measured wall time is reported
-//! alongside). [`TableReuse::run_concurrent`] additionally executes the
-//! variants on real threads for functional validation.
+//! alongside). Clustering one handle on real threads is a `par_iter` over
+//! [`HybridDbscan::cluster_with_table`], which shares the handle's
+//! core-level forest across the variants.
 
 use crate::dbscan::{Clustering, Dbscan, TableSource};
 use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
@@ -25,7 +26,6 @@ use crate::pipeline::pipeline_makespan;
 use gpu_sim::device::Device;
 use gpu_sim::time::SimDuration;
 use obs::Recorder;
-use rayon::prelude::*;
 use spatial::Point2;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,8 +117,7 @@ impl TableReuse {
     /// clustered once, serially, and timed. Every variant is an
     /// independent Algorithm-1 run over `T`, as in the paper's Figures 5
     /// and 6 — not a snapshot of the handle's shared core-level forest,
-    /// which [`Self::run_concurrent`] and
-    /// [`HybridDbscan::cluster_with_table`] use.
+    /// which [`HybridDbscan::cluster_with_table`] uses.
     pub fn cluster_variants(handle: &TableHandle, minpts_values: &[usize]) -> ReuseRun {
         Self::cluster_variants_with_recorder(handle, minpts_values, None)
     }
@@ -167,29 +166,6 @@ impl TableReuse {
             cluster_counts: counts,
             wall_time: wall_start.elapsed(),
         }
-    }
-
-    /// Functional validation path: actually run the variants on a
-    /// `threads`-sized view of the shared rayon pool, one
-    /// [`HybridDbscan::cluster_with_table`] per `minpts`, so the variants
-    /// share the handle's core-level forest. Returns cluster counts in
-    /// `minpts` order (timings from a contended run are not meaningful on
-    /// arbitrary hosts and are not reported).
-    pub fn run_concurrent(
-        handle: &TableHandle,
-        minpts_values: &[usize],
-        threads: usize,
-    ) -> Vec<u32> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("pool view");
-        pool.install(|| {
-            minpts_values
-                .par_iter()
-                .map(|&m| HybridDbscan::cluster_with_table(handle, m).0.num_clusters())
-                .collect()
-        })
     }
 }
 
@@ -260,18 +236,6 @@ mod tests {
             prev = total;
         }
         assert_eq!(run.dbscan_phase(1).as_secs(), run.dbscan_serial().as_secs());
-    }
-
-    #[test]
-    fn concurrent_execution_agrees_with_serial() {
-        let data = mixed_points(400);
-        let device = Device::k20c();
-        let hybrid = HybridDbscan::new(&device, HybridConfig::default());
-        let handle = hybrid.build_table(&data, 0.7).unwrap();
-        let minpts = [2usize, 4, 8, 12, 20, 40];
-        let serial = TableReuse::cluster_variants(&handle, &minpts);
-        let concurrent = TableReuse::run_concurrent(&handle, &minpts, 4);
-        assert_eq!(serial.cluster_counts, concurrent);
     }
 
     #[test]

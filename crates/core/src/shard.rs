@@ -42,7 +42,9 @@
 //! the unsharded build exactly.
 
 use crate::disjoint_set::dbscan_disjoint_set;
-use crate::hybrid::{visit_order, HybridConfig, HybridDbscan, HybridError, TableHandle};
+use crate::hybrid::{
+    validate_input, visit_order, HybridConfig, HybridDbscan, HybridError, TableHandle,
+};
 use crate::table::NeighborTable;
 use crate::Clustering;
 use gpu_sim::device::Device;
@@ -180,6 +182,10 @@ impl ShardedHybrid {
         data: &[Point2],
         eps: f64,
     ) -> Result<ShardedTableHandle, HybridError> {
+        // Before the pre-sort and the slab plan, for every k: a non-finite
+        // coordinate falls in no slab, and empty data or a bad ε has no
+        // quantiles.
+        validate_input(eps, data.iter().map(|p| p.coords))?;
         let k = self.config.shards.max(1);
         if k == 1 {
             let handle = self.shard_hybrid(&self.device, 0).build_table(data, eps)?;

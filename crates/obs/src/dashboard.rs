@@ -1,10 +1,10 @@
 //! Self-contained HTML dashboard for the run ledger (`repro report`).
 //!
 //! Renders the cross-run trajectory as a single zero-dependency HTML
-//! document: inline SVG sparklines per (command, workload, stage) series,
-//! the threads-speedup curves from the latest sweep, per-thread-count
-//! worker-utilization bars, the gate history table, and the
-//! [`crate::trend`] findings. No JavaScript frameworks, no external CSS,
+//! document: inline SVG sparklines per (command, scale, workload, stage)
+//! series, the threads-speedup curves from the latest sweep,
+//! per-thread-count worker-utilization bars, the gate history table, and
+//! the [`crate::trend`] findings. No JavaScript frameworks, no external CSS,
 //! no network: the file opens from disk anywhere.
 //!
 //! The machine-readable payload is embedded as
@@ -23,7 +23,7 @@
 
 use crate::ledger::LedgerRecord;
 use crate::provenance::format_utc;
-use crate::trend::{TrendFinding, TrendKind, TrendReport};
+use crate::trend::{SeriesKey, TrendFinding, TrendKind, TrendReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -48,30 +48,23 @@ fn esc(s: &str) -> String {
 
 /// One trend series extracted from the ledger, ready to draw.
 struct Series {
-    command: String,
-    workload: String,
+    key: SeriesKey,
     stage: String,
     wall: bool,
     medians: Vec<f64>,
 }
 
-impl Series {
-    fn key(&self) -> String {
-        format!("{}/{}/{}", self.command, self.workload, self.stage)
-    }
-}
-
-/// Group the stage medians into per-(command, workload, stage) series,
-/// in ledger order.
+/// Group the stage medians into per-([`SeriesKey`], stage) series, in
+/// ledger order — the grouping [`crate::trend::analyze`] uses.
 fn collect_series(records: &[LedgerRecord]) -> Vec<Series> {
-    let mut map: BTreeMap<(String, String, String), Series> = BTreeMap::new();
+    let mut map: BTreeMap<(SeriesKey, String), Series> = BTreeMap::new();
     for rec in records {
         for e in &rec.entries {
+            let key = SeriesKey::new(rec, &e.workload);
             for (stage, p) in &e.stages {
-                map.entry((rec.command.clone(), e.workload.clone(), stage.clone()))
+                map.entry((key.clone(), stage.clone()))
                     .or_insert_with(|| Series {
-                        command: rec.command.clone(),
-                        workload: e.workload.clone(),
+                        key: key.clone(),
                         stage: stage.clone(),
                         wall: p.wall,
                         medians: Vec::new(),
@@ -358,7 +351,7 @@ fn findings_section(trend: &TrendReport) -> String {
                 html,
                 r#"<li>{badge} <strong>{key}</strong>: {detail}</li>"#,
                 badge = finding_badge(f),
-                key = esc(&format!("{}/{}/{}", f.command, f.workload, f.stage)),
+                key = esc(&f.series.label(&f.stage)),
                 detail = esc(&f.detail),
             );
         }
@@ -386,20 +379,20 @@ fn sparkline_section(records: &[LedgerRecord], trend: &TrendReport) -> String {
         let badge = trend
             .findings
             .iter()
-            .find(|f| f.command == s.command && f.workload == s.workload && f.stage == s.stage)
+            .find(|f| f.series == s.key && f.stage == s.stage)
             .map(finding_badge)
             .unwrap_or_default();
         let _ = write!(
             html,
             r#"<div class="card"><div class="card-head"><span class="card-title">{key}</span>{badge}</div>{svg}<div class="card-foot"><span>{kind}</span><span>min {lo:.3} · max {hi:.3} · last {last:.3} ms</span></div></div>"#,
-            key = esc(&s.key()),
+            key = esc(&s.key.label(&s.stage)),
             svg = sparkline_svg(&s.medians),
             kind = if s.wall { "wall-clock" } else { "modeled" },
         );
         let _ = write!(
             table,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&s.key()),
+            esc(&s.key.label(&s.stage)),
             if s.wall { "wall" } else { "modeled" },
             s.medians.len(),
             s.medians
@@ -434,8 +427,9 @@ pub fn report_payload(records: &[LedgerRecord], trend: &TrendReport) -> String {
     w.begin_array();
     for f in &trend.findings {
         w.begin_object();
-        w.field_str("command", &f.command);
-        w.field_str("workload", &f.workload);
+        w.field_str("command", &f.series.command);
+        w.field_float("scale", f.series.scale);
+        w.field_str("workload", &f.series.workload);
         w.field_str("stage", &f.stage);
         w.field_bool("gating", f.gating);
         w.field_str(
@@ -629,11 +623,9 @@ pub fn render_text(records: &[LedgerRecord], trend: &TrendReport) -> String {
         for f in &trend.findings {
             let _ = writeln!(
                 out,
-                "  {} {}/{}/{}: {}",
+                "  {} {}: {}",
                 if f.gating { "GATING  " } else { "advisory" },
-                f.command,
-                f.workload,
-                f.stage,
+                f.series.label(&f.stage),
                 f.detail
             );
         }
@@ -783,5 +775,20 @@ mod tests {
         let text = render_text(&records, &report);
         assert!(text.contains("GATING"), "{text}");
         assert!(text.contains("modeled_time_bits"), "{text}");
+    }
+
+    #[test]
+    fn series_at_two_scales_are_drawn_apart() {
+        let mut records: Vec<LedgerRecord> = (0..4).map(|i| sample_record(i, 100.0, 0x1)).collect();
+        records[1].scale = 0.02;
+        let series = collect_series(&records);
+        let modeled: Vec<_> = series.iter().filter(|s| s.stage == "modeled").collect();
+        assert_eq!(modeled.len(), 2);
+        assert_eq!(modeled[0].medians.len(), 3, "scale 0.002");
+        assert_eq!(modeled[1].medians.len(), 1, "scale 0.02");
+        let report = trend::analyze(&records, trend::DEFAULT_WINDOW);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let html = render_html(&records, &report);
+        assert!(html.contains("bench/s1/sw1-eps0.2/global/modeled @ scale 0.02<"));
     }
 }

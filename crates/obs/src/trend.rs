@@ -5,8 +5,8 @@
 //! every single time and still compounds into a large regression over a
 //! release cycle — exactly the 4-thread `build_table` story of PR 8.
 //! This module reads the **series** instead: for every
-//! (command, workload, stage) it collects the stage medians of the last
-//! `window` ledger records and runs a MAD-based step (change-point)
+//! (command, scale, workload, stage) it collects the stage medians of the
+//! last `window` ledger records and runs a MAD-based step (change-point)
 //! detector, so a level shift is flagged even when every adjacent pair
 //! of runs is individually within noise.
 //!
@@ -60,11 +60,64 @@ pub enum TrendKind {
     BitsChange { from: u64, to: u64, at: usize },
 }
 
+/// The identity of one series of runs: one command's records at one
+/// dataset scale, for one workload id. A workload id does not name the
+/// scale, and the same id at two scales is two different builds, so the
+/// scale is part of the key. The detector and the dashboard both group by
+/// this key.
+#[derive(Debug, Clone)]
+pub struct SeriesKey {
+    pub command: String,
+    pub scale: f64,
+    pub workload: String,
+}
+
+impl SeriesKey {
+    pub fn new(rec: &LedgerRecord, workload: &str) -> Self {
+        SeriesKey {
+            command: rec.command.clone(),
+            scale: rec.scale,
+            workload: workload.to_string(),
+        }
+    }
+
+    /// `command/workload/stage @ scale s`, the name a finding or a
+    /// dashboard card shows.
+    pub fn label(&self, stage: &str) -> String {
+        format!(
+            "{}/{}/{stage} @ scale {}",
+            self.command, self.workload, self.scale
+        )
+    }
+}
+
+impl Ord for SeriesKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.command
+            .cmp(&other.command)
+            .then(self.scale.total_cmp(&other.scale))
+            .then_with(|| self.workload.cmp(&other.workload))
+    }
+}
+
+impl PartialOrd for SeriesKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SeriesKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for SeriesKey {}
+
 /// One flagged series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendFinding {
-    pub command: String,
-    pub workload: String,
+    pub series: SeriesKey,
     pub stage: String,
     pub kind: TrendKind,
     /// Gating findings fail `repro report` under `BENCH_STRICT=1`:
@@ -78,7 +131,7 @@ pub struct TrendFinding {
 #[derive(Debug, Clone, Default)]
 pub struct TrendReport {
     pub findings: Vec<TrendFinding>,
-    /// (command, workload, stage) series examined.
+    /// (command, scale, workload, stage) series examined.
     pub series: usize,
     /// Ledger records in the analyzed window.
     pub records: usize,
@@ -183,13 +236,12 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
         ..TrendReport::default()
     };
 
-    // (command, workload) -> per-record (stage points, bits, refresh).
-    type SeriesKey = (String, String);
+    // Per series: the stage points, and the bits with their refresh flag.
     let mut stage_series: BTreeMap<(SeriesKey, String), Vec<SeriesPoint>> = BTreeMap::new();
     let mut bits_series: BTreeMap<SeriesKey, Vec<(u64, bool)>> = BTreeMap::new();
     for rec in records {
         for e in &rec.entries {
-            let key = (rec.command.clone(), e.workload.clone());
+            let key = SeriesKey::new(rec, &e.workload);
             for (stage, p) in &e.stages {
                 stage_series
                     .entry((key.clone(), stage.clone()))
@@ -210,7 +262,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
     }
 
     report.series = stage_series.len();
-    for (((command, workload), stage), series) in &stage_series {
+    for ((key, stage), series) in &stage_series {
         let Some((at, base, cur, threshold)) = detect_step(series) else {
             continue;
         };
@@ -222,8 +274,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
             0.0
         };
         report.findings.push(TrendFinding {
-            command: command.clone(),
-            workload: workload.clone(),
+            series: key.clone(),
             stage: stage.clone(),
             kind: TrendKind::Step {
                 base_ms: base,
@@ -241,7 +292,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
         });
     }
 
-    for ((command, workload), series) in &bits_series {
+    for (key, series) in &bits_series {
         for (i, w) in series.windows(2).enumerate() {
             let ((from, _), (to, refresh)) = (w[0], w[1]);
             if from == to {
@@ -251,8 +302,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
                 continue; // explicit baseline refresh: the change is declared
             }
             report.findings.push(TrendFinding {
-                command: command.clone(),
-                workload: workload.clone(),
+                series: key.clone(),
                 stage: "modeled_time_bits".into(),
                 kind: TrendKind::BitsChange {
                     from,
@@ -463,6 +513,61 @@ mod tests {
         let recs = series(3, |_| 100.0, |_| 800.0, 5.0, |_| 1);
         let report = analyze(&recs, DEFAULT_WINDOW);
         assert!(report.findings.is_empty());
+    }
+
+    /// `n` records alternating between scales 0.02 and 0.002 under the
+    /// same workload id: the larger scale has a 10× modeled median and
+    /// its own bits; `bits_small(i)` gives the 0.002 records' bits.
+    fn two_scales(n: usize, bits_small: impl Fn(usize) -> u64) -> Vec<LedgerRecord> {
+        (0..n)
+            .map(|i| {
+                let large = i % 2 == 0;
+                let (modeled, bits) = if large {
+                    (100.0, 0x3fb8)
+                } else {
+                    (10.0, bits_small(i))
+                };
+                let mut rec = sample_record(i as u64, modeled, bits);
+                rec.scale = if large { 0.02 } else { 0.002 };
+                rec
+            })
+            .collect()
+    }
+
+    #[test]
+    fn records_at_two_scales_form_two_series() {
+        let recs = two_scales(8, |_| 0x3f7b);
+        let report = analyze(&recs, DEFAULT_WINDOW);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        // modeled + build_table at each of the two scales.
+        assert_eq!(report.series, 4);
+    }
+
+    #[test]
+    fn bits_flip_at_one_scale_still_gates() {
+        let recs = two_scales(8, |i| if i < 4 { 0x3f7b } else { 0x3f7c });
+        let report = analyze(&recs, DEFAULT_WINDOW);
+        let flips: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.stage == "modeled_time_bits")
+            .collect();
+        assert_eq!(flips.len(), 1, "{:?}", report.findings);
+        let flip = flips[0];
+        assert!(flip.gating);
+        assert_eq!(flip.series.scale, 0.002);
+        assert_eq!(
+            flip.kind,
+            TrendKind::BitsChange {
+                from: 0x3f7b,
+                to: 0x3f7c,
+                at: 2
+            }
+        );
+        assert_eq!(
+            flip.series.label(&flip.stage),
+            "bench/s1/sw1-eps0.2/global/modeled_time_bits @ scale 0.002"
+        );
     }
 
     #[test]

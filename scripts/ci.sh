@@ -158,11 +158,12 @@ step "backend smoke (RAYON_NUM_THREADS=4)" \
 # Report smoke tier (ISSUE 9): render the trend dashboard over the
 # CI-local ledger (committed history + the smoke runs above). The binary
 # is the gate: it exits nonzero if the ledger is unreadable or the
-# dashboard's embedded JSON payload fails round-trip validation; trend
-# regressions (modeled-time steps or bit flips outside a declared
-# baseline refresh) are decided inside the binary and are advisory
-# unless BENCH_STRICT=1.
-step "report smoke" ./target/release/repro report \
+# dashboard's embedded JSON payload fails round-trip validation. Always
+# strict: its only gating trend findings are deterministic ones —
+# modeled-time steps and bit flips outside a declared baseline refresh,
+# per (command, scale, workload) series — so a finding here is a real
+# change of modeled time, never host noise.
+step "report smoke" env BENCH_STRICT=1 ./target/release/repro report \
     --ledger target/ci-ledger --csv target/ci-report
 # The sharded differential tier, named and strict: every generator family
 # plus the halo-straddling adversarial generator, k in {1,2,4}, 1/2/8

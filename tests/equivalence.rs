@@ -4,7 +4,9 @@
 //! same `(ε, minpts)`.
 
 use hybrid_dbscan::core::batch::BatchConfig;
-use hybrid_dbscan::core::dbscan::{dbscan_algorithm1, Dbscan, GridSource, KdTreeSource};
+use hybrid_dbscan::core::dbscan::{
+    dbscan_algorithm1, Clustering, Dbscan, GridSource, KdTreeSource,
+};
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan::core::pipeline::{MultiClusterPipeline, PipelineConfig};
 use hybrid_dbscan::core::reference::ReferenceDbscan;
@@ -13,6 +15,7 @@ use hybrid_dbscan::core::scenario::Variant;
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::Device;
 use hybrid_dbscan::spatial::{GridIndex, Point2};
+use rayon::prelude::*;
 
 fn small(name: &str) -> Vec<Point2> {
     spec::by_name(name).unwrap().generate(0.001).points
@@ -110,11 +113,28 @@ fn table_reuse_matches_fresh_tables() {
     let eps = 0.4;
     let minpts = [2usize, 4, 8, 32, 128];
     let reuse = TableReuse::new(&device, HybridConfig::default());
-    let (_, report) = reuse.run(&data, eps, &minpts).unwrap();
+    let (handle, report) = reuse.run(&data, eps, &minpts).unwrap();
+    // The shared-handle fan-out: every minpts clusters the one handle at
+    // once, sharing its core-level forest.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap();
+    let shared: Vec<Clustering> = pool.install(|| {
+        minpts
+            .par_iter()
+            .map(|&m| HybridDbscan::cluster_with_table(&handle, m).0)
+            .collect()
+    });
     let hybrid = HybridDbscan::new(&device, HybridConfig::default());
-    for (&m, &count) in minpts.iter().zip(&report.cluster_counts) {
+    for ((&m, &count), shared) in minpts.iter().zip(&report.cluster_counts).zip(&shared) {
         let fresh = hybrid.run(&data, eps, m).unwrap();
         assert_eq!(count, fresh.clustering.num_clusters(), "minpts = {m}");
+        assert_eq!(
+            shared.labels(),
+            fresh.clustering.labels(),
+            "minpts = {m}: shared handle vs fresh table"
+        );
     }
 }
 

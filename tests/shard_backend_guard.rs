@@ -3,7 +3,7 @@
 //! table is built, never what it holds, and neither does the pool size.
 
 use hybrid_dbscan::core::disjoint_set::dbscan_disjoint_set;
-use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan};
+use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, HybridError};
 use hybrid_dbscan::core::shard::{ShardConfig, ShardMode, ShardedHybrid};
 use hybrid_dbscan::core::table::NeighborTable;
 use hybrid_dbscan::core::{clustering_fingerprint, table_fingerprint, IndexBackend};
@@ -112,4 +112,43 @@ fn shards_and_backends_build_the_unsharded_answer_at_one_and_two_threads() {
     }
     // The pool size preserves everything, modeled time bits included.
     assert_eq!(one, at(2));
+}
+
+/// The `InvalidInput` reason of a sharded build that must be rejected.
+fn rejection(data: &[Point2], eps: f64, shards: usize, mode: ShardMode) -> String {
+    let cfg = ShardConfig {
+        shards,
+        mode,
+        hybrid: HybridConfig::default(),
+    };
+    match ShardedHybrid::new(&Device::k20c(), cfg).build_table(data, eps) {
+        Err(HybridError::InvalidInput(why)) => why,
+        Err(e) => panic!("k={shards} {mode:?}: expected InvalidInput, got {e}"),
+        Ok(_) => panic!("k={shards} {mode:?}: a bad input was accepted"),
+    }
+}
+
+#[test]
+fn sharded_builds_reject_bad_input_like_the_unsharded_build() {
+    let good: Vec<Point2> = points("SW1").into_iter().take(50).collect();
+    let mut nan_x = good.clone();
+    nan_x[17] = Point2::new(f64::NAN, nan_x[17].y());
+    let cases: [(&str, &[Point2], f64); 4] = [
+        ("empty data", &[], EPS),
+        ("eps 0", &good, 0.0),
+        ("eps NaN", &good, f64::NAN),
+        ("NaN x", &nan_x, EPS),
+    ];
+    for (name, data, eps) in cases {
+        let expected = rejection(data, eps, 1, ShardMode::Concurrent);
+        for shards in [1, 2, 4] {
+            for mode in [ShardMode::Concurrent, ShardMode::OutOfCore] {
+                assert_eq!(
+                    rejection(data, eps, shards, mode),
+                    expected,
+                    "{name}: k={shards} {mode:?}"
+                );
+            }
+        }
+    }
 }

@@ -145,23 +145,26 @@ impl Options {
     }
 
     /// Write the requested observability artifacts (`--trace` /
-    /// `--metrics`) from `rec`.
-    pub fn write_observability(&self, rec: &Recorder) {
+    /// `--metrics`) from `rec`; returns one message per file that could
+    /// not be written.
+    pub fn write_observability(&self, rec: &Recorder) -> Vec<String> {
+        let mut failed = Vec::new();
         if let Some(path) = &self.trace {
             match std::fs::write(path, rec.chrome_trace_json()) {
                 Ok(()) => eprintln!(
                     "# trace: wrote {} (open with https://ui.perfetto.dev)",
                     path.display()
                 ),
-                Err(e) => eprintln!("# trace: cannot write {}: {e}", path.display()),
+                Err(e) => failed.push(format!("trace: cannot write {}: {e}", path.display())),
             }
         }
         if let Some(path) = &self.metrics {
             match std::fs::write(path, rec.metrics_json()) {
                 Ok(()) => eprintln!("# metrics: wrote {}", path.display()),
-                Err(e) => eprintln!("# metrics: cannot write {}: {e}", path.display()),
+                Err(e) => failed.push(format!("metrics: cannot write {}: {e}", path.display())),
             }
         }
+        failed
     }
 
     /// The run ledger for this invocation: `--ledger DIR` or the

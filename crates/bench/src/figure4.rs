@@ -85,7 +85,9 @@ pub fn run(opts: &Options) -> Vec<Row> {
         );
     }
     if let Some(rec) = &recorder {
-        opts.write_observability(rec);
+        for e in opts.write_observability(rec) {
+            eprintln!("# {e}");
+        }
     }
     rows
 }

@@ -14,7 +14,6 @@ pub mod figure5;
 pub mod figure6;
 pub mod scenarios;
 pub mod schedule;
-pub mod stats;
 pub mod suite;
 pub mod table1;
 pub mod table2;

@@ -66,7 +66,7 @@ fn main() {
     };
     if cmd == "--help" || cmd == "-h" || cmd == "help" {
         println!(
-            "repro <table1|table2|figure2|figure3|figure4|figure5|figure6|schedule|bench|threads|profile|shard|backend|report|ablations|all>\n      [--scale X] [--datasets A,B] [--trials N] [--warmup N] [--quick] [--csv DIR]\n      [--trace [FILE]] [--metrics [FILE]] [--compare BASELINE] [--ledger DIR]\n\n--trace writes a Chrome trace-event JSON (default trace.json; open with\nhttps://ui.perfetto.dev); --metrics writes a metrics snapshot JSON\n(default metrics.json). Instrumented experiments: table2, figure4,\nschedule, threads, profile.\n\nbench, threads, profile, shard and backend are presets of one measurement\nsuite: --warmup untimed rounds, then --trials timed rounds interleaved\nacross the preset's thread counts, median/MAD per stage.\n  bench    S1/S2/S3, micro, shard-scaling and backend rows; writes\n           BENCH_suite.json; --compare BASELINE flags modeled-stage\n           regressions (baselines live under results/baselines/)\n  threads  the S1 row at {{1, 2, 4, all}} pool threads (RAYON_NUM_THREADS\n           sets all); writes BENCH_threads.json\n  profile  the S1/S2/S3 rows at 1/2/4/8 threads, each with one pass under\n           the pool profiler; writes PROFILE.json (serial fraction, Amdahl\n           ceiling, per-worker utilization, critical path)\n  shard    unsharded vs k=2/k=4 sharded builds; writes\n           SHARD_fingerprints.json\n  backend  grid vs tree vs auto epsilon-search on 2-D and 3-D/4-D data\nreport loads the run ledger every preset but backend appends to\n(results/ledger/ or --ledger DIR), runs cross-run step/bits-change\ndetection, and writes the REPORT.html dashboard. Set\nLEDGER_BASELINE_REFRESH=1 on a run that intentionally changes modeled\ntime bits.\n\nOne gate: always fatal are equivalence mismatches (fingerprints or\nmodeled bits across backends, shards, thread counts, trials and the\nprofiled pass), artifacts that fail their round trip or cannot be\nwritten, an unreadable ledger and an invalid dashboard. BENCH_STRICT=1\nalso fails on a modeled-stage regression or unreadable baseline, an auto\nselector match rate below 90%, a 4-thread build_table speedup below\n1.8x, and gating trend findings; without it they are advisory."
+            "repro <table1|table2|figure2|figure3|figure4|figure5|figure6|schedule|bench|threads|profile|shard|backend|report|ablations|all>\n      [--scale X] [--datasets A,B] [--trials N] [--warmup N] [--quick] [--csv DIR]\n      [--trace [FILE]] [--metrics [FILE]] [--compare BASELINE] [--ledger DIR]\n\n--trace writes a Chrome trace-event JSON (default trace.json; open with\nhttps://ui.perfetto.dev); --metrics writes a metrics snapshot JSON\n(default metrics.json). Instrumented experiments: table2, figure4,\nschedule, threads, profile; the other suite presets fail when asked.\n\nbench, threads, profile, shard and backend are presets of one measurement\nsuite: --warmup untimed rounds, then --trials timed rounds interleaved\nacross the preset's thread counts, median/MAD per stage.\n  bench    S1/S2/S3, micro, shard-scaling and backend rows; writes\n           BENCH_suite.json; --compare BASELINE flags modeled-stage\n           regressions (baselines live under results/baselines/)\n  threads  the S1 row at {{1, 2, 4, all}} pool threads (RAYON_NUM_THREADS\n           sets all); writes BENCH_threads.json\n  profile  the S1/S2/S3 rows at 1/2/4/8 threads, each with one pass under\n           the pool profiler; writes PROFILE.json, whose rows carry the\n           serial fraction, Amdahl ceiling, per-worker utilization and\n           critical path of their profiled pass\n  shard    unsharded vs k=2/k=4 sharded builds; writes\n           SHARD_fingerprints.json\n  backend  grid vs tree vs auto epsilon-search on 2-D and 3-D/4-D data\nreport loads the run ledger every preset but backend appends to\n(results/ledger/ or --ledger DIR), runs cross-run step/bits-change\ndetection, and writes the REPORT.html dashboard. Set\nLEDGER_BASELINE_REFRESH=1 on a run that intentionally changes modeled\ntime bits.\n\nOne gate: always fatal are equivalence mismatches (fingerprints or\nmodeled bits across backends, shards, thread counts, trials and the\nprofiled pass), artifacts that fail their round trip or cannot be\nwritten, an unreadable ledger and an invalid dashboard. BENCH_STRICT=1\nalso fails on a modeled-stage regression or unreadable baseline, an auto\nselector match rate below 90%, a 4-thread build_table speedup below\n1.8x, and gating trend findings; without it they are advisory."
         );
         return;
     }

@@ -64,6 +64,8 @@ pub fn print(opts: &Options) {
         println!("  {}\n", legend.join(" -> "));
     }
     if let Some(rec) = &recorder {
-        opts.write_observability(rec);
+        for e in opts.write_observability(rec) {
+            eprintln!("# {e}");
+        }
     }
 }

@@ -4,15 +4,17 @@
 //!
 //! Every preset measures through [`measure`], fails on any equivalence
 //! mismatch, runs its own strict-mode check, self-validates and writes its
-//! artifact through the one writer, and appends one ledger record.
+//! artifact through the one writer, writes any requested `--trace` /
+//! `--metrics` file (a failure, like asking a preset without a profiled
+//! pass, fails the gate), and appends one ledger record.
 
 use super::gate::{
     check_auto_selector, check_baseline, check_speedup, check_trend, fmt_ms, ledger_record, Gate,
 };
-use super::run::{measure, Measured, Mismatch, Row, MICRO_STAGES};
+use super::run::{measure, Mismatch, Row, MICRO_STAGES};
 use super::{preset, Role};
 use crate::common::{Options, TextTable};
-use obs::analyze::{ProfileDoc, ProfileRun};
+use obs::analyze::RunAnalysis;
 use obs::bench::{BenchDoc, WorkloadResult, SCHEMA_VERSION};
 use obs::provenance::Provenance;
 use obs::{dashboard, trend};
@@ -56,35 +58,38 @@ pub fn run(command: &str, opts: &Options) -> i32 {
         "backend" => check_auto_selector(&mut gate, &doc.workloads),
         _ => {}
     }
+    print_diagnosis(&m.rows);
     if let Some(name) = p.artifact {
-        let text = if p.command == "profile" {
-            let profile = profile_doc(opts, &m, workloads.iter().map(|w| w.id.clone()).collect());
-            print_diagnosis(&profile);
-            round_trip(profile.to_json(), |t| {
-                ProfileDoc::parse(t).map(|d| d.to_json())
-            })
-        } else {
-            round_trip(doc.to_json(), |t| BenchDoc::parse(t).map(|d| d.to_json()))
-        };
-        if let Err(e) = text.and_then(|text| opts.write_artifact(name, &text)) {
+        if let Err(e) = round_trip(&doc).and_then(|text| opts.write_artifact(name, &text)) {
             gate.fail(format!("{name}: {e}"));
         }
-        opts.append_ledger(&ledger_record(p.command, &doc, &gate));
     }
-    if let Some(rec) = &m.recorder {
-        opts.write_observability(rec);
+    // Before the ledger append, so the record's gate outcome shows a
+    // trace or metrics file that was asked for and not written.
+    match &m.recorder {
+        Some(rec) => {
+            for e in opts.write_observability(rec) {
+                gate.fail(e);
+            }
+        }
+        None if opts.trace.is_some() || opts.metrics.is_some() => gate.fail(format!(
+            "--trace/--metrics: `{}` has no profiled pass to record (`threads` and `profile` have one)",
+            p.command
+        )),
+        None => {}
+    }
+    if p.artifact.is_some() {
+        opts.append_ledger(&ledger_record(p.command, &doc, &gate));
     }
     gate.finish(p.command)
 }
 
 /// Self-validation: a document must reparse through the shared JSON
 /// layer and re-emit byte-identically.
-fn round_trip(
-    text: String,
-    reparse: impl Fn(&str) -> Result<String, String>,
-) -> Result<String, String> {
-    match reparse(&text) {
-        Ok(again) if again == text => Ok(text),
+fn round_trip(doc: &BenchDoc) -> Result<String, String> {
+    let text = doc.to_json();
+    match BenchDoc::parse(&text) {
+        Ok(again) if again.to_json() == text => Ok(text),
         Ok(_) => Err("emitted document is not a round-trip fixed point".into()),
         Err(e) => Err(format!("emitted document does not parse: {e}")),
     }
@@ -148,50 +153,23 @@ fn cell(r: &WorkloadResult, column: &str) -> String {
     }
 }
 
-/// `PROFILE.json`: one run per profiled pass.
-fn profile_doc(opts: &Options, m: &Measured, workload_ids: Vec<String>) -> ProfileDoc {
-    use obs::analyze::{SCHEMA, SCHEMA_VERSION};
-    let runs = m
-        .rows
-        .iter()
-        .filter_map(|row| {
-            let r = &row.result;
-            let profiled = format!("{} profiled", r.id);
-            Some(ProfileRun {
-                workload: row.workload.id.clone(),
-                scenario: r.scenario.clone(),
-                kernel: r.kernel.clone(),
-                threads: row.threads as u64,
-                modeled_ms: r.stages.get("modeled").map_or(0.0, |s| s.median_ms),
-                modeled_time_bits: r.modeled_time_bits.unwrap_or(0),
-                bits_match_unprofiled: !m.mismatches.iter().any(|x| x.label == profiled),
-                ..ProfileRun::from_analysis(row.profile.as_ref()?)
-            })
-        })
-        .collect();
-    ProfileDoc {
-        version: SCHEMA_VERSION,
-        scale: opts.scale,
-        host_threads: rayon::current_num_threads() as u64,
-        provenance: Some(Provenance::collect(SCHEMA, SCHEMA_VERSION, workload_ids)),
-        runs,
-    }
-}
-
 /// The full diagnosis of the S1 workload at the widest pool — the run a
-/// scaling investigation reads first.
-fn print_diagnosis(doc: &ProfileDoc) {
-    let widest = doc.runs.iter().map(|r| r.threads).max().unwrap_or(0);
-    let Some(run) = doc
-        .runs
+/// scaling investigation reads first — when the rows carry one.
+fn print_diagnosis(rows: &[Row]) {
+    let profiled: Vec<(&Row, &RunAnalysis)> = rows
         .iter()
-        .find(|r| r.scenario == "S1" && r.threads == widest)
+        .filter_map(|r| Some((r, r.result.profile.as_ref()?)))
+        .collect();
+    let widest = profiled.iter().map(|(r, _)| r.threads).max().unwrap_or(0);
+    let Some(&(row, run)) = profiled
+        .iter()
+        .find(|(r, _)| r.result.scenario == "S1" && r.threads == widest)
     else {
         return;
     };
     println!(
         "\n--- diagnosis: {} at {} threads ---",
-        run.workload, run.threads
+        row.workload.id, row.threads
     );
     for line in &run.diagnosis {
         println!("  {line}");
@@ -257,6 +235,7 @@ pub fn report(opts: &Options) -> i32 {
 mod tests {
     use super::*;
     use crate::suite::gate::compare;
+    use crate::suite::run::Measured;
     use obs::ledger::{Ledger, LedgerRecord};
     use std::path::PathBuf;
 
@@ -303,8 +282,11 @@ mod tests {
         };
         let ids = |d: &BenchDoc| d.workloads.iter().map(|w| w.id.clone()).collect::<Vec<_>>();
         assert_eq!(ids(&doc), ids(&baseline), "bench ids are compare keys");
-        let text = doc.to_json();
-        assert!(round_trip(text.clone(), |t| BenchDoc::parse(t).map(|d| d.to_json())).is_ok());
+        let text = round_trip(&doc).expect("a fixed point");
+        assert!(
+            !text.contains("\"profile\""),
+            "bench rows have no profiled pass"
+        );
         let pipeline = ["build_table", "dbscan", "disjoint_set", "modeled"];
         for wl in &doc.workloads {
             let stages: &[&str] = match wl.scenario.as_str() {
@@ -391,7 +373,7 @@ mod tests {
         assert!(rec.entries[0].metrics.contains_key("serial_fraction_build"));
         // Every row carries its profiled pass's diagnosis.
         for row in &m.rows {
-            let a = row.profile.as_ref().expect("profiled pass");
+            let a = row.result.profile.as_ref().expect("profiled pass");
             let names: Vec<&str> = a.stages.iter().map(|s| s.name.as_str()).collect();
             assert!(
                 names.contains(&"build_table") && names.contains(&"dbscan"),
@@ -418,6 +400,10 @@ mod tests {
         };
         assert_eq!(run("shard", &opts), 0);
         let doc = std::fs::read_to_string(dir.join("out/SHARD_fingerprints.json")).unwrap();
+        assert!(
+            !doc.contains("\"profile\""),
+            "shard rows have no profiled pass"
+        );
         let doc = BenchDoc::parse(&doc).unwrap();
         assert_eq!(doc.workloads.len(), 4);
         for w in &doc.workloads {
@@ -446,6 +432,75 @@ mod tests {
             !loaded.records[1].gate.passed,
             "the failed write is on the record"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn profile_writes_one_bench_doc_whose_rows_carry_their_diagnosis() {
+        let dir = temp_dir("profile");
+        let opts = Options {
+            csv_dir: Some(dir.join("out")),
+            ledger: Some(dir.join("ledger")),
+            trace: Some(dir.join("trace.json")),
+            metrics: Some(dir.join("metrics.json")),
+            ..tiny()
+        };
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(run("profile", &opts), 0);
+        let text = std::fs::read_to_string(dir.join("out/PROFILE.json")).unwrap();
+        let doc = BenchDoc::parse(&text).expect("PROFILE.json is a BenchDoc");
+        assert_eq!(doc.to_json(), text, "byte-exact round trip");
+        assert_eq!(doc.workloads.len(), 16);
+        for w in &doc.workloads {
+            let a = w.profile.as_ref().unwrap_or_else(|| panic!("{}", w.id));
+            let names: Vec<&str> = a.stages.iter().map(|s| s.name.as_str()).collect();
+            assert!(
+                names.contains(&"build_table") && names.contains(&"dbscan"),
+                "{}: {names:?}",
+                w.id
+            );
+            assert!(
+                !a.critical_path.is_empty() && !a.diagnosis.is_empty(),
+                "{}",
+                w.id
+            );
+        }
+        for file in ["trace.json", "metrics.json"] {
+            let text = std::fs::read_to_string(dir.join(file)).unwrap();
+            assert!(obs::json::parse(&text).is_ok(), "{file}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trace_that_is_not_written_fails_the_run() {
+        let dir = temp_dir("trace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ledger = dir.join("ledger");
+        // A preset without a profiled pass has nothing to trace.
+        let opts = Options {
+            csv_dir: Some(dir.join("out")),
+            ledger: Some(ledger.clone()),
+            trace: Some(dir.join("shard-trace.json")),
+            ..tiny()
+        };
+        assert_eq!(run("shard", &opts), 1);
+        assert!(!dir.join("shard-trace.json").exists());
+        // A path that cannot be written.
+        let opts = Options {
+            trace: Some(dir.join("no-such-dir/trace.json")),
+            ..opts
+        };
+        assert_eq!(run("threads", &opts), 1);
+        let loaded = Ledger::at(ledger).load();
+        assert_eq!(loaded.records.len(), 2);
+        for rec in &loaded.records {
+            assert!(
+                !rec.gate.passed,
+                "{}: the failure is on the record",
+                rec.command
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,7 @@
 //! and the first pipeline of a round pays one-off costs (cold allocator,
 //! page faults). Interleaving plus rotation makes every count sample the
 //! same drift window. Stage times are summarized as median/MAD/IQR
-//! ([`crate::stats`]): one throttled trial must not move a speedup.
+//! ([`obs::stats`]): one throttled trial must not move a speedup.
 //!
 //! A preset that sweeps thread counts runs one extra *profiled* pass per
 //! (workload, thread count): the same trial under
@@ -26,7 +26,6 @@
 
 use super::{kernel_name, Build, Data, Preset, Role, Workload, ALL};
 use crate::common::{DatasetCache, Options};
-use crate::stats;
 use gpu_sim::memory::{DeviceAppendBuffer, DeviceCounter};
 use gpu_sim::profiler::ProfileStats;
 use gpu_sim::Device;
@@ -40,8 +39,8 @@ use hybrid_dbscan_core::table::{NeighborTable, NeighborTableBuilder};
 use hybrid_dbscan_core::{
     clustering_fingerprint, table_fingerprint, IndexBackend, ShardConfig, ShardMode, ShardedHybrid,
 };
-use obs::analyze::RunAnalysis;
 use obs::bench::WorkloadResult;
+use obs::stats;
 use obs::Recorder;
 use spatial::presort::spatial_sort;
 use spatial::{GridIndex, GridLayout, MemberStoreN, Point2, PointN, PointStore};
@@ -103,9 +102,9 @@ pub fn check_equivalence(members: &[Member]) -> Vec<Mismatch> {
 pub struct Row {
     pub workload: Workload,
     pub threads: usize,
+    /// The row; on a preset that sweeps thread counts, its `profile`
+    /// holds the profiled pass's diagnosis.
     pub result: WorkloadResult,
-    /// The profiled pass's diagnosis, when the preset asked for one.
-    pub profile: Option<RunAnalysis>,
 }
 
 /// Everything one preset run measured.
@@ -174,7 +173,6 @@ pub fn measure(p: &Preset, workloads: &[Workload], opts: &Options) -> Measured {
                 workload: w.clone(),
                 threads: counts[i],
                 result: summarize(w, &ids[i], points.len(), trials),
-                profile: None,
             };
             if p.sweeps() {
                 let rec = Arc::new(Recorder::new());
@@ -206,7 +204,7 @@ pub fn measure(p: &Preset, workloads: &[Workload], opts: &Options) -> Measured {
                 m.insert("worker_util_pct".into(), util);
                 let steals: u64 = analysis.workers.iter().map(|w| w.steals).sum();
                 m.insert("pool_steals".into(), steals as f64);
-                row.profile = Some(analysis);
+                row.result.profile = Some(analysis);
                 out.recorder = Some(rec);
             }
             out.rows.push(row);

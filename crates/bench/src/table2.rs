@@ -180,7 +180,9 @@ pub fn print(opts: &Options) {
 
     if let Some(rec) = opts.recorder() {
         print_batching_telemetry(opts, &rec);
-        opts.write_observability(&rec);
+        for e in opts.write_observability(&rec) {
+            eprintln!("# {e}");
+        }
     }
 }
 

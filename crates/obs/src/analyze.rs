@@ -25,23 +25,16 @@
 //! chain but matches the scheduler's actual constraints for the
 //! pipelines this workspace builds.
 //!
-//! ## PROFILE.json
+//! ## In the suite's record
 //!
-//! [`ProfileDoc`] is the schema-versioned document `repro profile`
-//! emits. Like `BENCH_suite.json` it round-trips exactly through
-//! [`crate::json`]: `parse(doc.to_json()).to_json() == doc.to_json()`.
+//! A profiled suite row carries its [`RunAnalysis`] under `"profile"`
+//! (`obs::bench::WorkloadResult::profile`); [`RunAnalysis::write`] and
+//! [`RunAnalysis::parse`] are that object's writer and reader, and
+//! `repro profile`'s `PROFILE.json` is a `BenchDoc` of such rows.
 
-use crate::json::{self, JsonValue, JsonWriter};
-use crate::provenance::Provenance;
+use crate::json::{req_arr, req_f64, req_str, req_u64, JsonValue, JsonWriter};
 use crate::{DeviceOp, Recorder};
 use std::collections::BTreeMap;
-
-/// Document identifier; bump [`SCHEMA_VERSION`] on incompatible changes.
-///
-/// Version history: v1 had no provenance header; v2 (PR 9) added it.
-/// [`ProfileDoc::parse`] still accepts v1 documents (provenance `None`).
-pub const SCHEMA: &str = "hybrid-dbscan/profile";
-pub const SCHEMA_VERSION: u64 = 2;
 
 /// Floor for the serial fraction in the Amdahl ceiling, so a fully
 /// parallel stage reports a finite (10 000×) max speedup instead of inf.
@@ -358,270 +351,124 @@ pub fn analyze(rec: &Recorder) -> RunAnalysis {
     }
 }
 
-/// One profiled run of one workload at one thread count.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProfileRun {
-    /// Workload id, e.g. `s1/sw1-eps0.2/global`.
-    pub workload: String,
-    pub scenario: String,
-    pub kernel: String,
-    pub threads: u64,
-    pub wall_ms: f64,
-    pub modeled_ms: f64,
-    /// `to_bits()` of the modeled GPU-phase seconds — the determinism
-    /// sentinel CI compares across profiled/unprofiled runs. Serialized
-    /// as a 16-digit hex string (JSON numbers are f64 in the shared
-    /// parser and would truncate a 64-bit pattern).
-    pub modeled_time_bits: u64,
-    /// True when an unprofiled run of the same workload produced the
-    /// identical `modeled_time_bits`.
-    pub bits_match_unprofiled: bool,
-    pub stages: Vec<StageAnalysis>,
-    pub workers: Vec<WorkerUtilization>,
-    pub critical_path: Vec<CriticalPathStep>,
-    pub critical_path_ms: f64,
-    pub hotspots: Vec<Hotspot>,
-    pub diagnosis: Vec<String>,
-}
-
-impl ProfileRun {
-    /// Copy the analysis fields out of a [`RunAnalysis`].
-    pub fn from_analysis(a: &RunAnalysis) -> ProfileRun {
-        ProfileRun {
-            wall_ms: a.wall_ms,
-            stages: a.stages.clone(),
-            workers: a.workers.clone(),
-            critical_path: a.critical_path.clone(),
-            critical_path_ms: a.critical_path_ms,
-            hotspots: a.hotspots.clone(),
-            diagnosis: a.diagnosis.clone(),
-            ..ProfileRun::default()
-        }
-    }
-}
-
-/// A full `PROFILE.json` document.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProfileDoc {
-    pub version: u64,
-    pub scale: f64,
-    pub host_threads: u64,
-    /// Identity of the producing run. `None` only on parsed v1 documents.
-    pub provenance: Option<Provenance>,
-    pub runs: Vec<ProfileRun>,
-}
-
-impl ProfileDoc {
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
+impl RunAnalysis {
+    /// Write the analysis as one JSON object (a suite row's `profile`).
+    pub fn write(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.field_str("schema", SCHEMA);
-        w.field_uint("version", self.version);
-        w.field_float("scale", self.scale);
-        w.field_uint("host_threads", self.host_threads);
-        if let Some(p) = &self.provenance {
-            p.write_field(&mut w);
-        }
-        w.key("runs");
+        w.field_float("wall_ms", self.wall_ms);
+        w.key("stages");
         w.begin_array();
-        for run in &self.runs {
+        for s in &self.stages {
             w.begin_object();
-            w.field_str("workload", &run.workload);
-            w.field_str("scenario", &run.scenario);
-            w.field_str("kernel", &run.kernel);
-            w.field_uint("threads", run.threads);
-            w.field_float("wall_ms", run.wall_ms);
-            w.field_float("modeled_ms", run.modeled_ms);
-            // As a hex string, not a number: the shared parser stores
-            // numbers as f64, which cannot represent a full 64-bit
-            // pattern — a numeric field would not survive the round-trip
-            // fixed-point check.
-            w.field_str(
-                "modeled_time_bits",
-                &format!("{:016x}", run.modeled_time_bits),
-            );
-            w.field_bool("bits_match_unprofiled", run.bits_match_unprofiled);
-            w.key("stages");
-            w.begin_array();
-            for s in &run.stages {
-                w.begin_object();
-                w.field_str("name", &s.name);
-                w.field_float("wall_ms", s.wall_ms);
-                w.field_float("pool_busy_ms", s.pool_busy_ms);
-                w.field_uint("pool_tasks", s.pool_tasks);
-                w.field_float("serial_fraction", s.serial_fraction);
-                w.field_float("amdahl_max_speedup", s.amdahl_max_speedup);
-                w.field_str("dominant", &s.dominant);
-                w.end_object();
-            }
-            w.end_array();
-            w.key("workers");
-            w.begin_array();
-            for wu in &run.workers {
-                w.begin_object();
-                w.field_str("name", &wu.name);
-                w.field_float("busy_ms", wu.busy_ms);
-                w.field_float("park_ms", wu.park_ms);
-                w.field_float("queue_wait_ms", wu.queue_wait_ms);
-                w.field_float("utilization_pct", wu.utilization_pct);
-                w.field_uint("tasks", wu.tasks);
-                w.field_uint("steals", wu.steals);
-                w.end_object();
-            }
-            w.end_array();
-            w.key("critical_path");
-            w.begin_array();
-            for step in &run.critical_path {
-                w.begin_object();
-                w.field_str("lane", &step.lane);
-                w.field_str("label", &step.label);
-                w.field_float("start_ms", step.start_ms);
-                w.field_float("dur_ms", step.dur_ms);
-                w.end_object();
-            }
-            w.end_array();
-            w.field_float("critical_path_ms", run.critical_path_ms);
-            w.key("hotspots");
-            w.begin_array();
-            for h in &run.hotspots {
-                w.begin_object();
-                w.field_str("label", &h.label);
-                w.field_float("busy_ms", h.busy_ms);
-                w.field_float("queue_wait_ms", h.queue_wait_ms);
-                w.field_uint("tasks", h.tasks);
-                w.field_uint("steals", h.steals);
-                w.end_object();
-            }
-            w.end_array();
-            w.key("diagnosis");
-            w.begin_array();
-            for line in &run.diagnosis {
-                w.string(line);
-            }
-            w.end_array();
+            w.field_str("name", &s.name);
+            w.field_float("wall_ms", s.wall_ms);
+            w.field_float("pool_busy_ms", s.pool_busy_ms);
+            w.field_uint("pool_tasks", s.pool_tasks);
+            w.field_float("serial_fraction", s.serial_fraction);
+            w.field_float("amdahl_max_speedup", s.amdahl_max_speedup);
+            w.field_str("dominant", &s.dominant);
             w.end_object();
         }
         w.end_array();
+        w.key("workers");
+        w.begin_array();
+        for wu in &self.workers {
+            w.begin_object();
+            w.field_str("name", &wu.name);
+            w.field_float("busy_ms", wu.busy_ms);
+            w.field_float("park_ms", wu.park_ms);
+            w.field_float("queue_wait_ms", wu.queue_wait_ms);
+            w.field_float("utilization_pct", wu.utilization_pct);
+            w.field_uint("tasks", wu.tasks);
+            w.field_uint("steals", wu.steals);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("critical_path");
+        w.begin_array();
+        for step in &self.critical_path {
+            w.begin_object();
+            w.field_str("lane", &step.lane);
+            w.field_str("label", &step.label);
+            w.field_float("start_ms", step.start_ms);
+            w.field_float("dur_ms", step.dur_ms);
+            w.end_object();
+        }
+        w.end_array();
+        w.field_float("critical_path_ms", self.critical_path_ms);
+        w.key("hotspots");
+        w.begin_array();
+        for h in &self.hotspots {
+            w.begin_object();
+            w.field_str("label", &h.label);
+            w.field_float("busy_ms", h.busy_ms);
+            w.field_float("queue_wait_ms", h.queue_wait_ms);
+            w.field_uint("tasks", h.tasks);
+            w.field_uint("steals", h.steals);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("diagnosis");
+        w.begin_array();
+        for line in &self.diagnosis {
+            w.string(line);
+        }
+        w.end_array();
         w.end_object();
-        w.finish()
     }
 
-    /// Parse a document produced by [`Self::to_json`]. Schema and
-    /// version are validated; field errors name the offending key.
-    pub fn parse(text: &str) -> Result<ProfileDoc, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = req_str(&v, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-        }
-        let version = req_u64(&v, "version")?;
-        if !(1..=SCHEMA_VERSION).contains(&version) {
-            return Err(format!(
-                "unsupported schema version {version} (supported: 1..={SCHEMA_VERSION})"
-            ));
-        }
-        let mut doc = ProfileDoc {
-            version,
-            scale: req_f64(&v, "scale")?,
-            host_threads: req_u64(&v, "host_threads")?,
-            provenance: Provenance::parse_field(&v)?,
-            runs: Vec::new(),
+    /// Parse an object written by [`Self::write`]; errors name the key.
+    pub fn parse(v: &JsonValue) -> Result<RunAnalysis, String> {
+        let mut a = RunAnalysis {
+            wall_ms: req_f64(v, "wall_ms")?,
+            critical_path_ms: req_f64(v, "critical_path_ms")?,
+            ..RunAnalysis::default()
         };
-        let runs = v
-            .get("runs")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'runs' array")?;
-        for r in runs {
-            let mut run = ProfileRun {
-                workload: req_str(r, "workload")?.to_string(),
-                scenario: req_str(r, "scenario")?.to_string(),
-                kernel: req_str(r, "kernel")?.to_string(),
-                threads: req_u64(r, "threads")?,
-                wall_ms: req_f64(r, "wall_ms")?,
-                modeled_ms: req_f64(r, "modeled_ms")?,
-                modeled_time_bits: u64::from_str_radix(req_str(r, "modeled_time_bits")?, 16)
-                    .map_err(|e| format!("bad hex in 'modeled_time_bits': {e}"))?,
-                bits_match_unprofiled: r
-                    .get("bits_match_unprofiled")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("missing boolean field 'bits_match_unprofiled'")?,
-                critical_path_ms: req_f64(r, "critical_path_ms")?,
-                ..ProfileRun::default()
-            };
-            for s in req_arr(r, "stages")? {
-                run.stages.push(StageAnalysis {
-                    name: req_str(s, "name")?.to_string(),
-                    wall_ms: req_f64(s, "wall_ms")?,
-                    pool_busy_ms: req_f64(s, "pool_busy_ms")?,
-                    pool_tasks: req_u64(s, "pool_tasks")?,
-                    serial_fraction: req_f64(s, "serial_fraction")?,
-                    amdahl_max_speedup: req_f64(s, "amdahl_max_speedup")?,
-                    dominant: req_str(s, "dominant")?.to_string(),
-                });
-            }
-            for wv in req_arr(r, "workers")? {
-                run.workers.push(WorkerUtilization {
-                    name: req_str(wv, "name")?.to_string(),
-                    busy_ms: req_f64(wv, "busy_ms")?,
-                    park_ms: req_f64(wv, "park_ms")?,
-                    queue_wait_ms: req_f64(wv, "queue_wait_ms")?,
-                    utilization_pct: req_f64(wv, "utilization_pct")?,
-                    tasks: req_u64(wv, "tasks")?,
-                    steals: req_u64(wv, "steals")?,
-                });
-            }
-            for step in req_arr(r, "critical_path")? {
-                run.critical_path.push(CriticalPathStep {
-                    lane: req_str(step, "lane")?.to_string(),
-                    label: req_str(step, "label")?.to_string(),
-                    start_ms: req_f64(step, "start_ms")?,
-                    dur_ms: req_f64(step, "dur_ms")?,
-                });
-            }
-            for h in req_arr(r, "hotspots")? {
-                run.hotspots.push(Hotspot {
-                    label: req_str(h, "label")?.to_string(),
-                    busy_ms: req_f64(h, "busy_ms")?,
-                    queue_wait_ms: req_f64(h, "queue_wait_ms")?,
-                    tasks: req_u64(h, "tasks")?,
-                    steals: req_u64(h, "steals")?,
-                });
-            }
-            for line in req_arr(r, "diagnosis")? {
-                run.diagnosis.push(
-                    line.as_str()
-                        .ok_or("diagnosis entry not a string")?
-                        .to_string(),
-                );
-            }
-            doc.runs.push(run);
+        for s in req_arr(v, "stages")? {
+            a.stages.push(StageAnalysis {
+                name: req_str(s, "name")?.to_string(),
+                wall_ms: req_f64(s, "wall_ms")?,
+                pool_busy_ms: req_f64(s, "pool_busy_ms")?,
+                pool_tasks: req_u64(s, "pool_tasks")?,
+                serial_fraction: req_f64(s, "serial_fraction")?,
+                amdahl_max_speedup: req_f64(s, "amdahl_max_speedup")?,
+                dominant: req_str(s, "dominant")?.to_string(),
+            });
         }
-        Ok(doc)
+        for wv in req_arr(v, "workers")? {
+            a.workers.push(WorkerUtilization {
+                name: req_str(wv, "name")?.to_string(),
+                busy_ms: req_f64(wv, "busy_ms")?,
+                park_ms: req_f64(wv, "park_ms")?,
+                queue_wait_ms: req_f64(wv, "queue_wait_ms")?,
+                utilization_pct: req_f64(wv, "utilization_pct")?,
+                tasks: req_u64(wv, "tasks")?,
+                steals: req_u64(wv, "steals")?,
+            });
+        }
+        for step in req_arr(v, "critical_path")? {
+            a.critical_path.push(CriticalPathStep {
+                lane: req_str(step, "lane")?.to_string(),
+                label: req_str(step, "label")?.to_string(),
+                start_ms: req_f64(step, "start_ms")?,
+                dur_ms: req_f64(step, "dur_ms")?,
+            });
+        }
+        for h in req_arr(v, "hotspots")? {
+            a.hotspots.push(Hotspot {
+                label: req_str(h, "label")?.to_string(),
+                busy_ms: req_f64(h, "busy_ms")?,
+                queue_wait_ms: req_f64(h, "queue_wait_ms")?,
+                tasks: req_u64(h, "tasks")?,
+                steals: req_u64(h, "steals")?,
+            });
+        }
+        for line in req_arr(v, "diagnosis")? {
+            let line = line.as_str().ok_or("diagnosis entry not a string")?;
+            a.diagnosis.push(line.to_string());
+        }
+        Ok(a)
     }
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn req_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    v.get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("missing array field '{key}'"))
 }
 
 #[cfg(test)]
@@ -794,108 +641,5 @@ mod tests {
         assert_eq!(a.hotspots[0].label, "par_iter");
         assert_eq!(a.hotspots[1].label, "sort_runs");
         assert_eq!(a.hotspots[1].steals, 1);
-    }
-
-    fn sample_doc() -> ProfileDoc {
-        ProfileDoc {
-            version: SCHEMA_VERSION,
-            scale: 0.02,
-            host_threads: 8,
-            provenance: Some(Provenance {
-                header_version: crate::provenance::HEADER_VERSION,
-                schema: SCHEMA.into(),
-                schema_version: SCHEMA_VERSION,
-                git_sha: "ee9aa08269b9".into(),
-                git_dirty: false,
-                rustc: "rustc 1.95.0".into(),
-                rayon_num_threads: "8".into(),
-                host: "test".into(),
-                os: "linux/x86_64".into(),
-                timestamp_unix: 1_754_611_200,
-                workloads: vec!["s1/sw1-eps0.2/global".into()],
-            }),
-            runs: vec![ProfileRun {
-                workload: "s1/sw1-eps0.2/global".into(),
-                scenario: "S1".into(),
-                kernel: "global".into(),
-                threads: 4,
-                wall_ms: 1234.5,
-                modeled_ms: 842.125,
-                // Deliberately not f64-representable (odd low bit): real
-                // bit patterns use the full mantissa, and a numeric JSON
-                // encoding would silently truncate them.
-                modeled_time_bits: 0x3FEB_5A5A_5A5A_5A5B,
-                bits_match_unprofiled: true,
-                stages: vec![StageAnalysis {
-                    name: "build_table".into(),
-                    wall_ms: 900.25,
-                    pool_busy_ms: 1800.5,
-                    pool_tasks: 64,
-                    serial_fraction: 0.91,
-                    amdahl_max_speedup: 1.1,
-                    dominant: "91% of wall time inside batch_loop".into(),
-                }],
-                workers: vec![WorkerUtilization {
-                    name: "rayon-worker-0".into(),
-                    busy_ms: 500.5,
-                    park_ms: 300.25,
-                    queue_wait_ms: 2.5,
-                    utilization_pct: 55.5,
-                    tasks: 32,
-                    steals: 12,
-                }],
-                critical_path: vec![CriticalPathStep {
-                    lane: "Compute".into(),
-                    label: "gpucalc".into(),
-                    start_ms: 0.125,
-                    dur_ms: 500.75,
-                }],
-                critical_path_ms: 500.75,
-                hotspots: vec![Hotspot {
-                    label: "par_iter".into(),
-                    busy_ms: 1500.125,
-                    queue_wait_ms: 3.5,
-                    tasks: 64,
-                    steals: 12,
-                }],
-                diagnosis: vec![
-                    "build_table: 91% of wall time inside batch_loop; serial fraction 0.91, \
-                     Amdahl max speedup 1.1x"
-                        .into(),
-                ],
-            }],
-        }
-    }
-
-    #[test]
-    fn profile_doc_round_trips_exactly() {
-        let doc = sample_doc();
-        let text = doc.to_json();
-        let parsed = ProfileDoc::parse(&text).expect("parse own output");
-        assert_eq!(parsed, doc);
-        assert_eq!(parsed.to_json(), text, "emission must be a fixed point");
-    }
-
-    #[test]
-    fn profile_doc_rejects_wrong_schema_and_version() {
-        let text = sample_doc().to_json();
-        let wrong = text.replacen(SCHEMA, "something/else", 1);
-        assert!(ProfileDoc::parse(&wrong).unwrap_err().contains("schema"));
-        let wrong = text.replacen(r#""version":2"#, r#""version":999"#, 1);
-        assert!(ProfileDoc::parse(&wrong).unwrap_err().contains("version"));
-        assert!(ProfileDoc::parse("{}").is_err());
-        assert!(ProfileDoc::parse("not json").is_err());
-    }
-
-    #[test]
-    fn profile_doc_v1_parses_without_provenance() {
-        let mut doc = sample_doc();
-        doc.version = 1;
-        doc.provenance = None;
-        let text = doc.to_json();
-        assert!(!text.contains("provenance"));
-        let parsed = ProfileDoc::parse(&text).expect("v1 fallback");
-        assert_eq!(parsed, doc);
-        assert_eq!(parsed.to_json(), text);
     }
 }

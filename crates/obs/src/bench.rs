@@ -1,17 +1,22 @@
 //! Schema for the measurement-suite documents (`BENCH_suite.json`,
-//! `BENCH_threads.json`, `SHARD_fingerprints.json`, and the baselines
-//! under `results/baselines/`).
+//! `BENCH_threads.json`, `PROFILE.json`, `SHARD_fingerprints.json`, and
+//! the baselines under `results/baselines/`).
 //!
 //! The measurement suite (`crates/bench::suite`) produces a
 //! [`BenchDoc`] per run: one [`WorkloadResult`] per suite workload, each
 //! carrying per-stage wall/modeled statistics ([`StageStats`]), per-kernel
 //! device counters (re-using [`gpu_sim::profiler::ProfileStats`], the
-//! profiler → observability contract), and scalar metrics. Documents are
+//! profiler → observability contract), scalar metrics, and — on the rows
+//! of a preset that sweeps thread counts — the profiled pass's scaling
+//! diagnosis ([`RunAnalysis`]). Documents are
 //! schema-versioned and round-trip exactly through [`crate::json`]:
 //! `parse(doc.to_json()).to_json() == doc.to_json()`, which is what makes
 //! checked-in baselines diffable and the regression gate trustworthy.
 
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::analyze::RunAnalysis;
+use crate::json::{
+    self, opt_hex, req_arr, req_f64, req_num_map, req_obj, req_str, req_u64, JsonWriter,
+};
 use crate::metrics::Metrics;
 use crate::provenance::Provenance;
 use gpu_sim::profiler::{KernelProfile, ProfileStats};
@@ -22,7 +27,8 @@ use std::collections::BTreeMap;
 /// Version history: v1 had no provenance header and no per-workload
 /// `modeled_time_bits`; v2 (PR 9) added both. [`BenchDoc::parse`] still
 /// accepts v1 documents (the optional fields come back `None`) so
-/// `--compare` against pre-PR-9 baselines keeps working.
+/// `--compare` against pre-PR-9 baselines keeps working. A row's
+/// `profile` is optional within v2, so adding it needed no bump.
 pub const SCHEMA: &str = "hybrid-dbscan/bench-suite";
 pub const SCHEMA_VERSION: u64 = 2;
 
@@ -76,6 +82,9 @@ pub struct WorkloadResult {
     /// Scalar outputs and telemetry (clusters, result_pairs, batch
     /// percentiles, …).
     pub metrics: BTreeMap<String, f64>,
+    /// The profiled pass's scaling diagnosis (`profile`, `threads`);
+    /// written under `"profile"` only when present.
+    pub profile: Option<RunAnalysis>,
 }
 
 /// A full benchmark-suite document.
@@ -116,15 +125,13 @@ impl BenchDoc {
             w.field_float("eps", wl.eps);
             w.field_uint("minpts", wl.minpts);
             w.field_uint("points", wl.points);
-            // Hex strings, not numbers: the shared parser stores numbers
-            // as f64, which cannot hold a 64-bit pattern.
             for (key, v) in [
                 ("modeled_time_bits", wl.modeled_time_bits),
                 ("table_fingerprint", wl.table_fingerprint),
                 ("clustering_fingerprint", wl.clustering_fingerprint),
             ] {
                 if let Some(v) = v {
-                    w.field_str(key, &format!("{v:016x}"));
+                    w.field_hex(key, v);
                 }
             }
             w.key("stages");
@@ -163,6 +170,10 @@ impl BenchDoc {
                 w.field_float(name, *v);
             }
             w.end_object();
+            if let Some(a) = &wl.profile {
+                w.key("profile");
+                a.write(&mut w);
+            }
             w.end_object();
         }
         w.end_array();
@@ -194,11 +205,7 @@ impl BenchDoc {
             provenance: Provenance::parse_field(&v)?,
             workloads: Vec::new(),
         };
-        let workloads = v
-            .get("workloads")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'workloads' array")?;
-        for wl in workloads {
+        for wl in req_arr(&v, "workloads")? {
             let mut out = WorkloadResult {
                 id: req_str(wl, "id")?.to_string(),
                 scenario: req_str(wl, "scenario")?.to_string(),
@@ -210,13 +217,12 @@ impl BenchDoc {
                 modeled_time_bits: opt_hex(wl, "modeled_time_bits")?,
                 table_fingerprint: opt_hex(wl, "table_fingerprint")?,
                 clustering_fingerprint: opt_hex(wl, "clustering_fingerprint")?,
+                metrics: req_num_map(wl, "metrics")?,
+                profile: (wl.get("profile").map(RunAnalysis::parse).transpose())
+                    .map_err(|e| format!("profile: {e}"))?,
                 ..WorkloadResult::default()
             };
-            let stages = wl
-                .get("stages")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'stages' object")?;
-            for (name, s) in stages {
+            for (name, s) in req_obj(wl, "stages")? {
                 out.stages.insert(
                     name.clone(),
                     StageStats {
@@ -230,11 +236,7 @@ impl BenchDoc {
                     },
                 );
             }
-            let counters = wl
-                .get("counters")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'counters' object")?;
-            for (name, p) in counters {
+            for (name, p) in req_obj(wl, "counters")? {
                 out.counters.insert(
                     name.clone(),
                     ProfileStats {
@@ -248,17 +250,6 @@ impl BenchDoc {
                     },
                 );
             }
-            let metrics = wl
-                .get("metrics")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'metrics' object")?;
-            for (name, v) in metrics {
-                out.metrics.insert(
-                    name.clone(),
-                    v.as_f64()
-                        .ok_or_else(|| format!("metric '{name}' not a number"))?,
-                );
-            }
             doc.workloads.push(out);
         }
         Ok(doc)
@@ -268,34 +259,6 @@ impl BenchDoc {
     pub fn workload(&self, id: &str) -> Option<&WorkloadResult> {
         self.workloads.iter().find(|w| w.id == id)
     }
-}
-
-fn opt_hex(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
-    v.get(key)
-        .map(|b| {
-            b.as_str()
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| format!("bad hex in '{key}'"))
-        })
-        .transpose()
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
 }
 
 /// Record a kernel profile's headline counters into a metrics registry
@@ -436,6 +399,62 @@ mod tests {
         assert_eq!(
             parsed.provenance.as_ref().map(|p| p.git_sha.as_str()),
             Some("ee9aa08269b9")
+        );
+    }
+
+    #[test]
+    fn a_row_profile_round_trips_and_is_written_only_when_present() {
+        use crate::analyze::{CriticalPathStep, Hotspot, StageAnalysis, WorkerUtilization};
+        let mut doc = sample_doc();
+        let text = doc.to_json();
+        assert!(!text.contains("\"profile\""), "no analysis, no key");
+        doc.workloads[0].profile = Some(RunAnalysis {
+            wall_ms: 1234.5,
+            stages: vec![StageAnalysis {
+                name: "build_table".into(),
+                wall_ms: 900.25,
+                pool_busy_ms: 1800.5,
+                pool_tasks: 64,
+                serial_fraction: 0.91,
+                amdahl_max_speedup: 1.1,
+                dominant: "91% of wall time inside batch_loop".into(),
+            }],
+            workers: vec![WorkerUtilization {
+                name: "rayon-worker-0".into(),
+                busy_ms: 500.5,
+                park_ms: 300.25,
+                queue_wait_ms: 2.5,
+                utilization_pct: 55.5,
+                tasks: 32,
+                steals: 12,
+            }],
+            critical_path: vec![CriticalPathStep {
+                lane: "Compute".into(),
+                label: "gpucalc".into(),
+                start_ms: 0.125,
+                dur_ms: 500.75,
+            }],
+            critical_path_ms: 500.75,
+            hotspots: vec![Hotspot {
+                label: "par_iter".into(),
+                busy_ms: 1500.125,
+                queue_wait_ms: 3.5,
+                tasks: 64,
+                steals: 12,
+            }],
+            diagnosis: vec!["build_table: serial fraction 0.91".into()],
+        });
+        let text = doc.to_json();
+        let parsed = BenchDoc::parse(&text).expect("parse own output");
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.to_json(), text, "emission must be a fixed point");
+
+        let broken = text.replacen("\"critical_path_ms\":500.750,", "", 1);
+        assert_ne!(broken, text);
+        let err = BenchDoc::parse(&broken).unwrap_err();
+        assert!(
+            err.contains("profile") && err.contains("critical_path_ms"),
+            "{err}"
         );
     }
 

@@ -143,6 +143,12 @@ impl JsonWriter {
         self.boolean(v);
     }
 
+    /// A 64-bit pattern (modeled-time bits, fingerprints) as a 16-digit
+    /// hex string: the parser's numbers are f64, which cannot hold one.
+    pub fn field_hex(&mut self, k: &str, v: u64) {
+        self.field_str(k, &format!("{v:016x}"));
+    }
+
     pub fn finish(self) -> String {
         debug_assert!(self.needs_comma.is_empty(), "unbalanced begin/end");
         self.buf
@@ -223,6 +229,68 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+// The field readers every document parser uses; errors name the key.
+
+pub fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("missing string field '{key}'"))
+}
+
+pub fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("missing numeric field '{key}'"))
+}
+
+pub fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing integer field '{key}'"))
+}
+
+pub fn req_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
+    v.get(key)
+        .and_then(JsonValue::as_bool)
+        .ok_or_else(|| format!("missing boolean field '{key}'"))
+}
+
+pub fn req_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
+    v.get(key)
+        .and_then(JsonValue::as_arr)
+        .ok_or_else(|| format!("missing '{key}' array"))
+}
+
+pub fn req_obj<'a>(v: &'a JsonValue, key: &str) -> Result<&'a BTreeMap<String, JsonValue>, String> {
+    v.get(key)
+        .and_then(JsonValue::as_obj)
+        .ok_or_else(|| format!("missing '{key}' object"))
+}
+
+/// An object of numbers, e.g. a row's `metrics`.
+pub fn req_num_map(v: &JsonValue, key: &str) -> Result<BTreeMap<String, f64>, String> {
+    req_obj(v, key)?
+        .iter()
+        .map(|(name, n)| {
+            let n = n
+                .as_f64()
+                .ok_or_else(|| format!("{key} '{name}' not a number"))?;
+            Ok((name.clone(), n))
+        })
+        .collect()
+}
+
+/// A [`JsonWriter::field_hex`] pattern; `None` when the key is absent.
+pub fn opt_hex(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+    v.get(key)
+        .map(|b| {
+            b.as_str()
+                .and_then(|h| u64::from_str_radix(h, 16).ok())
+                .ok_or_else(|| format!("bad hex in '{key}'"))
+        })
+        .transpose()
 }
 
 /// A parse failure with the byte offset where it occurred.

@@ -24,10 +24,12 @@
 //!   [`Ledger::load`] reads the rotation first, so the window trend
 //!   analysis sees spans both files.
 
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::json::{
+    self, opt_hex, req_arr, req_bool, req_f64, req_num_map, req_obj, req_str, req_u64, JsonWriter,
+};
 use crate::provenance::Provenance;
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Schema id / version of one ledger record (each line is versioned
@@ -131,9 +133,7 @@ impl LedgerRecord {
             }
             w.end_object();
             if let Some(bits) = e.modeled_time_bits {
-                // Hex string, not a number: the shared parser stores
-                // numbers as f64, which cannot hold a 64-bit pattern.
-                w.field_str("modeled_time_bits", &format!("{bits:016x}"));
+                w.field_hex("modeled_time_bits", bits);
             }
             w.key("metrics");
             w.begin_object();
@@ -151,19 +151,13 @@ impl LedgerRecord {
     /// Parse one JSONL line.
     pub fn parse(text: &str) -> Result<LedgerRecord, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing string field 'schema'")?;
+        let schema = req_str(&v, "schema")?;
         if schema != RECORD_SCHEMA {
             return Err(format!(
                 "unexpected schema '{schema}' (want '{RECORD_SCHEMA}')"
             ));
         }
-        let version = v
-            .get("version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing integer field 'version'")?;
+        let version = req_u64(&v, "version")?;
         if version > RECORD_VERSION {
             return Err(format!(
                 "unsupported record version {version} (supported: <= {RECORD_VERSION})"
@@ -185,20 +179,14 @@ impl LedgerRecord {
             gate,
             entries: Vec::new(),
         };
-        let entries = v
-            .get("entries")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'entries' array")?;
-        for e in entries {
+        for e in req_arr(&v, "entries")? {
             let mut entry = LedgerEntry {
                 workload: req_str(e, "workload")?.to_string(),
+                modeled_time_bits: opt_hex(e, "modeled_time_bits")?,
+                metrics: req_num_map(e, "metrics")?,
                 ..LedgerEntry::default()
             };
-            let stages = e
-                .get("stages")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'stages' object")?;
-            for (name, s) in stages {
+            for (name, s) in req_obj(e, "stages")? {
                 entry.stages.insert(
                     name.clone(),
                     StagePoint {
@@ -206,25 +194,6 @@ impl LedgerRecord {
                         mad_ms: req_f64(s, "mad_ms")?,
                         wall: req_bool(s, "wall")?,
                     },
-                );
-            }
-            entry.modeled_time_bits = match e.get("modeled_time_bits") {
-                None => None,
-                Some(b) => Some(
-                    b.as_str()
-                        .and_then(|h| u64::from_str_radix(h, 16).ok())
-                        .ok_or("bad hex in 'modeled_time_bits'")?,
-                ),
-            };
-            let metrics = e
-                .get("metrics")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'metrics' object")?;
-            for (name, m) in metrics {
-                entry.metrics.insert(
-                    name.clone(),
-                    m.as_f64()
-                        .ok_or_else(|| format!("metric '{name}' not a number"))?,
                 );
             }
             rec.entries.push(entry);
@@ -292,17 +261,23 @@ impl Ledger {
                 std::fs::rename(&path, self.rotated_path())?;
             }
         }
+        // Append mode: every write lands at the end wherever the read
+        // below leaves the cursor.
         let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&path)?;
         // Recovery: if a previous append died mid-line, the file does not
         // end in '\n'; terminate that tail so our record starts a fresh
-        // line (load() will skip the dead fragment).
+        // line (load() will skip the dead fragment). Only the last byte
+        // is read, not the up to `max_bytes` before it.
         let len = file.metadata()?.len();
         if len > 0 {
-            let existing = std::fs::read(&path)?;
-            if existing.last() != Some(&b'\n') {
+            let mut last = [0u8];
+            file.seek(SeekFrom::Start(len - 1))?;
+            file.read_exact(&mut last)?;
+            if last != *b"\n" {
                 file.write_all(b"\n")?;
             }
         }
@@ -341,30 +316,6 @@ impl Ledger {
         }
         out
     }
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn req_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("missing boolean field '{key}'"))
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub mod metrics;
 pub mod provenance;
 pub mod report;
 pub mod span;
+pub mod stats;
 pub mod trend;
 
 pub use metrics::{Metrics, MetricsSnapshot};

@@ -1,8 +1,8 @@
 //! Artifact provenance: who produced a document, from what tree, when.
 //!
-//! Every JSON artifact the workspace emits (`BENCH_suite.json`,
-//! `BENCH_threads.json`, `PROFILE.json`, `SHARD_fingerprints.json`, the
-//! run-ledger records) carries a [`Provenance`] header so a number can
+//! Every JSON artifact the workspace emits (the suite's `BenchDoc`s —
+//! `BENCH_suite.json`, `BENCH_threads.json`, `PROFILE.json`,
+//! `SHARD_fingerprints.json` — and the run-ledger records) carries a [`Provenance`] header so a number can
 //! always be traced back to the commit, toolchain, and pool configuration
 //! that produced it. Without this, cross-run comparison is guesswork: the
 //! 4-thread `build_table` regression of PR 8 went unnoticed for two PRs
@@ -14,7 +14,7 @@
 //! itself is versioned ([`HEADER_VERSION`]) independently of the schema
 //! of the document that embeds it.
 
-use crate::json::{JsonValue, JsonWriter};
+use crate::json::{req_arr, req_bool, req_str, req_u64, JsonValue, JsonWriter};
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -142,44 +142,28 @@ impl Provenance {
         let Some(p) = doc.get("provenance") else {
             return Ok(None);
         };
-        let s = |key: &str| -> Result<String, String> {
-            p.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("provenance: missing string field '{key}'"))
-        };
-        let u = |key: &str| -> Result<u64, String> {
-            p.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("provenance: missing integer field '{key}'"))
-        };
-        let workloads = p
-            .get("workloads")
-            .and_then(JsonValue::as_arr)
-            .ok_or("provenance: missing 'workloads' array")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "provenance: non-string workload id".to_string())
+        let parse = || -> Result<Provenance, String> {
+            let s = |key: &str| req_str(p, key).map(str::to_string);
+            let workloads = req_arr(p, "workloads")?
+                .iter()
+                .map(|v| v.as_str().map(str::to_string))
+                .collect::<Option<Vec<_>>>()
+                .ok_or("non-string workload id")?;
+            Ok(Provenance {
+                header_version: req_u64(p, "header_version")?,
+                schema: s("schema")?,
+                schema_version: req_u64(p, "schema_version")?,
+                git_sha: s("git_sha")?,
+                git_dirty: req_bool(p, "git_dirty")?,
+                rustc: s("rustc")?,
+                rayon_num_threads: s("rayon_num_threads")?,
+                host: s("host")?,
+                os: s("os")?,
+                timestamp_unix: req_u64(p, "timestamp_unix")?,
+                workloads,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some(Provenance {
-            header_version: u("header_version")?,
-            schema: s("schema")?,
-            schema_version: u("schema_version")?,
-            git_sha: s("git_sha")?,
-            git_dirty: p
-                .get("git_dirty")
-                .and_then(JsonValue::as_bool)
-                .ok_or("provenance: missing boolean field 'git_dirty'")?,
-            rustc: s("rustc")?,
-            rayon_num_threads: s("rayon_num_threads")?,
-            host: s("host")?,
-            os: s("os")?,
-            timestamp_unix: u("timestamp_unix")?,
-            workloads,
-        }))
+        };
+        parse().map(Some).map_err(|e| format!("provenance: {e}"))
     }
 
     /// `YYYY-MM-DD HH:MM:SS UTC` rendering of [`Self::timestamp_unix`]

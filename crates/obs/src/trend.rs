@@ -16,7 +16,7 @@
 //!   series, compare the median level before and after, and flag the
 //!   best split whose delta exceeds a noise threshold derived from the
 //!   pre-split MAD plus relative/absolute floors (the same shape as the
-//!   pairwise gate's [`noise thresholds`](https://example.invalid) —
+//!   pairwise gate's noise threshold, `suite::gate::noise_threshold` —
 //!   wall stages get wide floors, deterministic modeled stages narrow
 //!   ones). Upward steps on modeled stages gate; wall-stage steps and
 //!   improvements are advisory.
@@ -31,6 +31,7 @@
 //! single strictness knob, `BENCH_STRICT=1`; otherwise they are advisory.
 
 use crate::ledger::LedgerRecord;
+use crate::stats::{mad, median};
 use std::collections::BTreeMap;
 
 /// Default number of trailing ledger records analyzed.
@@ -141,31 +142,6 @@ impl TrendReport {
     pub fn gating(&self) -> Vec<&TrendFinding> {
         self.findings.iter().filter(|f| f.gating).collect()
     }
-}
-
-/// Median of a sample (empty → 0).
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    }
-}
-
-/// Median absolute deviation from the median.
-fn mad(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = median(xs);
-    let dev: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&dev)
 }
 
 /// Step threshold for a series whose pre-step segment has the given

@@ -121,11 +121,13 @@ step "bench smoke" ./target/release/repro bench \
 # Profiler smoke tier: the suite workloads under the pool profiler at
 # 1/2/4/8 threads (DESIGN.md §12). The binary itself is the gate: it
 # exits nonzero if profiling moves modeled time bits at any thread count
-# (determinism policy) or if the emitted PROFILE.json is not a fixed
-# point of the shared JSON parser.
+# (determinism policy), if the emitted PROFILE.json is not a fixed
+# point of the shared JSON parser, or if the requested trace or metrics
+# file cannot be written.
 step "profile smoke (RAYON_NUM_THREADS=4)" \
     env RAYON_NUM_THREADS=4 ./target/release/repro profile \
-    --scale 0.002 --trials 1 --csv target/ci-profile --ledger target/ci-ledger
+    --scale 0.002 --trials 1 --csv target/ci-profile --ledger target/ci-ledger \
+    --trace target/ci-profile/trace.json --metrics target/ci-profile/metrics.json
 # Thread-scaling smoke tier: the {1,2,4,all} pool sweep on a tiny S1
 # workload. The binary is the gate: a determinism violation (modeled
 # bits, clusters, or |R| differing across thread counts) always exits

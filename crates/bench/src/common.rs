@@ -188,6 +188,18 @@ impl Options {
             Err(e) => eprintln!("# ledger: cannot append: {e}"),
         }
     }
+
+    /// The one artifact writer: `name` under `--csv DIR` (created on
+    /// demand) or the working directory. The error names the path.
+    pub fn write_artifact(&self, name: &str, contents: &str) -> Result<PathBuf, String> {
+        let dir = self.csv_dir.clone().unwrap_or_else(|| PathBuf::from("."));
+        let path = dir.join(name);
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("# wrote {}", path.display());
+        Ok(path)
+    }
 }
 
 /// `LEDGER_BASELINE_REFRESH=1` marks this run as an intentional baseline
@@ -299,36 +311,6 @@ impl TextTable {
 
     pub fn print(&self) {
         print!("{}", self.render());
-    }
-}
-
-impl Options {
-    /// Write experiment rows as `<name>.csv` under `--csv`, if requested.
-    /// A failed write is reported; the table was already printed.
-    pub fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
-        if self.csv_dir.is_none() {
-            return;
-        }
-        let mut out = header.join(",") + "\n";
-        for row in rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        if let Err(e) = self.write_artifact(&format!("{name}.csv"), &out) {
-            eprintln!("# {e}");
-        }
-    }
-
-    /// The one artifact writer: `name` under `--csv DIR` (created on
-    /// demand) or the working directory. The error names the path.
-    pub fn write_artifact(&self, name: &str, contents: &str) -> Result<PathBuf, String> {
-        let dir = self.csv_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-        let path = dir.join(name);
-        std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(&path, contents))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("# wrote {}", path.display());
-        Ok(path)
     }
 }
 

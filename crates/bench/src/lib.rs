@@ -1,5 +1,7 @@
-//! Experiment harness library behind the `repro` binary: one module per
-//! table/figure of the paper, plus the measurement suite (`suite`).
+//! Experiment harness library behind the `repro` binary: the paper's
+//! tables and figures (`paper`, one pass per scenario), the Figure 2,
+//! scenario-table and schedule printouts, the ablations, and the
+//! measurement suite (`suite`).
 //!
 //! Every experiment prints the same rows/series the paper reports and a
 //! short note recalling the published shape, so paper-vs-measured
@@ -8,12 +10,7 @@
 pub mod ablations;
 pub mod common;
 pub mod figure2;
-pub mod figure3;
-pub mod figure4;
-pub mod figure5;
-pub mod figure6;
+pub mod paper;
 pub mod scenarios;
 pub mod schedule;
 pub mod suite;
-pub mod table1;
-pub mod table2;

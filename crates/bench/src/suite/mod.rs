@@ -319,6 +319,15 @@ impl Preset {
         self.threads != Threads::Current
     }
 
+    /// The row a sweeping preset diagnoses, and whose profiled pass
+    /// `--trace`/`--metrics` export: the first S1 workload at the widest
+    /// pool, the run a scaling investigation reads first.
+    pub fn diagnosed_row(&self, workloads: &[Workload]) -> Option<String> {
+        let widest = *self.threads.counts().last()?;
+        let w = workloads.iter().find(|w| w.scenario == "S1")?;
+        self.sweeps().then(|| self.row_id(w, widest))
+    }
+
     pub fn row_id(&self, w: &Workload, threads: usize) -> String {
         if self.sweeps() {
             format!("{}{}/t{threads}", self.id_prefix, w.id)

@@ -14,7 +14,6 @@ use super::gate::{
 use super::run::{measure, Mismatch, Row, MICRO_STAGES};
 use super::{preset, Role};
 use crate::common::{Options, TextTable};
-use obs::analyze::RunAnalysis;
 use obs::bench::{BenchDoc, WorkloadResult, SCHEMA_VERSION};
 use obs::provenance::Provenance;
 use obs::{dashboard, trend};
@@ -58,7 +57,7 @@ pub fn run(command: &str, opts: &Options) -> i32 {
         "backend" => check_auto_selector(&mut gate, &doc.workloads),
         _ => {}
     }
-    print_diagnosis(&m.rows);
+    print_diagnosis(&m.rows, p.diagnosed_row(&workloads));
     if let Some(name) = p.artifact {
         if let Err(e) = round_trip(&doc).and_then(|text| opts.write_artifact(name, &text)) {
             gate.fail(format!("{name}: {e}"));
@@ -153,17 +152,13 @@ fn cell(r: &WorkloadResult, column: &str) -> String {
     }
 }
 
-/// The full diagnosis of the S1 workload at the widest pool — the run a
-/// scaling investigation reads first — when the rows carry one.
-fn print_diagnosis(rows: &[Row]) {
-    let profiled: Vec<(&Row, &RunAnalysis)> = rows
+/// The full diagnosis of the `diagnosed` row
+/// ([`super::Preset::diagnosed_row`]), when it carries one.
+fn print_diagnosis(rows: &[Row], diagnosed: Option<String>) {
+    let Some((row, run)) = rows
         .iter()
-        .filter_map(|r| Some((r, r.result.profile.as_ref()?)))
-        .collect();
-    let widest = profiled.iter().map(|(r, _)| r.threads).max().unwrap_or(0);
-    let Some(&(row, run)) = profiled
-        .iter()
-        .find(|(r, _)| r.result.scenario == "S1" && r.threads == widest)
+        .filter(|r| Some(&r.result.id) == diagnosed.as_ref())
+        .find_map(|r| Some((r, r.result.profile.as_ref()?)))
     else {
         return;
     };
@@ -469,6 +464,20 @@ mod tests {
             let text = std::fs::read_to_string(dir.join(file)).unwrap();
             assert!(obs::json::parse(&text).is_ok(), "{file}");
         }
+        // The exported trace is the diagnosed row's profiled pass: S1 at
+        // the widest pool, not whichever row was profiled last.
+        let p = preset("profile").unwrap();
+        let diagnosed = p.diagnosed_row(&p.workloads()).unwrap();
+        assert_eq!(diagnosed, "profile/s1/sw1-eps0.2/global/t8");
+        let trace = obs::json::parse(&std::fs::read_to_string(dir.join("trace.json")).unwrap());
+        let trace = trace.unwrap();
+        let rows: Vec<&str> = obs::json::req_arr(&trace, "traceEvents")
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("trial"))
+            .filter_map(|e| e.get("args")?.get("row")?.as_str())
+            .collect();
+        assert_eq!(rows, [diagnosed.as_str()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,15 +26,12 @@
 
 use super::{kernel_name, Build, Data, Preset, Role, Workload, ALL};
 use crate::common::{DatasetCache, Options};
-use gpu_sim::memory::{DeviceAppendBuffer, DeviceCounter};
+use crate::paper::launch_pair;
 use gpu_sim::profiler::ProfileStats;
 use gpu_sim::Device;
 use hybrid_dbscan_core::dbscan::{Dbscan, TableSource};
 use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, TableHandle};
-use hybrid_dbscan_core::kernels::{
-    GpuCalcGlobal, GpuCalcShared, NeighborCountKernel, NeighborPair,
-};
 use hybrid_dbscan_core::table::{NeighborTable, NeighborTableBuilder};
 use hybrid_dbscan_core::{
     clustering_fingerprint, table_fingerprint, IndexBackend, ShardConfig, ShardMode, ShardedHybrid,
@@ -43,7 +40,7 @@ use obs::bench::WorkloadResult;
 use obs::stats;
 use obs::Recorder;
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, GridLayout, MemberStoreN, Point2, PointN, PointStore};
+use spatial::{GridIndex, GridLayout, Point2, PointN};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,7 +109,8 @@ pub struct Row {
 pub struct Measured {
     pub rows: Vec<Row>,
     pub mismatches: Vec<Mismatch>,
-    /// The last profiled pass's recorder (for `--trace`/`--metrics`).
+    /// The profiled pass of [`Preset::diagnosed_row`] (for
+    /// `--trace`/`--metrics`).
     pub recorder: Option<Arc<Recorder>>,
 }
 
@@ -128,6 +126,7 @@ pub fn measure(p: &Preset, workloads: &[Workload], opts: &Options) -> Measured {
                 .expect("pool view")
         })
         .collect();
+    let diagnosed = p.diagnosed_row(workloads);
     let mut cache = DatasetCache::new(opts.scale);
     let mut out = Measured::default();
     let mut members = Vec::new();
@@ -178,7 +177,7 @@ pub fn measure(p: &Preset, workloads: &[Workload], opts: &Options) -> Measured {
                 let rec = Arc::new(Recorder::new());
                 let (t, pool_profile) = pools[i].install(|| {
                     let session = rayon::profile::profile_pool();
-                    let t = trial(w, &points, Some(&rec));
+                    let t = trial(w, &points, Some((&rec, &ids[i])));
                     (t, session.finish())
                 });
                 rec.record_pool_profile(&pool_profile);
@@ -205,7 +204,9 @@ pub fn measure(p: &Preset, workloads: &[Workload], opts: &Options) -> Measured {
                 let steals: u64 = analysis.workers.iter().map(|w| w.steals).sum();
                 m.insert("pool_steals".into(), steals as f64);
                 row.result.profile = Some(analysis);
-                out.recorder = Some(rec);
+                if diagnosed.as_ref() == Some(&ids[i]) {
+                    out.recorder = Some(rec);
+                }
             }
             out.rows.push(row);
         }
@@ -386,16 +387,21 @@ fn summarize(w: &Workload, id: &str, points: usize, trials: &[Trial]) -> Workloa
 /// expansion in the caller's order as `dbscan`, and `dbscan_disjoint_set`
 /// (a serial core-level forest build plus one table-order read, so its
 /// thread speedup is ~1) as `disjoint_set`. A grouped row times only the build and clusters once, untimed, for
-/// its clustering fingerprint. With a recorder, the whole trial is one
-/// root span whose children are the analysis stages.
-fn trial(w: &Workload, points: &Points, rec: Option<&Arc<Recorder>>) -> Trial {
+/// its clustering fingerprint. A profiled trial is one root span, with the
+/// row id as its `row` arg, whose children are the analysis stages.
+fn trial(w: &Workload, points: &Points, profiled: Option<(&Arc<Recorder>, &str)>) -> Trial {
     if w.role == Role::Micro {
         let Points::D2(points) = points else {
             panic!("{}: micro stages are 2-D", w.id)
         };
         return micro_trial(points, w.eps);
     }
-    let _root = rec.map(|r| r.span("trial", "bench"));
+    let rec = profiled.map(|(r, _)| r);
+    let _root = profiled.map(|(r, row)| {
+        let mut s = r.span("trial", "bench");
+        s.arg("row", row);
+        s
+    });
     let device = device_for(w, points);
     let t0 = Instant::now();
     let (table, perm, visit_order, mut t) = build(w, points, &device, rec);
@@ -586,25 +592,8 @@ pub const MICRO_STAGES: &[&str] = &[
 ];
 
 fn micro_trial(points: &[Point2], eps: f64) -> Trial {
-    let device = Device::k20c();
     let data = spatial_sort(points);
     let grid = GridIndex::build(&data, eps);
-    let store = PointStore::from_points(&data);
-    let members = MemberStoreN::gather(store.view(), grid.lookup());
-    // Size the result buffer with the Section VI estimation kernel (exact
-    // at stride 1).
-    let counter = DeviceCounter::new(&device).unwrap();
-    let count = NeighborCountKernel {
-        points: store.view(),
-        grid: grid.cells_view(),
-        members: members.view(),
-        geom: grid.geometry(),
-        eps,
-        stride: 1,
-        counter: &counter,
-    };
-    device.launch(count.launch_config(256), &count).unwrap();
-    let cap = counter.get() as usize + 64;
     let mut t = Trial::default();
 
     let t0 = Instant::now();
@@ -615,38 +604,10 @@ fn micro_trial(points: &[Point2], eps: f64) -> Trial {
     t.wall_ms.push(("grid_build_sparse", ms_since(t0)));
     assert_eq!(dense.lookup(), sparse.lookup(), "layouts must agree");
 
-    let mut result = DeviceAppendBuffer::<NeighborPair>::new(&device, cap).unwrap();
-    let gk = GpuCalcGlobal {
-        points: store.view(),
-        grid: grid.cells_view(),
-        members: members.view(),
-        geom: grid.geometry(),
-        eps,
-        batch: 0,
-        n_batches: 1,
-        result: &result,
-        skip_dense_at: None,
-    };
-    let t0 = Instant::now();
-    device.launch(gk.launch_config(256), &gk).unwrap();
-    t.wall_ms.push(("kernel_global", ms_since(t0)));
-    assert!(!result.overflowed());
-    let mut pairs: Vec<(u32, u32)> = result.as_filled_slice().to_vec();
-    pairs.sort_unstable();
-
-    let result = DeviceAppendBuffer::<NeighborPair>::new(&device, cap).unwrap();
-    let sk = GpuCalcShared {
-        grid: grid.cells_view(),
-        members: members.view(),
-        geom: grid.geometry(),
-        eps,
-        schedule: grid.non_empty_cells(),
-        result: &result,
-    };
-    let t0 = Instant::now();
-    device.launch(sk.launch_config(256), &sk).unwrap();
-    t.wall_ms.push(("kernel_shared", ms_since(t0)));
-    assert!(!result.overflowed());
+    let launches = launch_pair(&data, &grid, eps);
+    t.wall_ms.push(("kernel_global", launches.global_wall_ms));
+    t.wall_ms.push(("kernel_shared", launches.shared_wall_ms));
+    let pairs = launches.pairs;
 
     let t0 = Instant::now();
     let builder = NeighborTableBuilder::new(eps, data.len(), 1);

@@ -17,7 +17,7 @@
 
 use crate::dbscan::Clustering;
 use crate::disjoint_set::dbscan_disjoint_set;
-use crate::hybrid::{HybridConfig, HybridDbscan, HybridError};
+use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use crate::scenario::Variant;
 use crate::shard::{ShardConfig, ShardedHybrid};
 use gpu_sim::device::Device;
@@ -145,6 +145,18 @@ impl MultiClusterPipeline {
         data: &[Point2],
         variants: &[Variant],
     ) -> Result<PipelineReport, HybridError> {
+        self.run_inspect(data, variants, |_, _, _| {})
+    }
+
+    /// [`Self::run`], handing each variant's timing, table and labels to
+    /// `inspect` once its two stages are timed, so a caller can check the
+    /// labels (say, against the reference) outside both stages.
+    pub fn run_inspect(
+        &self,
+        data: &[Point2],
+        variants: &[Variant],
+        inspect: impl FnMut(&VariantTiming, &TableHandle, &Clustering),
+    ) -> Result<PipelineReport, HybridError> {
         let hybrid = HybridDbscan::new(&self.device, self.config.hybrid);
         let hybrid = match &self.recorder {
             Some(rec) => hybrid.with_recorder(rec.clone()),
@@ -159,6 +171,7 @@ impl MultiClusterPipeline {
                     .map(|h| (h.gpu.modeled_time, h))
             },
             |handle, minpts| HybridDbscan::cluster_with_table(handle, minpts).0,
+            inspect,
         )
     }
 
@@ -188,19 +201,21 @@ impl MultiClusterPipeline {
             "produce-sharded",
             |eps| sharded.build_table(data, eps).map(|h| (h.modeled_time, h)),
             |handle, minpts| dbscan_disjoint_set(&handle.table, minpts).unpermute(&handle.perm),
+            |_, _, _| {},
         )
     }
 
     /// The serial sweep both passes share: per variant, `produce` builds
     /// the table at ε (span `{produce_name}[i]`) and returns its modeled
     /// GPU phase with it, then `consume` clusters it (span `consume[i]`,
-    /// timed as the variant's `dbscan`).
+    /// timed as the variant's `dbscan`), and `inspect` sees both untimed.
     fn sweep<H>(
         &self,
         variants: &[Variant],
         produce_name: &str,
         mut produce: impl FnMut(f64) -> Result<(SimDuration, H), HybridError>,
         consume: impl Fn(&H, usize) -> Clustering,
+        mut inspect: impl FnMut(&VariantTiming, &H, &Clustering),
     ) -> Result<PipelineReport, HybridError> {
         let rec = self.recorder.as_deref();
         let wall_start = Instant::now();
@@ -223,11 +238,13 @@ impl MultiClusterPipeline {
             let clustering = consume(&handle, v.minpts);
             let dbscan: SimDuration = t0.elapsed().into();
             drop(consume_span);
-            per_variant.push(VariantTiming {
+            let timing = VariantTiming {
                 variant: *v,
                 gpu_phase,
                 dbscan,
-            });
+            };
+            inspect(&timing, &handle, &clustering);
+            per_variant.push(timing);
             cluster_counts.push(clustering.num_clusters());
         }
         Ok(self.assemble(per_variant, cluster_counts, wall_start))
@@ -242,8 +259,7 @@ impl MultiClusterPipeline {
     ) -> PipelineReport {
         let g: Vec<SimDuration> = per_variant.iter().map(|t| t.gpu_phase).collect();
         let d: Vec<SimDuration> = per_variant.iter().map(|t| t.dbscan).collect();
-        let non_pipelined_total =
-            g.iter().copied().sum::<SimDuration>() + d.iter().copied().sum::<SimDuration>();
+        let non_pipelined_total = per_variant.iter().map(|t| t.gpu_phase + t.dbscan).sum();
         let report = PipelineReport {
             pipelined_total: pipeline_makespan(&g, &d, self.config.consumers),
             per_variant,

@@ -157,6 +157,13 @@ step "backend smoke (RAYON_NUM_THREADS=1)" \
 step "backend smoke (RAYON_NUM_THREADS=4)" \
     env RAYON_NUM_THREADS=4 ./target/release/repro backend --scale 0.002
 
+# Paper smoke tier: every paper table, Figure 2 and the ablations
+# (`repro all`) on a tiny SDSS1, CSVs under target/ci-paper. The S2 pass
+# compares the hybrid's labels with the reference's in full at every
+# variant and aborts on the first difference, so the step is fatal.
+step "paper smoke" ./target/release/repro all --scale 0.002 --datasets SDSS1 \
+    --csv target/ci-paper
+
 # Report smoke tier (ISSUE 9): render the trend dashboard over the
 # CI-local ledger (committed history + the smoke runs above). The binary
 # is the gate: it exits nonzero if the ledger is unreadable or the

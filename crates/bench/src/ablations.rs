@@ -13,7 +13,7 @@
 //! * `bandwidth` — the paper's other future-work item: how Hybrid-DBSCAN
 //!   responds to host-GPU bandwidth growth (PCIe 2/3/4, NVLink-class).
 //! * `gdbscan` — head-to-head against G-DBSCAN (the paper's reference
-//!   [6]), the "cluster entirely on the GPU" alternative the paper argues
+//!   \[6\]), the "cluster entirely on the GPU" alternative the paper argues
 //!   against: its O(|D|²) indexless graph construction quadruples per
 //!   size doubling and loses to the grid-indexed hybrid past ~10⁵ points.
 

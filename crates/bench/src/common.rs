@@ -75,6 +75,13 @@ impl Options {
                 "--datasets" => {
                     let v = args.get(i + 1).ok_or("--datasets needs a value")?;
                     opts.datasets = v.split(',').map(|s| s.trim().to_uppercase()).collect();
+                    if let Some(bad) = opts.datasets.iter().find(|d| spec::by_name(d).is_none()) {
+                        let known: Vec<&str> = spec::ALL.iter().map(|s| s.name).collect();
+                        return Err(format!(
+                            "unknown dataset '{bad}' (known: {})",
+                            known.join(", ")
+                        ));
+                    }
                     i += 2;
                 }
                 "--trials" => {
@@ -337,6 +344,15 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         assert_eq!(parse(&["--trials", "3"]).unwrap().trials, 3);
         assert_eq!(parse(&[]).unwrap().trials, 1);
+    }
+
+    #[test]
+    fn unknown_dataset_is_a_usage_error() {
+        let err = parse(&["--datasets", "SW1,FOO"]).unwrap_err();
+        assert!(err.contains("'FOO'"), "{err}");
+        assert!(err.contains("SW1, SW4, SDSS1"), "{err}");
+        let opts = parse(&["--datasets", "sw1, sdss1"]).unwrap();
+        assert_eq!(opts.datasets, ["SW1", "SDSS1"]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The paper's tables and figures from four passes, each run at most once
-//! per [`print`] and read by every table that needs it: **Table I** (the
+//! per [`print`](fn@print) and read by every table that needs it: **Table I** (the
 //! reference's R-tree search fraction, averaged over `--trials`), **S1**
-//! (Table II's [`launch_pair`]), **S2** (each dataset's Table III sweep:
+//! (Table II's `launch_pair`), **S2** (each dataset's Table III sweep:
 //! per variant one reference run and one pipelined build + clustering,
 //! labels compared in full; Figure 3 reads the per-variant `(g_i, d_i)`,
 //! Figure 4 and Table IV the pipeline's totals over them) and **S3** (per
-//! Table V row one build, one [`TableReuse::cluster_variants`] and, for
+//! Table V row one build, one [`cluster_variants`] and, for
 //! Figure 6, a reference sample; Figures 5 and 6 read the same
 //! [`ReuseRun`]). Each table is declared once as `Column`s (text header,
 //! CSV key, typed `Cell`); `render` prints it and writes `<name>.csv`.
@@ -21,7 +21,7 @@ use hybrid_dbscan_core::pipeline::{
     MultiClusterPipeline, PipelineConfig, PipelineReport, VariantTiming,
 };
 use hybrid_dbscan_core::reference::ReferenceDbscan;
-use hybrid_dbscan_core::reuse::{ReuseRun, TableReuse};
+use hybrid_dbscan_core::reuse::{cluster_variants, ReuseRun};
 use hybrid_dbscan_core::scenario;
 use obs::Recorder;
 use spatial::{GridIndex, MemberStoreN, Point2, PointStore};
@@ -610,7 +610,7 @@ pub(crate) fn s3_pass(names: &[String], reference: bool, cache: &mut DatasetCach
             // T is built once per row; each variant is clustered once and
             // the t-thread phase is the modeled work-queue makespan.
             let handle = hybrid.build_table(data, eps).expect("table build failed");
-            let run = TableReuse::cluster_variants(&handle, &minpts);
+            let run = cluster_variants(&handle, &minpts);
             let ref_secs = reference.then(|| {
                 let sample: f64 = minpts
                     .iter()

@@ -1,4 +1,4 @@
-//! CUDA-DClust (Böhm et al., CIKM 2009) — the paper's reference [5], as a
+//! CUDA-DClust (Böhm et al., CIKM 2009) — the paper's reference \[5\], as a
 //! comparator.
 //!
 //! The original on-GPU DBSCAN: many *chains* (sub-clusters) grow in
@@ -7,7 +7,7 @@
 //! owned by another chain, a **collision** is recorded; after all points
 //! are assigned or marked noise, the host resolves the collision matrix
 //! to merge chains into final clusters. Mr. Scan (the paper's reference
-//! [7]) scales this same design out; Hybrid-DBSCAN's motivation section
+//! \[7\]) scales this same design out; Hybrid-DBSCAN's motivation section
 //! positions itself against exactly this family.
 //!
 //! Faithful structural choices here:

@@ -83,14 +83,6 @@ impl Clustering {
         self.labels.iter().filter(|l| l.is_noise()).count()
     }
 
-    /// Number of points assigned to cluster `k`.
-    pub fn cluster_size(&self, k: u32) -> usize {
-        self.labels
-            .iter()
-            .filter(|l| l.cluster_id() == Some(k))
-            .count()
-    }
-
     /// Cluster sizes, descending — a quick fingerprint of a clustering.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.n_clusters as usize];
@@ -186,8 +178,6 @@ mod tests {
         let c = Clustering::from_labels(lbl(&[0, 0, 1, -1, 1, 1]));
         assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.noise_count(), 1);
-        assert_eq!(c.cluster_size(0), 2);
-        assert_eq!(c.cluster_size(1), 3);
         assert_eq!(c.cluster_sizes(), vec![3, 2]);
     }
 

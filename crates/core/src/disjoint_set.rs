@@ -1,7 +1,7 @@
 //! Disjoint-set (union-find) DBSCAN over the neighbor table.
 //!
 //! The paper's host DBSCAN is Algorithm 1, a seed expansion. Related work
-//! it cites — Patwary et al.'s PDSDBSCAN [9] — clusters with a
+//! it cites — Patwary et al.'s PDSDBSCAN \[9\] — clusters with a
 //! disjoint-set formulation instead: every core point unions with the
 //! core points in its ε-neighborhood, and border points attach to an
 //! adjacent cluster afterwards. Core memberships are exactly DBSCAN's

@@ -1,4 +1,4 @@
-//! G-DBSCAN (Andrade et al. 2013) — the paper's reference [6], as a
+//! G-DBSCAN (Andrade et al. 2013) — the paper's reference \[6\], as a
 //! comparator.
 //!
 //! Where Hybrid-DBSCAN computes neighbor lists on the GPU and clusters on

@@ -17,21 +17,21 @@
 //! All kernels emit key/value pairs `(k_j, v_j)` where `v_j ∈ N_ε(k_j)`
 //! — the `atomic: gpuResultSet ∪ result` of the pseudo-code. Each block
 //! stages its pairs locally and commits them to a [`DeviceAppendBuffer`]
-//! with one cursor reservation ([`BlockStage`]); the buffer drains the
+//! with one cursor reservation (`BlockStage`); the buffer drains the
 //! blocks in block order, so a thread-per-point kernel's keys come out
 //! ascending. Overflow is recorded in the buffer rather than corrupting
 //! memory; the batching scheme's job is to make it never happen.
 //!
 //! **Host execution.** Every kernel, and CUDA-DClust's chain expansion,
-//! finds hits with the one scan, [`scan_members`]: a cell's or leaf's
+//! finds hits with the one scan, `scan_members`: a cell's or leaf's
 //! members are a contiguous run of the index-ordered coordinate mirror
 //! ([`spatial::MemberStoreN`]), read in full-width [`SCAN_LANES`]-lane
 //! chunks that yield a lane mask. Hits go through the one staging path,
-//! [`LaneBuf::push`]: each chunk writes all of its lanes and advances by
+//! `LaneBuf::push`: each chunk writes all of its lanes and advances by
 //! the mask's popcount, without a branch per lane. Accounting is one path
 //! too: `gpu_sim` only counts events, so each loop charges its totals
-//! once per thread — the candidates of a range ([`scan_events`]), the
-//! atomic and pair write of each staged hit ([`BlockStage::charge`]) —
+//! once per thread — the candidates of a range (`scan_events`), the
+//! atomic and pair write of each staged hit (`BlockStage::charge`) —
 //! instead of per chunk or per hit. The modeled events are exactly the
 //! per-candidate and per-hit ones of the pseudo-code.
 

@@ -26,7 +26,7 @@
 //!   [`hybrid::TableHandle`] builds once to serve every `minpts`
 //!   clustering after its first (S3 as one union-find sweep), and that
 //!   [`disjoint_set`] reads in table order.
-//! * [`reference`] — the sequential R-tree DBSCAN the paper compares
+//! * [`reference`](mod@reference) — the sequential R-tree DBSCAN the paper compares
 //!   against, with neighbor-search time accounting (Table I).
 //! * [`scenario`] — the published experiment parameter sets
 //!   (Tables III and V).
@@ -36,13 +36,13 @@
 //! * [`optics`] — OPTICS and its ε'-cut extraction, the technique the
 //!   paper positions S3 against.
 //! * [`disjoint_set`] — the disjoint-set DBSCAN formulation (after
-//!   Patwary et al., the paper's reference [9]) over the GPU-built table:
+//!   Patwary et al., the paper's reference \[9\]) over the GPU-built table:
 //!   the `levels` forest read at one `minpts` in table id order.
-//! * [`gdbscan`] — G-DBSCAN (Andrade et al., the paper's reference [6]):
+//! * [`gdbscan`] — G-DBSCAN (Andrade et al., the paper's reference \[6\]):
 //!   the "cluster entirely on the GPU" competitor family, for head-to-head
 //!   comparison with the hybrid approach.
 //! * [`cuda_dclust`] — CUDA-DClust (Böhm et al., the paper's reference
-//!   [5]): parallel chain expansion with host-side collision resolution,
+//!   \[5\]): parallel chain expansion with host-side collision resolution,
 //!   the original member of that family.
 //! * [`oracle`] — brute-force exact-DBSCAN ground truth (core/border/noise
 //!   classification, core components, validity and equivalence checks)

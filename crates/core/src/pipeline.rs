@@ -13,13 +13,12 @@
 //! `Σ (g_i + d_i)` and the pipelined makespan of the two-stage schedule
 //! (Figure 4 / Table IV compare exactly these). The overlap is modeled,
 //! not executed, so the reported numbers do not depend on the benchmark
-//! host's core count.
+//! host's core count. [`MultiClusterPipeline::run_inspect`] is the same
+//! sweep with a hook that sees each variant's table and labels.
 
 use crate::dbscan::Clustering;
-use crate::disjoint_set::dbscan_disjoint_set;
 use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use crate::scenario::Variant;
-use crate::shard::{ShardConfig, ShardedHybrid};
 use gpu_sim::device::Device;
 use gpu_sim::time::SimDuration;
 use obs::Recorder;
@@ -151,83 +150,32 @@ impl MultiClusterPipeline {
     /// [`Self::run`], handing each variant's timing, table and labels to
     /// `inspect` once its two stages are timed, so a caller can check the
     /// labels (say, against the reference) outside both stages.
+    ///
+    /// Per variant, the table is built at ε (span `produce[i]`, its
+    /// modeled time is `gpu_phase`), then clustered (span `consume[i]`,
+    /// timed as `dbscan`); `inspect` sees both untimed.
     pub fn run_inspect(
         &self,
         data: &[Point2],
         variants: &[Variant],
-        inspect: impl FnMut(&VariantTiming, &TableHandle, &Clustering),
+        mut inspect: impl FnMut(&VariantTiming, &TableHandle, &Clustering),
     ) -> Result<PipelineReport, HybridError> {
         let hybrid = HybridDbscan::new(&self.device, self.config.hybrid);
         let hybrid = match &self.recorder {
             Some(rec) => hybrid.with_recorder(rec.clone()),
             None => hybrid,
         };
-        self.sweep(
-            variants,
-            "produce",
-            |eps| {
-                hybrid
-                    .build_table(data, eps)
-                    .map(|h| (h.gpu.modeled_time, h))
-            },
-            |handle, minpts| HybridDbscan::cluster_with_table(handle, minpts).0,
-            inspect,
-        )
-    }
-
-    /// The serial pass with a **sharded** producer (DESIGN.md §14): each
-    /// variant's table comes from [`ShardedHybrid::build_table`] — k
-    /// devices concurrently or out-of-core tiling, per `shard_cfg` — and
-    /// the consumer stage is the union-find pass ([`dbscan_disjoint_set`])
-    /// over the merged table. The merged rows are bitwise identical to
-    /// the unsharded build's, so cluster counts match [`Self::run`]
-    /// exactly; `gpu_phase` is the sharded modeled time (max over shards
-    /// when concurrent, sum when out-of-core).
-    pub fn run_sharded(
-        &self,
-        data: &[Point2],
-        variants: &[Variant],
-        shard_cfg: ShardConfig,
-    ) -> Result<PipelineReport, HybridError> {
-        let sharded = {
-            let s = ShardedHybrid::new(&self.device, shard_cfg);
-            match &self.recorder {
-                Some(rec) => s.with_recorder(rec.clone()),
-                None => s,
-            }
-        };
-        self.sweep(
-            variants,
-            "produce-sharded",
-            |eps| sharded.build_table(data, eps).map(|h| (h.modeled_time, h)),
-            |handle, minpts| dbscan_disjoint_set(&handle.table, minpts).unpermute(&handle.perm),
-            |_, _, _| {},
-        )
-    }
-
-    /// The serial sweep both passes share: per variant, `produce` builds
-    /// the table at ε (span `{produce_name}[i]`) and returns its modeled
-    /// GPU phase with it, then `consume` clusters it (span `consume[i]`,
-    /// timed as the variant's `dbscan`), and `inspect` sees both untimed.
-    fn sweep<H>(
-        &self,
-        variants: &[Variant],
-        produce_name: &str,
-        mut produce: impl FnMut(f64) -> Result<(SimDuration, H), HybridError>,
-        consume: impl Fn(&H, usize) -> Clustering,
-        mut inspect: impl FnMut(&VariantTiming, &H, &Clustering),
-    ) -> Result<PipelineReport, HybridError> {
         let rec = self.recorder.as_deref();
         let wall_start = Instant::now();
         let mut per_variant = Vec::with_capacity(variants.len());
         let mut cluster_counts = Vec::with_capacity(variants.len());
         for (i, v) in variants.iter().enumerate() {
             let produce_span = rec.map(|r| {
-                let mut s = r.span(format!("{produce_name}[{i}]"), "pipeline");
+                let mut s = r.span(format!("produce[{i}]"), "pipeline");
                 s.arg("eps", v.eps);
                 s
             });
-            let (gpu_phase, handle) = produce(v.eps)?;
+            let handle = hybrid.build_table(data, v.eps)?;
             drop(produce_span);
             let consume_span = rec.map(|r| {
                 let mut s = r.span(format!("consume[{i}]"), "pipeline");
@@ -235,12 +183,12 @@ impl MultiClusterPipeline {
                 s
             });
             let t0 = Instant::now();
-            let clustering = consume(&handle, v.minpts);
+            let (clustering, _) = HybridDbscan::cluster_with_table(&handle, v.minpts);
             let dbscan: SimDuration = t0.elapsed().into();
             drop(consume_span);
             let timing = VariantTiming {
                 variant: *v,
-                gpu_phase,
+                gpu_phase: handle.gpu.modeled_time,
                 dbscan,
             };
             inspect(&timing, &handle, &clustering);
@@ -400,38 +348,6 @@ mod tests {
         // Results arrive in variant order regardless of consumer timing.
         for (t, v) in report.per_variant.iter().zip(&variants) {
             assert_eq!(t.variant.eps, v.eps);
-        }
-    }
-
-    #[test]
-    fn sharded_producer_matches_unsharded_pipeline() {
-        use crate::shard::ShardMode;
-        let data = mixed_points(400);
-        let device = Device::k20c();
-        let variants: Vec<Variant> = [0.4, 0.7, 1.0]
-            .iter()
-            .map(|&e| Variant::new(e, 4))
-            .collect();
-        let pipeline = MultiClusterPipeline::new(&device, PipelineConfig::default());
-        let unsharded = pipeline.run(&data, &variants).unwrap();
-        for (mode, shards) in [(ShardMode::Concurrent, 3), (ShardMode::OutOfCore, 2)] {
-            let sharded = pipeline
-                .run_sharded(
-                    &data,
-                    &variants,
-                    ShardConfig {
-                        shards,
-                        mode,
-                        hybrid: HybridConfig::default(),
-                    },
-                )
-                .unwrap();
-            assert_eq!(
-                sharded.cluster_counts, unsharded.cluster_counts,
-                "sharded producer ({mode:?}, k={shards}) changed cluster counts"
-            );
-            assert_eq!(sharded.per_variant.len(), variants.len());
-            assert!(sharded.pipelined_total <= sharded.non_pipelined_total);
         }
     }
 

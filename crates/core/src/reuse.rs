@@ -10,29 +10,28 @@
 //!
 //! ## Timing methodology
 //!
-//! Per-variant DBSCAN durations are *measured* one at a time (no
-//! contention), and the `t`-thread phase time is the *makespan* of a
-//! work-queue schedule of those jobs over `t` lanes — the same
-//! deterministic discrete-event approach the GPU phase uses for streams.
-//! This keeps the reported scaling faithful to the algorithm rather than
-//! to the benchmark host's core count (measured wall time is reported
-//! alongside). Clustering one handle on real threads is a `par_iter` over
+//! [`cluster_variants`] *measures* the per-variant DBSCAN durations one
+//! at a time (no contention) over a table the caller built, and the
+//! `t`-thread phase time is the *makespan* of a work-queue schedule of
+//! those jobs over `t` lanes — the same deterministic discrete-event
+//! approach the GPU phase uses for streams. This keeps the reported
+//! scaling faithful to the algorithm rather than to the benchmark host's
+//! core count (measured wall time is reported alongside). Clustering one
+//! handle on real threads is a `par_iter` over
 //! [`HybridDbscan::cluster_with_table`], which shares the handle's
 //! core-level forest across the variants.
+//!
+//! [`HybridDbscan::cluster_with_table`]: crate::hybrid::HybridDbscan::cluster_with_table
 
 use crate::dbscan::{Clustering, Dbscan, TableSource};
-use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
+use crate::hybrid::TableHandle;
 use crate::pipeline::pipeline_makespan;
-use gpu_sim::device::Device;
 use gpu_sim::time::SimDuration;
-use obs::Recorder;
-use spatial::Point2;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Work-queue makespan: `t` lanes pull jobs in order; each job runs on
 /// the earliest-free lane. This models the paper's "up to 16 threads
-/// [that] consume T for executing DBSCAN": the S2 pipeline schedule with
+/// \[that\] consume T for executing DBSCAN": the S2 pipeline schedule with
 /// every table already produced.
 pub fn work_queue_makespan(durations: &[SimDuration], lanes: usize) -> SimDuration {
     pipeline_makespan(&vec![SimDuration::ZERO; durations.len()], durations, lanes)
@@ -71,101 +70,30 @@ impl ReuseRun {
     }
 }
 
-/// The S3 executor: one table, many `minpts`, modeled parallel consumption.
-pub struct TableReuse {
-    device: Device,
-    config: HybridConfig,
-    recorder: Option<Arc<Recorder>>,
-}
-
-impl TableReuse {
-    pub fn new(device: &Device, config: HybridConfig) -> Self {
-        TableReuse {
-            device: device.clone(),
-            config,
-            recorder: None,
-        }
+/// The S3 measurement pass over a prebuilt table: each `minpts` variant
+/// is clustered once, serially, and timed. Every variant is an
+/// independent Algorithm-1 run over `T`, as in the paper's Figures 5 and
+/// 6 — not a snapshot of the handle's shared core-level forest, which
+/// [`HybridDbscan::cluster_with_table`](crate::hybrid::HybridDbscan::cluster_with_table)
+/// uses.
+pub fn cluster_variants(handle: &TableHandle, minpts_values: &[usize]) -> ReuseRun {
+    let wall_start = Instant::now();
+    let mut durations: Vec<SimDuration> = Vec::with_capacity(minpts_values.len());
+    let mut counts = Vec::with_capacity(minpts_values.len());
+    for &m in minpts_values {
+        let t0 = Instant::now();
+        // Membership statistics are permutation-invariant, so work
+        // directly in table (sorted) order.
+        let clustering: Clustering = Dbscan::new(m).run(&TableSource::new(&handle.table));
+        durations.push(t0.elapsed().into());
+        counts.push(clustering.num_clusters());
     }
-
-    /// Attach an [`obs::Recorder`]: per-variant spans and reuse metrics
-    /// are recorded into it (and propagated to the table-building
-    /// [`HybridDbscan`]).
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Build the table for `eps` once, then measure DBSCAN for every
-    /// `minpts`.
-    pub fn run(
-        &self,
-        data: &[Point2],
-        eps: f64,
-        minpts_values: &[usize],
-    ) -> Result<(TableHandle, ReuseRun), HybridError> {
-        let mut hybrid = HybridDbscan::new(&self.device, self.config);
-        if let Some(rec) = &self.recorder {
-            hybrid = hybrid.with_recorder(rec.clone());
-        }
-        let handle = hybrid.build_table(data, eps)?;
-        let run =
-            Self::cluster_variants_with_recorder(&handle, minpts_values, self.recorder.as_deref());
-        Ok((handle, run))
-    }
-
-    /// The measurement pass alone, given a prebuilt table: each variant is
-    /// clustered once, serially, and timed. Every variant is an
-    /// independent Algorithm-1 run over `T`, as in the paper's Figures 5
-    /// and 6 — not a snapshot of the handle's shared core-level forest,
-    /// which [`HybridDbscan::cluster_with_table`] uses.
-    pub fn cluster_variants(handle: &TableHandle, minpts_values: &[usize]) -> ReuseRun {
-        Self::cluster_variants_with_recorder(handle, minpts_values, None)
-    }
-
-    /// [`Self::cluster_variants`] with optional span/metric recording.
-    pub fn cluster_variants_with_recorder(
-        handle: &TableHandle,
-        minpts_values: &[usize],
-        rec: Option<&Recorder>,
-    ) -> ReuseRun {
-        let wall_start = Instant::now();
-        let reuse_span = rec.map(|r| {
-            let mut s = r.span("table_reuse", "reuse");
-            s.arg("variants", minpts_values.len());
-            s
-        });
-        let mut durations: Vec<SimDuration> = Vec::with_capacity(minpts_values.len());
-        let mut counts = Vec::with_capacity(minpts_values.len());
-        for &m in minpts_values {
-            let variant_span = rec.map(|r| {
-                let mut s = r.span(format!("reuse_dbscan[minpts={m}]"), "reuse");
-                s.arg("minpts", m);
-                s
-            });
-            let t0 = Instant::now();
-            // Membership statistics are permutation-invariant, so work
-            // directly in table (sorted) order.
-            let clustering: Clustering = Dbscan::new(m).run(&TableSource::new(&handle.table));
-            durations.push(t0.elapsed().into());
-            counts.push(clustering.num_clusters());
-            drop(variant_span);
-        }
-        drop(reuse_span);
-        if let Some(r) = rec {
-            let m = r.metrics();
-            m.gauge_set("reuse.table_ms", handle.gpu.modeled_time.as_millis());
-            m.counter_add("reuse.variants", minpts_values.len() as u64);
-            for d in &durations {
-                m.observe("reuse.dbscan_ms", d.as_millis());
-            }
-        }
-        ReuseRun {
-            eps: handle.table.eps(),
-            table_time: handle.gpu.modeled_time,
-            per_variant_dbscan: durations,
-            cluster_counts: counts,
-            wall_time: wall_start.elapsed(),
-        }
+    ReuseRun {
+        eps: handle.table.eps(),
+        table_time: handle.gpu.modeled_time,
+        per_variant_dbscan: durations,
+        cluster_counts: counts,
+        wall_time: wall_start.elapsed(),
     }
 }
 
@@ -173,8 +101,19 @@ impl TableReuse {
 mod tests {
     use super::*;
     use crate::dbscan::GridSource;
+    use crate::hybrid::{HybridConfig, HybridDbscan};
     use crate::kernels::test_support::mixed_points;
-    use spatial::GridIndex;
+    use gpu_sim::device::Device;
+    use spatial::{GridIndex, Point2};
+
+    /// S3 as the paper runs it: one table build at `eps`, then every
+    /// `minpts` variant over it.
+    fn reuse_run(data: &[Point2], eps: f64, minpts: &[usize]) -> ReuseRun {
+        let handle = HybridDbscan::new(&Device::k20c(), HybridConfig::default())
+            .build_table(data, eps)
+            .unwrap();
+        cluster_variants(&handle, minpts)
+    }
 
     fn secs(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
@@ -208,10 +147,8 @@ mod tests {
     #[test]
     fn reuse_matches_per_variant_direct_runs() {
         let data = mixed_points(500);
-        let device = Device::k20c();
-        let reuse = TableReuse::new(&device, HybridConfig::default());
         let minpts = [2usize, 4, 8, 16, 32];
-        let (_, run) = reuse.run(&data, 0.8, &minpts).unwrap();
+        let run = reuse_run(&data, 0.8, &minpts);
 
         assert_eq!(run.cluster_counts.len(), 5);
         let grid = GridIndex::build(&data, 0.8);
@@ -224,10 +161,8 @@ mod tests {
     #[test]
     fn modeled_scaling_is_monotone() {
         let data = mixed_points(400);
-        let device = Device::k20c();
-        let reuse = TableReuse::new(&device, HybridConfig::default());
         let minpts: Vec<usize> = (1..=16).map(|k| k * 3).collect();
-        let (_, run) = reuse.run(&data, 0.6, &minpts).unwrap();
+        let run = reuse_run(&data, 0.6, &minpts);
         let mut prev = f64::INFINITY;
         for t in [1, 2, 4, 8, 16] {
             let total = run.total(t).as_secs();
@@ -239,28 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_reuse_metrics() {
-        let data = mixed_points(300);
-        let device = Device::k20c();
-        let rec = std::sync::Arc::new(Recorder::new());
-        let reuse = TableReuse::new(&device, HybridConfig::default()).with_recorder(rec.clone());
-        let minpts = [2usize, 4, 8];
-        let (_, run) = reuse.run(&data, 0.6, &minpts).unwrap();
-        let spans = rec.spans();
-        assert!(spans.iter().any(|s| s.name == "table_reuse"));
-        assert!(spans.iter().any(|s| s.name == "reuse_dbscan[minpts=4]"));
-        let m = rec.metrics().snapshot();
-        assert_eq!(m.counters["reuse.variants"], 3);
-        assert_eq!(m.histograms["reuse.dbscan_ms"].count, 3);
-        assert!((m.gauges["reuse.table_ms"] - run.table_time.as_millis()).abs() < 1e-9,);
-    }
-
-    #[test]
     fn monotone_minpts_kills_clusters_at_extremes() {
         let data = mixed_points(300);
-        let device = Device::k20c();
-        let reuse = TableReuse::new(&device, HybridConfig::default());
-        let (_, run) = reuse.run(&data, 0.6, &[2, 1000]).unwrap();
+        let run = reuse_run(&data, 0.6, &[2, 1000]);
         assert_eq!(run.cluster_counts[1], 0, "minpts=1000 exceeds any region");
     }
 }

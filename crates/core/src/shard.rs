@@ -6,10 +6,12 @@
 //! build per shard — each shard's local database is its owned slab plus
 //! the ε-halo, so every owned point's ε-neighborhood is complete — and
 //! merges the per-shard tables into one global [`NeighborTable`] whose
-//! rows are **bitwise identical** to the unsharded build's. Clustering
-//! then runs a single disjoint-set pass over the merged table; cross-shard
-//! edges are exactly the halo columns of owned rows, so the union-find
-//! stitches boundary clusters without any dedicated message passing.
+//! rows are **bitwise identical** to the unsharded build's. A caller
+//! clusters the merged table with one disjoint-set pass,
+//! `dbscan_disjoint_set(&h.table, minpts).unpermute(&h.perm)`;
+//! cross-shard edges are exactly the halo columns of owned rows, so the
+//! union-find stitches boundary clusters without any dedicated message
+//! passing.
 //!
 //! ## Why the merge is exact
 //!
@@ -41,7 +43,6 @@
 //! bits — is identical at every thread count, and `k = 1` degenerates to
 //! the unsharded build exactly.
 
-use crate::disjoint_set::dbscan_disjoint_set;
 use crate::hybrid::{
     validate_input, visit_order, HybridConfig, HybridDbscan, HybridError, TableHandle,
 };
@@ -55,7 +56,6 @@ use serde::{Deserialize, Serialize};
 use spatial::presort::spatial_sort_permutation;
 use spatial::{Point2, ShardPlan};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How shards map onto simulated devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,20 +123,6 @@ pub struct ShardedTableHandle {
     pub shards: Vec<ShardReport>,
     /// High-water device-memory mark: the largest per-device peak
     /// (concurrent) or the single device's peak (out-of-core).
-    pub peak_bytes: usize,
-}
-
-/// The output of [`ShardedHybrid::run`].
-pub struct ShardedResult {
-    /// Cluster labels in the caller's point order, from the disjoint-set
-    /// pass over the merged table — a pure function of
-    /// `(table rows, minpts)`, identical at every `(k, thread count)`.
-    pub clustering: Clustering,
-    /// Combined modeled GPU-phase time.
-    pub modeled_time: SimDuration,
-    /// Host clustering time (measured).
-    pub dbscan_time: SimDuration,
-    pub shards: Vec<ShardReport>,
     pub peak_bytes: usize,
 }
 
@@ -362,27 +348,6 @@ impl ShardedHybrid {
             peak_bytes,
         })
     }
-
-    /// Build the merged table and cluster it with the disjoint-set pass
-    /// ([`dbscan_disjoint_set`]). Labels come back in the caller's point order.
-    pub fn run(
-        &self,
-        data: &[Point2],
-        eps: f64,
-        minpts: usize,
-    ) -> Result<ShardedResult, HybridError> {
-        let handle = self.build_table(data, eps)?;
-        let t0 = Instant::now();
-        let clustering = dbscan_disjoint_set(&handle.table, minpts).unpermute(&handle.perm);
-        let dbscan_time: SimDuration = t0.elapsed().into();
-        Ok(ShardedResult {
-            clustering,
-            modeled_time: handle.modeled_time,
-            dbscan_time,
-            shards: handle.shards,
-            peak_bytes: handle.peak_bytes,
-        })
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -429,7 +394,23 @@ pub fn clustering_fingerprint(clustering: &Clustering) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disjoint_set::dbscan_disjoint_set;
     use crate::kernels::test_support::mixed_points;
+
+    /// What the module docs describe: the merged table, clustered by one
+    /// disjoint-set pass, labels in the caller's point order.
+    fn sharded_clustering(
+        device: &Device,
+        cfg: ShardConfig,
+        data: &[Point2],
+        eps: f64,
+        minpts: usize,
+    ) -> Clustering {
+        let h = ShardedHybrid::new(device, cfg)
+            .build_table(data, eps)
+            .unwrap();
+        dbscan_disjoint_set(&h.table, minpts).unpermute(&h.perm)
+    }
 
     fn unsharded_table(device: &Device, data: &[Point2], eps: f64) -> TableHandle {
         HybridDbscan::new(device, HybridConfig::default())
@@ -480,8 +461,8 @@ mod tests {
                 mode: ShardMode::Concurrent,
                 hybrid: HybridConfig::default(),
             };
-            let r = ShardedHybrid::new(&device, cfg).run(&data, 0.5, 4).unwrap();
-            prints.push(clustering_fingerprint(&r.clustering));
+            let c = sharded_clustering(&device, cfg, &data, 0.5, 4);
+            prints.push(clustering_fingerprint(&c));
         }
         assert!(
             prints.windows(2).all(|w| w[0] == w[1]),
@@ -500,8 +481,8 @@ mod tests {
             mode: ShardMode::Concurrent,
             hybrid: HybridConfig::default(),
         };
-        let r = ShardedHybrid::new(&device, cfg).run(&data, 0.7, 4).unwrap();
-        assert_eq!(r.clustering.labels(), expected.labels());
+        let c = sharded_clustering(&device, cfg, &data, 0.7, 4);
+        assert_eq!(c.labels(), expected.labels());
     }
 
     #[test]

@@ -46,14 +46,6 @@ pub struct NeighborTable {
 }
 
 impl NeighborTable {
-    /// Build a table directly from a fully sorted key/value result set
-    /// (the single-batch fast path). Pairs must be sorted by key.
-    pub fn from_sorted_pairs(eps: f64, n_points: usize, pairs: &[(u32, u32)]) -> Self {
-        let builder = NeighborTableBuilder::new(eps, n_points, 1);
-        builder.ingest_batch(0, pairs);
-        builder.finalize()
-    }
-
     /// Assemble a table directly from per-point `[start, end)` ranges into
     /// a prebuilt value array — the sharded pipeline's row-merge path,
     /// where each range comes from the shard owning that point. Every
@@ -425,11 +417,18 @@ impl NeighborTableBuilder {
 mod tests {
     use super::*;
 
+    /// A table from one fully sorted key/value result set (one batch).
+    fn sorted_pairs_table(eps: f64, n_points: usize, pairs: &[(u32, u32)]) -> NeighborTable {
+        let builder = NeighborTableBuilder::new(eps, n_points, 1);
+        builder.ingest_batch(0, pairs);
+        builder.finalize()
+    }
+
     #[test]
     fn single_batch_table() {
         // Point 0 -> {0, 1}; point 1 -> {0, 1, 2}; point 2 -> {1, 2}.
         let pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
-        let t = NeighborTable::from_sorted_pairs(0.5, 3, &pairs);
+        let t = sorted_pairs_table(0.5, 3, &pairs);
         assert_eq!(t.neighbors(0), &[0, 1]);
         assert_eq!(t.neighbors(1), &[0, 1, 2]);
         assert_eq!(t.neighbors(2), &[1, 2]);
@@ -442,7 +441,7 @@ mod tests {
     #[test]
     fn point_with_no_pairs_has_empty_neighborhood() {
         let pairs = [(0, 0), (2, 2)];
-        let t = NeighborTable::from_sorted_pairs(1.0, 3, &pairs);
+        let t = sorted_pairs_table(1.0, 3, &pairs);
         assert_eq!(t.neighbors(1), &[] as &[u32]);
         assert_eq!(t.neighbor_count(1), 0);
     }
@@ -525,7 +524,7 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let pairs = [(0u32, 0u32), (0, 1), (1, 0), (1, 1), (3, 3)];
-        let t = NeighborTable::from_sorted_pairs(0.75, 4, &pairs);
+        let t = sorted_pairs_table(0.75, 4, &pairs);
         let mut buf = Vec::new();
         t.save(&mut buf).unwrap();
         let back = NeighborTable::load(&mut buf.as_slice()).unwrap();
@@ -539,7 +538,7 @@ mod tests {
     fn load_rejects_garbage() {
         assert!(NeighborTable::load(&mut &b"not a table at all"[..]).is_err());
         // Truncated file.
-        let t = NeighborTable::from_sorted_pairs(1.0, 2, &[(0, 0), (1, 1)]);
+        let t = sorted_pairs_table(1.0, 2, &[(0, 0), (1, 1)]);
         let mut buf = Vec::new();
         t.save(&mut buf).unwrap();
         buf.truncate(buf.len() - 2);
@@ -555,7 +554,7 @@ mod tests {
     #[test]
     fn memory_bytes_accounts_table() {
         let pairs = [(0u32, 0u32), (1, 1)];
-        let t = NeighborTable::from_sorted_pairs(1.0, 2, &pairs);
+        let t = sorted_pairs_table(1.0, 2, &pairs);
         assert_eq!(t.memory_bytes(), 2 * 16 + 2 * 4);
     }
 }

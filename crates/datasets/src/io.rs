@@ -1,7 +1,7 @@
 //! CSV import/export for point datasets.
 //!
 //! The real SW- datasets are distributed as text files (see the paper's
-//! reference [28]); this module lets users cluster their own data by
+//! reference \[28\]); this module lets users cluster their own data by
 //! loading `x,y` CSV files, and lets the synthetic datasets be exported
 //! for inspection or plotting.
 

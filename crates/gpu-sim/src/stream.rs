@@ -64,15 +64,6 @@ impl Schedule {
         self.ops.iter().map(|o| o.end - o.start).sum()
     }
 
-    /// Completion time of chain `l`.
-    pub fn chain_end(&self, chain: usize) -> SimTime {
-        self.ops
-            .iter()
-            .filter(|o| o.chain == chain)
-            .map(|o| o.end)
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
     /// The distinct op labels appearing in this schedule, in first-seen
     /// order. These are exactly the names a trace exporter should emit for
     /// the schedule's events, so the ASCII Gantt legend and an exported
@@ -383,11 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_end_and_serial_time() {
+    fn serial_time_sums_ops() {
         let mut t = Timeline::new(3);
         let chains = vec![batch_chain(1.0, 0.5, 1.0, 0.5)];
         let s = schedule_chains(&mut t, &chains, 3);
-        assert_eq!(s.chain_end(0).as_secs(), 3.0);
         assert_eq!(s.serial_time().as_secs(), 3.0);
     }
 

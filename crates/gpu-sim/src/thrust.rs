@@ -519,19 +519,6 @@ fn sort_run<T: RunItem>(run: &mut [T]) {
     });
 }
 
-/// Device-side reduction (sum) of a `u64` array, with a modeled duration.
-/// Like [`sort_by_key`], the functional work runs on the host pool
-/// without holding the `compute_lock` — engine serialization is a
-/// property of the modeled timeline, not of host execution.
-pub fn reduce_sum(device: &Device, values: &[u64]) -> (u64, SimDuration) {
-    let sum = values.par_iter().sum();
-    // Reduction is bandwidth-bound: one read pass.
-    let bytes = std::mem::size_of_val(values) as f64;
-    let t = SimDuration::from_micros(10.0)
-        + SimDuration::from_secs(bytes / (device.props().mem_bandwidth_gbps * 1e9));
-    (sum, t)
-}
-
 /// Device-side exclusive prefix scan, with a modeled duration.
 pub fn exclusive_scan(device: &Device, values: &[u32]) -> (Vec<u32>, SimDuration) {
     let mut out = Vec::with_capacity(values.len());
@@ -621,15 +608,6 @@ mod tests {
         // ~500M pairs/s: 500M pairs should take about a second.
         let t = sort_by_key_time(500_000_000);
         assert!((t.as_secs() - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn reduce_sum_correct() {
-        let d = Device::k20c();
-        let values: Vec<u64> = (1..=1000).collect();
-        let (sum, t) = reduce_sum(&d, &values);
-        assert_eq!(sum, 500_500);
-        assert!(t > SimDuration::ZERO);
     }
 
     #[test]

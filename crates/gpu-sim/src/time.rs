@@ -33,11 +33,6 @@ impl SimDuration {
         Self::from_secs(us * 1e-6)
     }
 
-    /// Convert device cycles at `clock_ghz` into a duration.
-    pub fn from_cycles(cycles: f64, clock_ghz: f64) -> Self {
-        Self::from_secs(cycles / (clock_ghz * 1e9))
-    }
-
     pub fn as_secs(&self) -> f64 {
         self.0
     }
@@ -123,8 +118,6 @@ mod tests {
         let d = SimDuration::from_millis(1.5);
         assert!((d.as_secs() - 0.0015).abs() < 1e-12);
         assert!((d.as_micros() - 1500.0).abs() < 1e-9);
-        let c = SimDuration::from_cycles(1e9, 1.0);
-        assert!((c.as_secs() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   D2H / Host engine lanes and the host call tree on named tracks;
 //! * a **metrics JSON** document ([`metrics`]) — counters, gauges, and
 //!   log-scale histograms (kernel occupancy, memory throughput, batch
-//!   estimation accuracy);
-//! * a **plain-text run summary** ([`report`]).
+//!   estimation accuracy).
 //!
 //! Everything is emitted by hand-written JSON ([`json`]) — the build
 //! environment has no crates.io access, so no serde_json (see DESIGN.md,
@@ -28,7 +27,6 @@ pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod provenance;
-pub mod report;
 pub mod span;
 pub mod stats;
 pub mod trend;
@@ -170,16 +168,11 @@ impl Recorder {
         self.inner.lock().unwrap().device_ops.push(op);
     }
 
-    /// Copy every operation of a [`Schedule`] onto the device track,
-    /// shifted by `offset` (simulated time elapsed before the schedule
-    /// began — uploads, estimation kernel, pinned allocation). Labels are
-    /// the same `OpSpec` labels `render_gantt` prints, so the ASCII Gantt
-    /// and the exported trace agree.
-    pub fn record_schedule(&self, schedule: &Schedule, offset: SimDuration) {
-        self.record_schedule_on(0, schedule, offset);
-    }
-
-    /// [`Self::record_schedule`] on an explicit device index.
+    /// Copy every operation of a [`Schedule`] onto device `device`'s
+    /// track, shifted by `offset` (simulated time elapsed before the
+    /// schedule began — uploads, estimation kernel, pinned allocation).
+    /// Labels are the same `OpSpec` labels `render_gantt` prints, so the
+    /// ASCII Gantt and the exported trace agree.
     pub fn record_schedule_on(&self, device: u32, schedule: &Schedule, offset: SimDuration) {
         let base = SimTime::ZERO + offset;
         let mut inner = self.inner.lock().unwrap();
@@ -302,11 +295,6 @@ impl Recorder {
         self.metrics.snapshot().to_json()
     }
 
-    /// Render the plain-text run summary.
-    pub fn text_report(&self) -> String {
-        report::render(self)
-    }
-
     pub(crate) fn alloc_span_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -354,7 +342,7 @@ mod tests {
         let schedule = schedule_chains(&mut t, &chains, 3);
 
         let rec = Recorder::new();
-        rec.record_schedule(&schedule, SimDuration::from_secs(2.0));
+        rec.record_schedule_on(0, &schedule, SimDuration::from_secs(2.0));
         let ops = rec.device_ops();
         assert_eq!(ops.len(), 2);
         let kernel = ops.iter().find(|o| o.label == "kernel").unwrap();

@@ -8,7 +8,6 @@
 
 use crate::json::JsonWriter;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Number of histogram buckets: values are bucketed by `ceil(log2(v))`
@@ -193,37 +192,6 @@ impl MetricsSnapshot {
         w.end_object();
         w.finish()
     }
-
-    /// Plain-text rendering for terminal reports.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:<48} {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<48} {v:.4}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:<48} n={} mean={:.2} min={:.2} max={:.2}",
-                    h.count,
-                    h.mean(),
-                    if h.count == 0 { 0.0 } else { h.min },
-                    if h.count == 0 { 0.0 } else { h.max },
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -355,7 +323,6 @@ mod tests {
     fn empty_snapshot_renders() {
         let m = Metrics::new();
         let s = m.snapshot();
-        assert_eq!(s.to_text(), "");
         assert!(s.to_json().contains("counters"));
     }
 }

@@ -165,12 +165,6 @@ impl Provenance {
         };
         parse().map(Some).map_err(|e| format!("provenance: {e}"))
     }
-
-    /// `YYYY-MM-DD HH:MM:SS UTC` rendering of [`Self::timestamp_unix`]
-    /// (hand-rolled civil-from-days — no chrono in this workspace).
-    pub fn timestamp_utc(&self) -> String {
-        format_utc(self.timestamp_unix)
-    }
 }
 
 /// Format a Unix timestamp as `YYYY-MM-DD HH:MM:SS UTC` using the

@@ -12,7 +12,7 @@
 //!
 //! Two detectors:
 //!
-//! * **Step detection** ([`detect_step`]): scan every split of the
+//! * **Step detection** (`detect_step`): scan every split of the
 //!   series, compare the median level before and after, and flag the
 //!   best split whose delta exceeds a noise threshold derived from the
 //!   pre-split MAD plus relative/absolute floors (the same shape as the

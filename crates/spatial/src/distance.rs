@@ -31,13 +31,6 @@ pub fn brute_force_count<const D: usize>(data: &[PointN<D>], q: &PointN<D>, eps:
     data.iter().filter(|p| p.distance_sq(q) <= eps_sq).count()
 }
 
-/// Total number of (ordered) neighbor pairs within ε over the whole
-/// database — the exact size of the result set `R` the GPU kernels emit.
-/// `O(|D|²)`; test oracle only.
-pub fn brute_force_pair_count<const D: usize>(data: &[PointN<D>], eps: f64) -> usize {
-    data.iter().map(|q| brute_force_count(data, q, eps)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,19 +67,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_count_square() {
-        let d = square();
-        // Each corner reaches itself + 2 edge-adjacent corners at eps = 1.
-        assert_eq!(brute_force_pair_count(&d, 1.0), 12);
-        // At eps = sqrt(2) everything reaches everything.
-        assert_eq!(brute_force_pair_count(&d, 2f64.sqrt()), 16);
-    }
-
-    #[test]
     fn empty_database() {
         let q = Point2::new(0.0, 0.0);
         assert!(brute_force_neighbors(&[], &q, 1.0).is_empty());
-        assert_eq!(brute_force_pair_count::<2>(&[], 1.0), 0);
+        assert_eq!(brute_force_count::<2>(&[], &q, 1.0), 0);
     }
 
     #[test]

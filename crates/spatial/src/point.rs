@@ -47,15 +47,6 @@ impl<const D: usize> PointN<D> {
     pub fn distance(&self, other: &Self) -> f64 {
         self.distance_sq(other).sqrt()
     }
-
-    /// Whether `other` lies within the closed ε-ball centred on `self`.
-    ///
-    /// DBSCAN's ε-neighborhood is defined with `dist(p, q) <= ε`
-    /// (closed ball), so points exactly at distance ε are neighbors.
-    #[inline]
-    pub fn within_eps(&self, other: &Self, eps: f64) -> bool {
-        self.distance_sq(other) <= eps * eps
-    }
 }
 
 impl Point2 {
@@ -118,22 +109,6 @@ mod tests {
             let got = Point2::new(ax, ay).distance_sq(&Point2::new(bx, by));
             assert_eq!(got.to_bits(), chain.to_bits());
         }
-    }
-
-    #[test]
-    fn within_eps_is_closed_ball() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(1.0, 0.0);
-        assert!(a.within_eps(&b, 1.0), "boundary point must be a neighbor");
-        assert!(!a.within_eps(&b, 0.999));
-        // A point is always within eps of itself, even for eps = 0.
-        assert!(a.within_eps(&a, 0.0));
-        let (o, c) = (
-            PointN::from_coords([0.0; 3]),
-            PointN::from_coords([1.0, 2.0, 2.0]),
-        );
-        assert!(o.within_eps(&c, 3.0));
-        assert!(!o.within_eps(&c, 2.999));
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl SortPermutation {
         }
     }
 
-    /// Original index of the point now at sorted position `k`.
-    pub fn original_index(&self, k: usize) -> u32 {
-        self.order[k]
-    }
-
     /// The raw permutation slice.
     pub fn as_slice(&self) -> &[u32] {
         &self.order
@@ -97,7 +92,7 @@ impl<const D: usize> BinKey<D> {
 /// Points are ordered by their unit-width bin, row-major, and by their
 /// coordinates (last axis first) within a bin. Ties fall back to the
 /// input index, so identical inputs always produce identical
-/// permutations. Each point's key is computed once ([`BinKey`]) and the
+/// permutations. Each point's key is computed once (`BinKey`) and the
 /// keys are sorted, so no comparison recomputes a bin or chases `data`.
 pub fn spatial_sort_permutation<const D: usize>(data: &[PointN<D>]) -> SortPermutation {
     let key = |(i, p): (usize, &PointN<D>)| BinKey::of(p, i as u32);
@@ -231,8 +226,8 @@ mod tests {
         ];
         let perm = spatial_sort_permutation(&data);
         let mut seen = vec![false; data.len()];
-        for k in 0..perm.len() {
-            let i = perm.original_index(k) as usize;
+        for &i in perm.as_slice() {
+            let i = i as usize;
             assert!(!seen[i], "index {i} repeated");
             seen[i] = true;
         }

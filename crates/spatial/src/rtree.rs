@@ -189,13 +189,6 @@ impl RTree {
         }
     }
 
-    /// Reset the cumulative search statistics.
-    pub fn reset_stats(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.nodes_visited.store(0, Ordering::Relaxed);
-        self.distance_calcs.store(0, Ordering::Relaxed);
-    }
-
     /// Insert a point with an explicit id (Guttman insertion, quadratic
     /// split).
     pub fn insert(&mut self, id: u32, p: Point2) {
@@ -419,13 +412,6 @@ impl RTree {
         self.distance_calcs.fetch_add(dists, Ordering::Relaxed);
     }
 
-    /// Count of points within the closed ε-ball around `q`.
-    pub fn query_eps_count(&self, q: &Point2, eps: f64) -> usize {
-        let mut n = 0;
-        self.query_eps_visit(q, eps, |_, _| n += 1);
-        n
-    }
-
     /// Validate structural invariants (tests/debugging): bounding boxes
     /// tight, fill bounds respected below the root, uniform leaf depth.
     pub fn check_invariants(&self) {
@@ -549,8 +535,6 @@ mod tests {
         assert_eq!(s.queries, 2);
         assert!(s.nodes_visited >= 2);
         assert!(s.distance_calcs >= 1);
-        t.reset_stats();
-        assert_eq!(t.stats(), RTreeStats::default());
     }
 
     #[test]

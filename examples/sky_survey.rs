@@ -12,7 +12,7 @@
 //! ```
 
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan};
-use hybrid_dbscan::core::reuse::TableReuse;
+use hybrid_dbscan::core::reuse::cluster_variants;
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::Device;
 
@@ -50,7 +50,7 @@ fn main() {
     let minpts: Vec<usize> = vec![
         10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 400, 800, 1000, 2000, 3000,
     ];
-    let run = TableReuse::cluster_variants(&handle, &minpts);
+    let run = cluster_variants(&handle, &minpts);
 
     println!("\n  minpts   groups found   dbscan");
     for ((&m, &count), d) in minpts

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass.
 #
-#   scripts/ci.sh            # build + test + fmt (+ clippy, advisory)
+#   scripts/ci.sh            # build + test + fmt + docs (+ clippy, advisory)
 #   CLIPPY_STRICT=1 scripts/ci.sh   # make clippy failures fatal too
 #   DIFF_STRICT=1 scripts/ci.sh     # make the long differential sweep fatal
 #   BENCH_STRICT=1 scripts/ci.sh    # make measurement shortfalls fatal:
@@ -11,7 +11,7 @@
 # clippy and the 200-case differential sweep are advisory by default —
 # lint sets shift across toolchains, and the sweep is the long randomized
 # tier of a harness whose quick tier already gates fatally; build, tests,
-# and formatting are always fatal.
+# formatting and doc links are always fatal.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -184,6 +184,10 @@ step "differential quick (sharded, DIFF_STRICT=1)" \
     cargo test -p hybrid-dbscan-core --test differential sharded -q
 
 step "fmt" cargo fmt --all --check
+# Doc links: a broken intra-doc link (say, to a deleted item) or one to a
+# private item fails the step.
+step "docs" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline -q
 
 echo "==> clippy: cargo clippy --workspace --all-targets -- -D warnings"
 if cargo clippy --workspace --all-targets -- -D warnings; then

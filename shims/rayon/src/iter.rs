@@ -356,7 +356,7 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
 }
 
 /// `par_sort_unstable` and friends — deterministic parallel merge sort
-/// (see [`crate::sort`] for the thread-count-invariance argument).
+/// (see the `sort` module for the thread-count-invariance argument).
 pub trait ParallelSliceMut<T: Send> {
     fn as_parallel_slice_mut(&mut self) -> &mut [T];
 

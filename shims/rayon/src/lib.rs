@@ -1,7 +1,7 @@
 //! Offline stand-in for `rayon` — a real work-stealing thread pool.
 //!
-//! Since PR 2 this shim executes in parallel: a global pool of
-//! `std::thread` workers ([`pool`]) pulls chunked work regions from a
+//! This shim executes in parallel: a global pool of
+//! `std::thread` workers (the `pool` module) pulls chunked work regions from a
 //! shared queue, claiming chunks with an atomic cursor (fine-grained
 //! stealing without per-worker deques). The pool is sized by
 //! `RAYON_NUM_THREADS` (0/unset → all cores). The call-site API is
@@ -21,7 +21,7 @@
 //! * `sum` reduces fixed 4096-element blocks folded in block order, so
 //!   float sums never depend on the schedule.
 //! * `par_sort_unstable*` picks its algorithm by input length alone and
-//!   merges with a deterministic left-priority rule ([`sort`]).
+//!   merges with a deterministic left-priority rule (the `sort` module).
 //! * Chunk boundaries are scheduling hints only; no primitive exposes
 //!   "which thread ran this".
 //!

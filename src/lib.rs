@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::core::hybrid::{HybridConfig, HybridDbscan, HybridResult};
     pub use crate::core::pipeline::{MultiClusterPipeline, PipelineConfig};
     pub use crate::core::reference::ReferenceDbscan;
-    pub use crate::core::reuse::TableReuse;
+    pub use crate::core::reuse::cluster_variants;
     pub use crate::core::scenario::{self, Variant};
     pub use crate::core::table::NeighborTable;
     pub use crate::datasets::{Dataset, DatasetClass, DatasetSpec};

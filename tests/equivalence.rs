@@ -10,7 +10,7 @@ use hybrid_dbscan::core::dbscan::{
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan::core::pipeline::{MultiClusterPipeline, PipelineConfig};
 use hybrid_dbscan::core::reference::ReferenceDbscan;
-use hybrid_dbscan::core::reuse::TableReuse;
+use hybrid_dbscan::core::reuse::cluster_variants;
 use hybrid_dbscan::core::scenario::Variant;
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::Device;
@@ -112,8 +112,10 @@ fn table_reuse_matches_fresh_tables() {
     let data = small("SDSS1");
     let eps = 0.4;
     let minpts = [2usize, 4, 8, 32, 128];
-    let reuse = TableReuse::new(&device, HybridConfig::default());
-    let (handle, report) = reuse.run(&data, eps, &minpts).unwrap();
+    let handle = HybridDbscan::new(&device, HybridConfig::default())
+        .build_table(&data, eps)
+        .unwrap();
+    let report = cluster_variants(&handle, &minpts);
     // The shared-handle fan-out: every minpts clusters the one handle at
     // once, sharing its core-level forest.
     let pool = rayon::ThreadPoolBuilder::new()

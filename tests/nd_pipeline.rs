@@ -1,10 +1,12 @@
 //! The d > 2 table build through the shared stage pipeline: a jittered
 //! 3-D lattice built by `build_table_nd` must give one table regardless
 //! of the ε-search backend, the batch plan, or the pool size, and that
-//! table must hold exactly the brute-force ε-neighborhoods.
+//! table must hold exactly the brute-force ε-neighborhoods — as must the
+//! 2-D and 3-D tables of inputs whose pairs sit at exactly ε.
 
 use hybrid_dbscan::core::backend::IndexBackend;
 use hybrid_dbscan::core::batch::BatchConfig;
+use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan::core::nd::{build_table_nd, cluster_table_nd, NdTableHandle};
 use hybrid_dbscan::core::{clustering_fingerprint, table_fingerprint};
 use hybrid_dbscan::datasets::lattice_nd;
@@ -74,6 +76,45 @@ fn sampled_rows_match_brute_force() {
     for k in (0..sorted.len()).step_by(53) {
         let want = brute_force_neighbors(&sorted, &sorted[k], EPS);
         assert_eq!(h.table.neighbors(k as u32), &want[..], "row {k}");
+    }
+
+    // The ε-ball is closed: on an unjittered integer lattice at ε equal
+    // to its spacing every neighbor sits at exactly ε, as does the other
+    // point of a 3-4-5 pair at ε = 5.
+    for backend in [IndexBackend::Grid, IndexBackend::Tree] {
+        assert_rows_exact(&lattice_nd::<2>(400, 1.0, 0.0, 0), 1.0, backend);
+        assert_rows_exact(&lattice_nd::<3>(512, 1.0, 0.0, 0), 1.0, backend);
+        let pair2 = [
+            PointN::from_coords([0.0, 0.0]),
+            PointN::from_coords([3.0, 4.0]),
+        ];
+        assert_rows_exact(&pair2, 5.0, backend);
+        let pair3 = [
+            PointN::from_coords([0.0, 0.0, 0.0]),
+            PointN::from_coords([3.0, 0.0, 4.0]),
+        ];
+        assert_rows_exact(&pair3, 5.0, backend);
+    }
+}
+
+/// Every row of the `backend` build of `data` at `eps` holds exactly the
+/// brute-force ε-neighborhood of its point.
+fn assert_rows_exact<const D: usize>(data: &[PointN<D>], eps: f64, backend: IndexBackend) {
+    let config = HybridConfig {
+        backend,
+        ..HybridConfig::default()
+    };
+    let h = HybridDbscan::new(&Device::k20c(), config)
+        .build_table(data, eps)
+        .expect("build_table");
+    let sorted: Vec<PointN<D>> = h.perm.iter().map(|&i| data[i as usize]).collect();
+    for (k, q) in sorted.iter().enumerate() {
+        let want = brute_force_neighbors(&sorted, q, eps);
+        assert_eq!(
+            h.table.neighbors(k as u32),
+            &want[..],
+            "{D}-D {backend:?} row {k} at eps {eps}"
+        );
     }
 }
 

@@ -286,8 +286,8 @@ pub(crate) struct KernelPair {
     /// Host wall-clock of each launch (the simulation's cost).
     pub global_wall_ms: f64,
     pub shared_wall_ms: f64,
-    /// GPUCalcGlobal's result set, sorted.
-    pub pairs: Vec<NeighborPair>,
+    /// GPUCalcGlobal's result buffer, as its blocks committed it.
+    pub global_result: DeviceAppendBuffer<NeighborPair>,
 }
 
 /// Launch GPUCalcGlobal, then GPUCalcShared, once each over `sorted`
@@ -316,7 +316,7 @@ pub(crate) fn launch_pair(sorted: &[Point2], grid: &GridIndex, eps: f64) -> Kern
         (report, t0.elapsed().as_secs_f64() * 1e3)
     }
 
-    let mut result = DeviceAppendBuffer::<NeighborPair>::new(&device, cap).unwrap();
+    let global_result = DeviceAppendBuffer::<NeighborPair>::new(&device, cap).unwrap();
     let gk = GpuCalcGlobal {
         points: store.view(),
         grid: grid.cells_view(),
@@ -325,13 +325,11 @@ pub(crate) fn launch_pair(sorted: &[Point2], grid: &GridIndex, eps: f64) -> Kern
         eps,
         batch: 0,
         n_batches: 1,
-        result: &result,
+        result: &global_result,
         skip_dense_at: None,
     };
     let (global, global_wall_ms) = timed(&device, gk.launch_config(256), &gk);
-    assert!(!result.overflowed());
-    let mut pairs = result.as_filled_slice().to_vec();
-    pairs.sort_unstable();
+    assert!(!global_result.overflowed());
 
     let result = DeviceAppendBuffer::<NeighborPair>::new(&device, cap).unwrap();
     let sk = GpuCalcShared {
@@ -349,7 +347,7 @@ pub(crate) fn launch_pair(sorted: &[Point2], grid: &GridIndex, eps: f64) -> Kern
         shared,
         global_wall_ms,
         shared_wall_ms,
-        pairs,
+        global_result,
     }
 }
 

@@ -581,8 +581,9 @@ fn build(
 ///   each layout on the same dataset/ε;
 /// * `kernel_global` / `kernel_shared` — one unbatched launch of each
 ///   ε-neighborhood kernel (host time of the simulation);
-/// * `table_ingest` — [`NeighborTableBuilder`] fed the full sorted result
-///   set as one batch.
+/// * `table_ingest` — [`NeighborTableBuilder`] fed GPUCalcGlobal's whole
+///   result buffer as one batch, through the row pass that sorts each row
+///   into the table.
 pub const MICRO_STAGES: &[&str] = &[
     "grid_build_dense",
     "grid_build_sparse",
@@ -607,17 +608,18 @@ fn micro_trial(points: &[Point2], eps: f64) -> Trial {
     let launches = launch_pair(&data, &grid, eps);
     t.wall_ms.push(("kernel_global", launches.global_wall_ms));
     t.wall_ms.push(("kernel_shared", launches.shared_wall_ms));
-    let pairs = launches.pairs;
+    let mut result = launches.global_result;
+    let pairs = result.len();
 
     let t0 = Instant::now();
     let builder = NeighborTableBuilder::new(eps, data.len(), 1);
-    builder.ingest_batch(0, &pairs);
+    builder.ingest_batch(0, &mut result);
     let table = builder.finalize();
     t.wall_ms.push(("table_ingest", ms_since(t0)));
     assert_eq!(table.num_points(), data.len());
 
-    t.witness.insert("result_pairs", pairs.len() as u64);
-    t.metrics.insert("result_pairs".into(), pairs.len() as f64);
+    t.witness.insert("result_pairs", pairs as u64);
+    t.metrics.insert("result_pairs".into(), pairs as f64);
     t.metrics
         .insert("grid_cells".into(), grid.stats().total_cells as f64);
     t

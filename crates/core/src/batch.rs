@@ -3,7 +3,7 @@
 //! The result set `R` (all ε-neighbor pairs) can exceed GPU global memory,
 //! so the neighbor table is computed in `n_b` batches, each filling a
 //! bounded device buffer of `b_b` items that is sorted, shipped to the
-//! host, and drained into the table builder. The scheme must (i) never
+//! host, and copied into the table builder. The scheme must (i) never
 //! overflow `b_b` — a real kernel would corrupt memory — while (ii)
 //! keeping `n_b` minimal, because every extra batch is another transfer
 //! on the slow host-GPU link, and (iii) not over-allocating pinned staging

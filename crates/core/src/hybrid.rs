@@ -8,12 +8,12 @@
 //!            ── H2D: D, G, A ──────────────▶
 //!                                estimation kernel → e_b
 //! batch plan (Eq. 1)
-//! pinned staging buffers
+//! pinned staging buffers (priced)
 //! for each batch l (3 streams):
 //!                                GPUCalcGlobal/Shared (strided)
-//!                                thrust sort_by_key on R_l
-//!            ◀── D2H into pinned staging ──
-//! ingest R_l values into T
+//!                                thrust sort_by_key on R_l ┐
+//!            ◀── D2H of R_l's values ──                    │ one row
+//! R_l's values into T                                      ┘ pass
 //! ────────────────────────────────────────────────────────────────
 //! DBSCAN(T, minpts) — possibly many times with different minpts
 //! ```
@@ -53,7 +53,6 @@ use gpu_sim::hostmem::PinnedBuffer;
 use gpu_sim::memory::{DeviceAppendBuffer, DeviceBuffer, DeviceCounter};
 use gpu_sim::profiler::KernelProfile;
 use gpu_sim::stream::{schedule_chains, OpSpec};
-use gpu_sim::thrust;
 use gpu_sim::time::{SimDuration, SimTime};
 use gpu_sim::timeline::{Engine, Timeline};
 use gpu_sim::KernelReport;
@@ -837,8 +836,8 @@ impl HybridDbscan {
         Ok(Estimate { report, e_b })
     }
 
-    /// Device result buffers (and pinned staging buffers) for `plan`: one
-    /// per stream, never more than there are batches.
+    /// Device result buffers (and priced pinned staging buffers) for
+    /// `plan`: one per stream, never more than there are batches.
     fn n_buffers(&self, plan: &BatchPlan) -> usize {
         self.config.batch.n_streams.min(plan.n_batches).max(1)
     }
@@ -886,8 +885,8 @@ impl HybridDbscan {
         Ok(batches)
     }
 
-    /// Execute stage: allocate one pinned staging buffer and one device
-    /// result buffer per stream, run every batch through `launch(batch,
+    /// Execute stage: price one pinned staging buffer and allocate one
+    /// device result buffer per stream, run every batch through `launch(batch,
     /// n_batches, result)` (`None`: an empty batch, nothing launched) and,
     /// on overflow, replan from the exact counted |R| and rerun.
     fn execute<L>(
@@ -906,24 +905,24 @@ impl HybridDbscan {
             + Sync,
     {
         let n_buffers = self.n_buffers(&plan);
-        let alloc = |items: usize| -> Result<_, DeviceError> {
-            let pinned: Vec<PinnedBuffer<NeighborPair>> = (0..n_buffers)
-                .map(|_| PinnedBuffer::new(&self.device, items))
-                .collect();
-            let dev: Vec<DeviceAppendBuffer<NeighborPair>> = (0..n_buffers)
+        let alloc = |items: usize| -> Result<Vec<DeviceAppendBuffer<NeighborPair>>, DeviceError> {
+            (0..n_buffers)
                 .map(|_| DeviceAppendBuffer::new(&self.device, items))
-                .collect::<Result<_, _>>()?;
-            Ok((pinned, dev))
+                .collect()
         };
-        let (mut pinned, mut dev_buffers) = alloc(plan.buffer_items)?;
-        let pinned_alloc_time: SimDuration = pinned.iter().map(|p| p.alloc_time()).sum();
+        let mut dev_buffers = alloc(plan.buffer_items)?;
+        let pinned_alloc_time: SimDuration = (0..n_buffers)
+            .map(|_| {
+                PinnedBuffer::<NeighborPair>::new(&self.device, plan.buffer_items).alloc_time()
+            })
+            .sum();
 
         let span = self.span("batch_loop");
         let mut retries = 0;
         let mut discarded_batches = 0usize;
         let mut discarded_pairs = 0usize;
         let (builder, chains, profile, per_batch_pairs) = loop {
-            match self.run_batches(n, eps, &plan, &launch, &mut dev_buffers, &mut pinned)? {
+            match self.run_batches(n, eps, &plan, &launch, &mut dev_buffers)? {
                 BatchPass::Complete(out) => break out,
                 BatchPass::Overflowed {
                     required_total,
@@ -965,9 +964,8 @@ impl HybridDbscan {
                         plan.buffer_items = plan.buffer_items.max(max_required).max(1);
                         // Release the old set first: a device that fits
                         // the grown set must not fail for holding both.
-                        pinned.clear();
                         dev_buffers.clear();
-                        (pinned, dev_buffers) = alloc(plan.buffer_items)?;
+                        dev_buffers = alloc(plan.buffer_items)?;
                     }
                 }
             }
@@ -1174,13 +1172,13 @@ impl HybridDbscan {
 
     /// Run all batches of `plan` as a wall-clock pipeline mirroring the
     /// modeled stream schedule: one pool-driven worker per stream, each
-    /// owning its device/pinned buffer pair and executing its batches
+    /// owning its device result buffer and executing its batches
     /// (`l ≡ stream (mod n_buffers)`, the serial loop's exact buffer
     /// assignment) kernel → sort → D2H → ingest in order. Kernels still
-    /// serialize on the device's compute engine, but the host-side sort,
-    /// staging copy, and table ingest of batch *l* now overlap the kernel
-    /// of batch *l+1* in wall-clock, exactly as the modeled 3-stream
-    /// schedule overlaps them on the timeline.
+    /// serialize on the device's compute engine, but the row pass that
+    /// sorts batch *l* into the table overlaps the kernel of batch *l+1*
+    /// in wall-clock, as the modeled 3-stream schedule overlaps them on
+    /// the timeline.
     ///
     /// Returns [`BatchPass::Overflowed`] (with exact per-batch
     /// requirement counts for replanning) if any batch overflowed its
@@ -1189,7 +1187,7 @@ impl HybridDbscan {
     /// counts.
     ///
     /// INVARIANT (threading policy, DESIGN.md): every outcome a worker
-    /// produces — kernel report, sorted sequence, staged length, modeled
+    /// produces — kernel report, table rows, pair count, modeled
     /// durations — is a pure function of its batch index, and the drain
     /// loop below merges them in batch order. The pipeline therefore
     /// yields bit-identical tables, profiles, and `modeled_time` at every
@@ -1202,7 +1200,6 @@ impl HybridDbscan {
         plan: &BatchPlan,
         launch: &L,
         dev_buffers: &mut [DeviceAppendBuffer<NeighborPair>],
-        pinned: &mut [PinnedBuffer<NeighborPair>],
     ) -> Result<BatchPass, HybridError>
     where
         L: Fn(
@@ -1236,9 +1233,7 @@ impl HybridDbscan {
         // surfaced error does not depend on worker interleaving.
         let first_error: Mutex<Option<(usize, HybridError)>> = Mutex::new(None);
 
-        let worker = |stream: usize,
-                      buf: &mut DeviceAppendBuffer<NeighborPair>,
-                      stage: &mut PinnedBuffer<NeighborPair>| {
+        let worker = |stream: usize, buf: &mut DeviceAppendBuffer<NeighborPair>| {
             let mut l = stream;
             while l < n_b && !abort.load(Ordering::Relaxed) {
                 buf.reset();
@@ -1303,28 +1298,22 @@ impl HybridDbscan {
                     continue;
                 }
 
-                // Host-side sort by key (Thrust), so identical keys are
-                // adjacent before the transfer. The buffer has already
-                // drained its block commits in block order (keys ascending
-                // for the thread-per-point kernels, so only value runs
-                // need sorting). INVARIANT (threading policy, DESIGN.md):
-                // this total-order sort is what makes every kernel and
-                // backend hand the staging copy and table ingest the same
-                // sequence for the same pair set.
-                let sort_time = thrust::sort_by_key(&self.device, buf.as_filled_mut_slice());
-
-                // D2H straight into this stream's pinned staging area.
-                // The staging buffer is reused by batch l + n_buffers —
-                // same stream, so reuse serializes by construction
-                // (Algorithm 4's rationale for copying values out into
-                // buffer B).
-                let (staged_len, d2h_time) = buf.download_into(stage);
-
-                // Host: copy the values out of staging into T, off the
+                // Sort by key (Thrust), D2H and ingest into T in one row
+                // pass: each row's values go from the result buffer,
+                // sorted, straight into this batch's segment of B, off the
                 // driving thread — the builder's lock-free claims let
-                // streams ingest concurrently. The chain op's duration
-                // is modeled from the staged pair count, never measured.
-                builder.ingest_batch(l, stage.as_slice());
+                // streams ingest concurrently. INVARIANT (threading
+                // policy, DESIGN.md): the pass yields the `(key, value)`
+                // total order, so every kernel and backend hands the table
+                // the same sequence for the same pair set. The chain's
+                // sort, pinned-rate D2H and ingest durations are modeled
+                // from the pair count, never measured.
+                let staged_len = buf.len();
+                let sort_time = builder.ingest_batch(l, buf);
+                let d2h_time = self
+                    .device
+                    .transfer_model()
+                    .transfer_time(staged_len * PAIR_BYTES, true);
 
                 *outcomes[l].lock() = Some(BatchOutcome {
                     report: Some(report),
@@ -1342,17 +1331,14 @@ impl HybridDbscan {
         // this thread — same batch work, same outcomes.
         if n_buffers > 1 && rayon::current_num_threads() > 1 {
             rayon::scope(|s| {
-                for (stream, (buf, stage)) in
-                    dev_buffers.iter_mut().zip(pinned.iter_mut()).enumerate()
-                {
+                for (stream, buf) in dev_buffers.iter_mut().enumerate() {
                     let worker = &worker;
-                    s.spawn(move |_| worker(stream, buf, stage));
+                    s.spawn(move |_| worker(stream, buf));
                 }
             });
         } else {
-            for (stream, (buf, stage)) in dev_buffers.iter_mut().zip(pinned.iter_mut()).enumerate()
-            {
-                worker(stream, buf, stage);
+            for (stream, buf) in dev_buffers.iter_mut().enumerate() {
+                worker(stream, buf);
             }
         }
 

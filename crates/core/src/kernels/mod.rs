@@ -17,9 +17,9 @@
 //! All kernels emit key/value pairs `(k_j, v_j)` where `v_j ∈ N_ε(k_j)`
 //! — the `atomic: gpuResultSet ∪ result` of the pseudo-code. Each block
 //! stages its pairs locally and commits them to a [`DeviceAppendBuffer`]
-//! with one cursor reservation (`BlockStage`); the buffer drains the
-//! blocks in block order, so a thread-per-point kernel's keys come out
-//! ascending. Overflow is recorded in the buffer rather than corrupting
+//! with one cursor reservation (`BlockStage`); the buffer reads the
+//! blocks back in block order, so a thread-per-point kernel's keys come
+//! out ascending. Overflow is recorded in the buffer rather than corrupting
 //! memory; the batching scheme's job is to make it never happen.
 //!
 //! **Host execution.** Every kernel, and CUDA-DClust's chain expansion,

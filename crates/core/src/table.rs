@@ -2,10 +2,13 @@
 //!
 //! `T` maps every point `p_i ∈ D` to its ε-neighborhood as a range
 //! `[T_i_min, T_i_max]` into a flat value array `B`: if `p_j` is within ε
-//! of `p_i`, then `j ∈ {B[T_i_min], …, B[T_i_max]}`. The GPU returns the
-//! result set `R` as key/value pairs sorted by key; construction scans the
-//! sorted keys once, copies the values into `B`, and records the range per
-//! key.
+//! of `p_i`, then `j ∈ {B[T_i_min], …, B[T_i_max]}`. In the paper the GPU
+//! sorts the result set `R` by key, and the host scans the sorted keys,
+//! copies the values into `B` and records the range per key. Here one
+//! row pass does all of it: [`NeighborTableBuilder::ingest_batch`] reads
+//! a batch's rows from its device result buffer, sorts each row's values
+//! straight into the batch's value segment, and records the key's range
+//! (see `gpu_sim::thrust::sort_rows_into`).
 //!
 //! Because the batching scheme produces `T` incrementally — each batch
 //! covers a strided subset of the points — [`NeighborTableBuilder`] lets
@@ -15,17 +18,20 @@
 //! (a point belongs to exactly one batch), so no synchronization beyond
 //! segment ownership is required.
 
+use crate::kernels::NeighborPair;
+use gpu_sim::memory::DeviceAppendBuffer;
+use gpu_sim::thrust;
+use gpu_sim::time::SimDuration;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Below these sizes the parallel paths in [`NeighborTableBuilder`] fall
-/// back to the serial scan — the outputs are identical either way (the
-/// parallel code is a pure reindexing of the same computation); the gates
-/// only avoid pool overhead on small inputs.
-const PAR_INGEST_MIN_PAIRS: usize = 1 << 15;
+/// Below these sizes the parallel paths of [`NeighborTableBuilder::finalize`]
+/// run serially — the outputs are identical either way; the gates only
+/// avoid pool overhead on small inputs.
 const PAR_REBASE_MIN_POINTS: usize = 1 << 14;
 const PAR_CONCAT_MIN_VALUES: usize = 1 << 16;
 
@@ -121,7 +127,8 @@ impl NeighborTable {
     }
 
     /// Load a table written by [`NeighborTable::save`], validating the
-    /// header and every range.
+    /// header and every range. The header's lengths are not trusted for
+    /// allocation: storage grows as the bytes arrive.
     pub fn load(r: &mut impl std::io::Read) -> std::io::Result<NeighborTable> {
         use std::io::{Error, ErrorKind};
         fn read<const N: usize>(r: &mut impl std::io::Read) -> std::io::Result<[u8; N]> {
@@ -142,9 +149,15 @@ impl NeighborTable {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(bad("invalid eps"));
         }
-        let n_points = u64::from_le_bytes(read::<8>(r)?) as usize;
+        let n_points = u64::from_le_bytes(read::<8>(r)?);
+        if n_points > 1 << 32 {
+            return Err(bad("more points than u32 ids"));
+        }
+        let n_points = n_points as usize;
         let n_values = u64::from_le_bytes(read::<8>(r)?) as usize;
-        let mut ranges = Vec::with_capacity(n_points);
+        // Items reserved ahead of the bytes that fill them.
+        const PREALLOC_ITEMS: usize = 1 << 16;
+        let mut ranges = Vec::with_capacity(n_points.min(PREALLOC_ITEMS));
         for _ in 0..n_points {
             let start = u64::from_le_bytes(read::<8>(r)?);
             let end = u64::from_le_bytes(read::<8>(r)?);
@@ -153,7 +166,7 @@ impl NeighborTable {
             }
             ranges.push(TableRange { start, end });
         }
-        let mut values = Vec::with_capacity(n_values);
+        let mut values = Vec::with_capacity(n_values.min(PREALLOC_ITEMS));
         for _ in 0..n_values {
             let v = u32::from_le_bytes(read::<4>(r)?);
             if (v as usize) >= n_points {
@@ -217,132 +230,62 @@ impl NeighborTableBuilder {
         }
     }
 
-    /// Ingest batch `batch_idx`'s result set (sorted by key). Safe to call
-    /// from multiple threads with distinct `batch_idx` values; each batch
-    /// must cover a disjoint set of keys (guaranteed by the strided batch
-    /// assignment).
+    /// Ingest batch `batch_idx` straight from its device result buffer:
+    /// the host side of Algorithm 4's batch tail, in one row pass
+    /// (`thrust::sort_rows_into`) that sorts each row's values into the
+    /// batch's own segment of `B` and claims the key's range there.
+    /// Returns the modeled duration of the device sort.
     ///
-    /// This performs the host-side work Algorithm 4 describes: copy the
-    /// *values* out of the pinned staging area into `B` (the keys are
-    /// consumed on the fly to delimit ranges and never copied).
-    pub fn ingest_batch(&self, batch_idx: usize, pairs: &[(u32, u32)]) {
-        // Keys must arrive in contiguous runs (the device sort guarantees
-        // this; id translation permutes run labels but preserves runs).
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = std::collections::HashSet::new();
-            let mut prev = None;
-            for &(k, _) in pairs {
-                if prev != Some(k) {
-                    assert!(seen.insert(k), "key {k} appears in two separate runs");
-                    prev = Some(k);
-                }
-            }
-        }
-
-        // Copy values and compute per-key local ranges outside the lock.
-        // Large batches scan on the pool; the parallel scan computes the
-        // exact same (segment, local) as the serial one — run boundaries
-        // depend only on adjacent-pair equality, which is chunk-local.
-        let (segment, local) =
-            if pairs.len() >= PAR_INGEST_MIN_PAIRS && rayon::current_num_threads() > 1 {
-                Self::scan_runs_parallel(pairs)
-            } else {
-                Self::scan_runs_serial(pairs)
-            };
-
-        // Claim each key with a CAS and write its range lock-free: no
-        // builder-wide lock, so concurrent stream workers never contend.
-        for (key, range) in local {
-            assert!(
-                (key as usize) < self.n_points,
-                "key {key} out of range for {} points",
-                self.n_points
-            );
-            let claim = self.owner[key as usize].compare_exchange(
-                u32::MAX,
-                batch_idx as u32,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            assert!(
-                claim.is_ok(),
-                "key {key} ingested by two batches — strided assignment violated"
-            );
-            // SAFETY: the CAS above makes this thread the unique writer
-            // of this cell; `finalize` reads only after consuming `self`.
-            unsafe { *self.ranges[key as usize].get() = range };
-        }
+    /// Safe to call from multiple threads with distinct `batch_idx`
+    /// values; each batch must cover a disjoint set of keys (guaranteed
+    /// by the strided batch assignment).
+    pub fn ingest_batch(
+        &self,
+        batch_idx: usize,
+        result: &mut DeviceAppendBuffer<NeighborPair>,
+    ) -> SimDuration {
+        let n = result.len();
+        let mut segment = Vec::with_capacity(n);
+        let sort_time = thrust::sort_rows_into(
+            result,
+            &mut segment.spare_capacity_mut()[..n],
+            |key, range| self.claim(batch_idx, key, range),
+        );
+        // SAFETY: the row pass wrote all `n` values.
+        unsafe { segment.set_len(n) };
         let mut slot = self.segments[batch_idx].lock();
         assert!(slot.is_empty(), "batch {batch_idx} ingested twice");
         *slot = segment;
+        sort_time
     }
 
-    /// Serial run scan: values in order plus one `(key, local range)` per
-    /// contiguous key run.
-    fn scan_runs_serial(pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<(u32, TableRange)>) {
-        // Bulk value copy first (one vectorizable pass), then a second
-        // pass for the run boundaries — faster than interleaving pushes.
-        let segment: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
-        let mut local: Vec<(u32, TableRange)> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let key = pairs[i].0;
-            let start = i;
-            while i < pairs.len() && pairs[i].0 == key {
-                i += 1;
+    /// Claim `key` for batch `batch_idx` with a CAS and record its range
+    /// in the batch's segment — lock-free, so concurrent stream workers
+    /// never contend.
+    fn claim(&self, batch_idx: usize, key: u32, range: Range<usize>) {
+        assert!(
+            (key as usize) < self.n_points,
+            "key {key} out of range for {} points",
+            self.n_points
+        );
+        let claim = self.owner[key as usize].compare_exchange(
+            u32::MAX,
+            batch_idx as u32,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        assert!(
+            claim.is_ok(),
+            "key {key} ingested by two batches — strided assignment violated"
+        );
+        // SAFETY: the CAS above makes this thread the unique writer of
+        // this cell; `finalize` reads only after consuming `self`.
+        unsafe {
+            *self.ranges[key as usize].get() = TableRange {
+                start: range.start as u64,
+                end: range.end as u64,
             }
-            local.push((
-                key,
-                TableRange {
-                    start: start as u64,
-                    end: i as u64,
-                },
-            ));
-        }
-        (segment, local)
-    }
-
-    /// Parallel run scan with identical output to
-    /// [`Self::scan_runs_serial`]: run *starts* (`i == 0` or a key change
-    /// at `i`) are detected per chunk — the predicate only reads
-    /// `pairs[i-1]`/`pairs[i]`, so chunk boundaries cannot change it —
-    /// then flattened in chunk order, which is index order.
-    fn scan_runs_parallel(pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<(u32, TableRange)>) {
-        const CHUNK: usize = 32 * 1024;
-        let n = pairs.len();
-        let per_chunk: Vec<Vec<usize>> = (0..n.div_ceil(CHUNK))
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * CHUNK;
-                let hi = (lo + CHUNK).min(n);
-                let mut starts = Vec::new();
-                for i in lo..hi {
-                    if i == 0 || pairs[i].0 != pairs[i - 1].0 {
-                        starts.push(i);
-                    }
-                }
-                starts
-            })
-            .collect();
-        let starts: Vec<usize> = per_chunk.into_iter().flatten().collect();
-
-        let local: Vec<(u32, TableRange)> = (0..starts.len())
-            .into_par_iter()
-            .map(|r| {
-                let start = starts[r];
-                let end = starts.get(r + 1).copied().unwrap_or(n);
-                (
-                    pairs[start].0,
-                    TableRange {
-                        start: start as u64,
-                        end: end as u64,
-                    },
-                )
-            })
-            .collect();
-        let segment: Vec<u32> = pairs.par_iter().map(|p| p.1).collect();
-        (segment, local)
+        };
     }
 
     /// Concatenate the batch segments into `B` and rebase ranges.
@@ -416,11 +359,44 @@ impl NeighborTableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::error::DeviceError;
+    use gpu_sim::kernel::{BlockCtx, BlockKernel};
+    use gpu_sim::{Device, LaunchConfig};
 
-    /// A table from one fully sorted key/value result set (one batch).
+    /// A launch whose block `b` commits `windows[b]`.
+    struct Commit<'a> {
+        windows: &'a [&'a [NeighborPair]],
+        out: &'a DeviceAppendBuffer<NeighborPair>,
+    }
+
+    impl BlockKernel for Commit<'_> {
+        fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
+            self.out
+                .commit_block(ctx, self.windows[ctx.block_idx as usize])
+        }
+    }
+
+    /// A result buffer holding `windows`, one block window each.
+    fn result_of(device: &Device, windows: &[&[NeighborPair]]) -> DeviceAppendBuffer<NeighborPair> {
+        let n = windows.iter().map(|w| w.len()).sum::<usize>();
+        let out = DeviceAppendBuffer::new(device, n).unwrap();
+        if !windows.is_empty() {
+            let cfg = LaunchConfig::new(windows.len() as u32, 32);
+            device.launch(cfg, &Commit { windows, out: &out }).unwrap();
+        }
+        out
+    }
+
+    /// Ingest `pairs` as batch `batch_idx`, committed as one block window.
+    fn ingest(builder: &NeighborTableBuilder, batch_idx: usize, pairs: &[NeighborPair]) {
+        let mut result = result_of(&Device::k20c(), &[pairs]);
+        builder.ingest_batch(batch_idx, &mut result);
+    }
+
+    /// A table from one result set (one batch).
     fn sorted_pairs_table(eps: f64, n_points: usize, pairs: &[(u32, u32)]) -> NeighborTable {
         let builder = NeighborTableBuilder::new(eps, n_points, 1);
-        builder.ingest_batch(0, pairs);
+        ingest(&builder, 0, pairs);
         builder.finalize()
     }
 
@@ -439,6 +415,28 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_sorted_on_the_way_in_whatever_the_commit_order() {
+        // Block-per-cell shaped output: keys interleaved across windows,
+        // values unsorted; the table holds each row in ascending order.
+        let windows: [&[NeighborPair]; 3] = [
+            &[(2, 2), (0, 1)],
+            &[(1, 2), (2, 1), (0, 0)],
+            &[(1, 0), (1, 1)],
+        ];
+        let builder = NeighborTableBuilder::new(1.0, 3, 1);
+        builder.ingest_batch(0, &mut result_of(&Device::k20c(), &windows));
+        let t = builder.finalize();
+        assert_eq!(
+            t,
+            sorted_pairs_table(
+                1.0,
+                3,
+                &[(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+            )
+        );
+    }
+
+    #[test]
     fn point_with_no_pairs_has_empty_neighborhood() {
         let pairs = [(0, 0), (2, 2)];
         let t = sorted_pairs_table(1.0, 3, &pairs);
@@ -450,8 +448,8 @@ mod tests {
     fn multi_batch_strided_assembly() {
         // 6 points, 2 batches: batch 0 owns even keys, batch 1 odd keys.
         let builder = NeighborTableBuilder::new(1.0, 6, 2);
-        builder.ingest_batch(0, &[(0, 0), (0, 2), (2, 2), (4, 4), (4, 5)]);
-        builder.ingest_batch(1, &[(1, 1), (3, 3), (3, 4), (5, 4), (5, 5)]);
+        ingest(&builder, 0, &[(0, 0), (0, 2), (2, 2), (4, 4), (4, 5)]);
+        ingest(&builder, 1, &[(1, 1), (3, 3), (3, 4), (5, 4), (5, 5)]);
         let t = builder.finalize();
         assert_eq!(t.neighbors(0), &[0, 2]);
         assert_eq!(t.neighbors(1), &[1]);
@@ -472,15 +470,11 @@ mod tests {
                 vec![(2, 2), (5, 5), (8, 8)],
             ];
             for &b in &order {
-                builder.ingest_batch(b, &batches[b]);
+                ingest(&builder, b, &batches[b]);
             }
             builder.finalize()
         };
-        let a = mk([0, 1, 2]);
-        let b = mk([2, 0, 1]);
-        for id in 0..9 {
-            assert_eq!(a.neighbors(id), b.neighbors(id));
-        }
+        assert_eq!(mk([0, 1, 2]), mk([2, 0, 1]));
     }
 
     #[test]
@@ -496,13 +490,15 @@ mod tests {
                         .filter(|i| (*i as usize) % n_batches == b)
                         .flat_map(|i| [(i, i), (i, (i + 1) % n_points as u32)])
                         .collect();
-                    builder.ingest_batch(b, &pairs);
+                    ingest(builder, b, &pairs);
                 });
             }
         });
         let t = builder.finalize();
         for i in 0..n_points as u32 {
-            assert_eq!(t.neighbors(i), &[i, (i + 1) % n_points as u32]);
+            let mut row = [i, (i + 1) % n_points as u32];
+            row.sort_unstable();
+            assert_eq!(t.neighbors(i), &row);
         }
     }
 
@@ -510,15 +506,15 @@ mod tests {
     #[should_panic(expected = "ingested by two batches")]
     fn duplicate_key_across_batches_panics() {
         let builder = NeighborTableBuilder::new(1.0, 4, 2);
-        builder.ingest_batch(0, &[(0, 0)]);
-        builder.ingest_batch(1, &[(0, 1)]);
+        ingest(&builder, 0, &[(0, 0)]);
+        ingest(&builder, 1, &[(0, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_key_panics() {
         let builder = NeighborTableBuilder::new(1.0, 2, 1);
-        builder.ingest_batch(0, &[(5, 0)]);
+        ingest(&builder, 0, &[(5, 0)]);
     }
 
     #[test]
@@ -549,6 +545,25 @@ mod tests {
         // ranges start after 8+4+8+8+8 = 36 bytes; corrupt first range end.
         buf2[44..52].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(NeighborTable::load(&mut buf2.as_slice()).is_err());
+    }
+
+    #[test]
+    fn load_rejects_hostile_lengths() {
+        // A header claiming `n_points` points and `n_values` values,
+        // followed by a body far shorter than either.
+        let header = |n_points: u64, n_values: u64| {
+            let mut buf = NeighborTable::MAGIC.to_vec();
+            buf.extend(1u32.to_le_bytes());
+            buf.extend(1.0f64.to_le_bytes());
+            buf.extend(n_points.to_le_bytes());
+            buf.extend(n_values.to_le_bytes());
+            buf.extend([0u8; 24]);
+            buf
+        };
+        let err = NeighborTable::load(&mut header(1 << 40, 0).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(NeighborTable::load(&mut header(1, 1 << 62).as_slice()).is_err());
+        assert!(NeighborTable::load(&mut header(1 << 32, 1 << 62).as_slice()).is_err());
     }
 
     #[test]

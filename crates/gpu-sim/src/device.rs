@@ -83,8 +83,8 @@ pub(crate) struct DeviceInner {
     pub compute_lock: Mutex<()>,
     /// Kernel launches so far; each launch takes the next ordinal.
     pub launches: AtomicU64,
-    /// Host storage released by this device's result and staging
-    /// buffers, kept for its later buffers (see `hostmem`).
+    /// Host storage released by this device's result buffers, kept for
+    /// its later buffers (see `hostmem`).
     pub host_pool: HostPool,
 }
 

@@ -1,24 +1,27 @@
 //! Host-side memory with the pinned/pageable distinction, and the host
-//! storage that backs device and pinned buffers.
+//! storage that backs device result buffers.
 //!
 //! CUDA transfers from page-locked ("pinned") host memory are roughly twice
 //! as fast as from pageable memory, but pinning is itself expensive
 //! (a page-table walk proportional to the allocation). The paper stages
 //! every batch's result set through pinned buffers and is careful not to
-//! over-allocate them (Section VI). [`PinnedBuffer`] models both sides of
-//! that trade-off.
+//! over-allocate them (Section VI). [`PinnedBuffer`] carries the pinning
+//! side of that trade-off, and the pipeline prices each batch's D2H at the
+//! pinned rate. A `PinnedBuffer` holds no bytes: a simulated device's
+//! result buffer is already host memory, so a batch's D2H moves its values
+//! once, from that buffer straight into the table; the staging copy is
+//! priced, not made.
 //!
 //! **Host backing storage is recycled per device.** The paper allocates
-//! its per-stream staging buffers once and reuses them; a fresh host
-//! allocation per build would instead pay a first-touch page fault on
-//! every page the batch tail writes. Storage of dropped result and
-//! staging buffers therefore goes into a small bounded pool on the
-//! owning [`Device`] (bounded by `HOST_POOL_BYTES` and
-//! `HOST_POOL_BLOCKS`), and
-//! later buffers of that device take the best-fitting block from it.
-//! The pool is host memory only: device-memory accounting
-//! (`available_bytes`, `peak_bytes`, out-of-memory) and every buffer's
-//! capacity follow the requested sizes, never the recycled block's.
+//! its per-stream buffers once and reuses them; a fresh host allocation
+//! per build would instead pay a first-touch page fault on every page the
+//! kernels write. Storage of dropped result buffers therefore goes into a
+//! small bounded pool on the owning [`Device`] (bounded by
+//! `HOST_POOL_BYTES` and `HOST_POOL_BLOCKS`), and later buffers of that
+//! device take the best-fitting block from it. The pool is host memory
+//! only: device-memory accounting (`available_bytes`, `peak_bytes`,
+//! out-of-memory) and every buffer's capacity follow the requested sizes,
+//! never the recycled block's.
 
 use crate::device::Device;
 use crate::time::SimDuration;
@@ -31,8 +34,8 @@ use std::ptr::NonNull;
 /// freed on release; otherwise the smallest kept blocks are evicted first,
 /// since a large block serves every smaller request.
 pub(crate) const HOST_POOL_BYTES: usize = 64 << 20;
-/// Most blocks a device keeps for reuse: a build's batch tail holds three
-/// (result, drain spare, pinned staging) per stream.
+/// Most blocks a device keeps for reuse: a build holds one recycled block
+/// (its result buffer) per stream.
 pub(crate) const HOST_POOL_BLOCKS: usize = 16;
 /// Alignment of every block, enough for any item type the buffers hold.
 const HOST_ALIGN: usize = 64;
@@ -161,32 +164,20 @@ impl Drop for HostStorage {
     }
 }
 
-/// A page-locked host staging buffer.
-///
-/// Carries the modeled allocation (pinning) cost so callers can charge it
-/// once, and marks transfers it participates in as pinned-rate. Storage
-/// comes from the device's host pool and is written only by
-/// [`PinnedBuffer::write_from`], never past the requested capacity.
+/// A page-locked host staging buffer, as priced: the modeled allocation
+/// (pinning) cost, charged once. It holds no bytes (see the module docs).
 pub struct PinnedBuffer<T: Copy> {
-    storage: HostStorage,
-    capacity: usize,
-    len: usize,
     alloc_time: SimDuration,
     _items: PhantomData<T>,
 }
 
 impl<T: Copy> PinnedBuffer<T> {
-    /// Allocate a pinned buffer of `capacity` items on the host of
-    /// `device`. The returned buffer records the modeled pinning time,
-    /// charged whether or not the storage is recycled.
+    /// A pinned buffer of `capacity` items on the host of `device`,
+    /// recording the modeled pinning time.
     pub fn new(device: &Device, capacity: usize) -> Self {
         let bytes = capacity * std::mem::size_of::<T>();
-        let alloc_time = device.transfer_model().pin_time(bytes);
         PinnedBuffer {
-            storage: HostStorage::new::<T>(device, capacity),
-            capacity,
-            len: 0,
-            alloc_time,
+            alloc_time: device.transfer_model().pin_time(bytes),
             _items: PhantomData,
         }
     }
@@ -194,40 +185,6 @@ impl<T: Copy> PinnedBuffer<T> {
     /// The modeled cost of having allocated this buffer.
     pub fn alloc_time(&self) -> SimDuration {
         self.alloc_time
-    }
-
-    /// Capacity in items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn bytes(&self) -> usize {
-        self.capacity * std::mem::size_of::<T>()
-    }
-
-    /// Replace the contents with `src`, growing never: `src` must fit.
-    /// Returns the written length.
-    pub fn write_from(&mut self, src: &[T]) -> usize {
-        assert!(
-            src.len() <= self.capacity,
-            "staging write of {} items exceeds pinned capacity {}",
-            src.len(),
-            self.capacity
-        );
-        // SAFETY: the storage holds at least `capacity >= src.len()` items
-        // of `T`, is exclusively ours (`&mut self`), and cannot overlap the
-        // borrowed `src`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), self.storage.as_ptr::<T>(), src.len());
-        }
-        self.len = src.len();
-        src.len()
-    }
-
-    /// The items of the last [`PinnedBuffer::write_from`].
-    pub fn as_slice(&self) -> &[T] {
-        // SAFETY: the last `write_from` initialized the first `len` items.
-        unsafe { std::slice::from_raw_parts(self.storage.as_ptr::<T>(), self.len) }
     }
 }
 
@@ -245,42 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn write_roundtrip() {
-        let d = Device::k20c();
-        let mut buf = PinnedBuffer::<u32>::new(&d, 10);
-        assert!(buf.as_slice().is_empty());
-        let n = buf.write_from(&[1, 2, 3]);
-        assert_eq!(n, 3);
-        assert_eq!(buf.as_slice(), &[1, 2, 3]);
-        assert_eq!(buf.capacity(), 10);
-        buf.write_from(&[4]);
-        assert_eq!(buf.as_slice(), &[4], "a write replaces the contents");
-    }
-
-    #[test]
-    #[should_panic]
-    fn overfull_write_panics() {
-        let d = Device::k20c();
-        let mut buf = PinnedBuffer::<u32>::new(&d, 2);
-        buf.write_from(&[1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds pinned capacity 2")]
-    fn write_past_capacity_panics_on_recycled_storage() {
-        let d = Device::k20c();
-        drop(PinnedBuffer::<u32>::new(&d, 1_000));
-        let mut buf = PinnedBuffer::<u32>::new(&d, 2);
-        assert!(buf.storage.bytes() >= 4_000, "took the larger block");
-        assert_eq!(buf.capacity(), 2);
-        buf.write_from(&[1, 2, 3]);
-    }
-
-    #[test]
     fn pinned_does_not_consume_device_memory() {
         let d = Device::tiny(16);
-        let _buf = PinnedBuffer::<u64>::new(&d, 1_000_000);
+        let _big = PinnedBuffer::<u64>::new(&d, 1_000_000);
         assert_eq!(d.used_bytes(), 0, "pinned memory is host memory");
+        drop(HostStorage::new::<u8>(&d, 64));
+        let _small = PinnedBuffer::<u64>::new(&d, 8);
+        assert_eq!(d.inner.host_pool.held().0, 1, "and takes no host block");
     }
 
     #[test]

@@ -135,8 +135,8 @@ pub struct BlockCtx {
     pub block_dim: u32,
     /// `gridDim.x`.
     pub grid_dim: u32,
-    /// The launch's ordinal on its device: append buffers drain the
-    /// windows of sequential launches in launch order.
+    /// The launch's ordinal on its device: append buffers read the
+    /// windows of sequential launches back in launch order.
     pub(crate) launch: u64,
     warp_size: u32,
     shared_used: usize,
@@ -258,7 +258,7 @@ impl Device {
     /// index-addressed `collect` and are folded in block order below, so
     /// the modeled duration is bitwise identical at every thread count.
     /// Block commits into a `DeviceAppendBuffer` may land in any order;
-    /// the buffer drains them in `(launch, block)` order (DESIGN.md,
+    /// the buffer reads them back in `(launch, block)` order (DESIGN.md,
     /// threading policy).
     pub fn launch<K: BlockKernel>(
         &self,
@@ -372,9 +372,9 @@ mod tests {
         let mut out = DeviceAppendBuffer::<u64>::new(&d, 4).unwrap();
         let cfg = LaunchConfig::new(4, 64);
         d.launch(cfg, &SharedReduce { out: &out }).unwrap();
-        let sums = out.as_filled_slice().to_vec();
-        // Block b covers gids [64b, 64b+63]; sum = 64*64b + 2016, drained
-        // in block order.
+        let sums = out.block_windows().concat();
+        // Block b covers gids [64b, 64b+63]; sum = 64*64b + 2016, read
+        // back in block order.
         let expected: Vec<u64> = (0..4).map(|b| 64 * 64 * b + 2016).collect();
         assert_eq!(sums, expected);
     }

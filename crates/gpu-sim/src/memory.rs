@@ -5,7 +5,7 @@
 //! * [`DeviceAppendBuffer`] — a capacity-bounded output array written via
 //!   an atomically-incremented cursor, one reservation per thread block
 //!   (the CUDA idiom `base = atomicAdd(&count, n_block)` of a kernel that
-//!   stages its result set `R` per block), drained in block order.
+//!   stages its result set `R` per block), read back in block order.
 //! * [`DeviceCounter`] — a bare atomic counter (the result-size estimation
 //!   kernel of Section VI only counts, it does not materialize results).
 //!
@@ -14,7 +14,7 @@
 
 use crate::device::Device;
 use crate::error::DeviceError;
-use crate::hostmem::{HostStorage, PinnedBuffer};
+use crate::hostmem::HostStorage;
 use crate::kernel::BlockCtx;
 use crate::time::SimDuration;
 use parking_lot::Mutex;
@@ -89,16 +89,15 @@ impl<T: Copy> Drop for DeviceBuffer<T> {
 /// The batching scheme's α-overestimation exists precisely to keep
 /// [`DeviceAppendBuffer::overflowed`] false.
 ///
-/// **Element order is a pure function of the launches.** Which window a
-/// block's reservation lands on varies with host scheduling, so the
-/// buffer records every block's window and, before any read of the
-/// filled prefix, drains the windows in launch order and block order
-/// inside the buffer. No consumer can see, or forget to undo, the
-/// schedule's interleaving: a thread-per-point kernel whose blocks emit
-/// ascending keys drains with ascending keys at every thread count.
-/// Consumers that combine the output of *different* kernels or backends
-/// still canonicalize by a total order (DESIGN.md, "Threading model &
-/// determinism policy").
+/// **Where a window lands varies with host scheduling; which windows
+/// exist does not.** The buffer records every block's window, and
+/// [`DeviceAppendBuffer::block_windows`] hands them out in launch and
+/// block order, which is a pure function of the launches: a
+/// thread-per-point kernel whose blocks emit ascending keys reads back
+/// with ascending keys at every thread count, without the windows being
+/// moved. [`DeviceAppendBuffer::as_filled_slice`] is the filled prefix in
+/// commit order; its consumers canonicalize by a total order (DESIGN.md,
+/// "Threading model & determinism policy").
 ///
 /// Slots are not written at allocation: storage is taken uninitialized
 /// from the device's host pool (recycled from dropped buffers where one
@@ -110,15 +109,10 @@ pub struct DeviceAppendBuffer<T: Copy + Send> {
     capacity: usize,
     /// Storage for at least `capacity` items.
     slots: HostStorage,
-    /// Drain target, taken on the first out-of-order drain and then
-    /// swapped with `slots` on every reordering drain.
-    spare: Option<HostStorage>,
     cursor: AtomicUsize,
     rejected: AtomicUsize,
-    /// Committed windows not yet drained.
+    /// Every committed window since the last reset.
     windows: Mutex<Vec<Window>>,
-    /// Length of the prefix already drained into launch and block order.
-    ordered: usize,
     _items: PhantomData<T>,
 }
 
@@ -135,10 +129,10 @@ struct Window {
 // `slots` (through its raw pointer) only inside the window its `fetch_add`
 // on `cursor` reserved (disjoint across commits, and below `capacity`),
 // updates the `cursor`/`rejected` atomics and pushes to the `windows`
-// mutex. `spare`, `ordered`, the `slots`/`spare` swap and every read of
-// `slots` need `&mut self`, so they never overlap a commit. `device`,
-// `reserved_bytes` and `capacity` are read-only after construction.
-// `T: Send` because committed items are written from other threads.
+// mutex. Every read of `slots` needs `&mut self`, so it never overlaps a
+// commit. `device`, `reserved_bytes` and `capacity` are read-only after
+// construction. `T: Send` because committed items are written from other
+// threads.
 unsafe impl<T: Copy + Send> Sync for DeviceAppendBuffer<T> {}
 
 impl<T: Copy + Send> DeviceAppendBuffer<T> {
@@ -151,11 +145,9 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
             reserved_bytes,
             capacity,
             slots: HostStorage::new::<T>(device, capacity),
-            spare: None,
             cursor: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             windows: Mutex::new(Vec::new()),
-            ordered: 0,
             _items: PhantomData,
         })
     }
@@ -221,55 +213,32 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
         Ok(())
     }
 
-    /// Move the windows committed since the last drain into launch and
-    /// block order, right after the already ordered prefix.
-    fn drain(&mut self) {
+    /// The committed windows in launch and block order, left where the
+    /// commits put them. Requires `&mut self`, i.e. no concurrent kernel
+    /// can still be committing.
+    pub fn block_windows(&mut self) -> Vec<&[T]> {
         let windows = self.windows.get_mut();
-        if windows.is_empty() {
-            return;
-        }
         windows.sort_unstable_by_key(|w| (w.launch, w.block));
-        let mut next = self.ordered;
-        let mut in_order = true;
-        for w in windows.iter() {
-            in_order &= w.start == next;
-            next += w.len;
-        }
-        if !in_order {
-            let spare = self
-                .spare
-                .get_or_insert_with(|| HostStorage::new::<T>(&self.device, self.capacity));
-            let src = self.slots.as_ptr::<T>();
-            let dst = spare.as_ptr::<T>();
-            // SAFETY: exclusive access; every source range lies in the
-            // initialized prefix, and the destination ranges tile
-            // `0..next` (`next <= capacity`) of the distinct spare
-            // storage without overlap.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src, dst, self.ordered);
-                let mut at = self.ordered;
-                for w in windows.iter() {
-                    std::ptr::copy_nonoverlapping(src.add(w.start), dst.add(at), w.len);
-                    at += w.len;
-                }
-            }
-            std::mem::swap(&mut self.slots, spare);
-        }
-        windows.clear();
-        self.ordered = next;
+        let base = self.slots.as_ptr::<T>();
+        windows
+            .iter()
+            // SAFETY: exclusive access; each window lies in the
+            // initialized prefix, written by its commit.
+            .map(|w| unsafe { std::slice::from_raw_parts(base.add(w.start), w.len) })
+            .collect()
     }
 
-    /// View of the filled prefix, drained into launch and block order.
-    /// Requires `&mut self`, i.e. no concurrent kernel can still be
-    /// committing.
+    /// View of the filled prefix in commit order. Requires `&mut self`,
+    /// i.e. no concurrent kernel can still be committing.
     pub fn as_filled_slice(&mut self) -> &[T] {
         self.as_filled_mut_slice()
     }
 
-    /// Mutable view of the drained filled prefix (device-side sort
-    /// operates here).
+    /// Mutable view of the filled prefix in commit order (device-side
+    /// sorts operate here). Rewriting it leaves
+    /// [`DeviceAppendBuffer::block_windows`] describing the rewritten
+    /// items.
     pub fn as_filled_mut_slice(&mut self) -> &mut [T] {
-        self.drain();
         let n = self.len();
         // SAFETY: exclusive access; commits initialized the first `n`
         // slots (their windows tile `0..n`).
@@ -277,22 +246,11 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
     }
 
     /// Reset the cursor so the allocation can be reused for the next batch
-    /// (the 3 per-stream result buffers are reused across batches).
+    /// (the per-stream result buffers are reused across batches).
     pub fn reset(&mut self) {
         self.cursor.store(0, Ordering::Release);
         self.rejected.store(0, Ordering::Relaxed);
         self.windows.get_mut().clear();
-        self.ordered = 0;
-    }
-
-    /// Download the drained filled prefix straight into a pinned staging
-    /// buffer — the cudaMemcpyAsync(D2H, pinned) shape. Returns the staged
-    /// length and the modeled pinned-rate transfer duration.
-    pub fn download_into(&mut self, stage: &mut PinnedBuffer<T>) -> (usize, SimDuration) {
-        let n = self.len();
-        let bytes = n * std::mem::size_of::<T>();
-        let t = self.device.transfer_model().transfer_time(bytes, true);
-        (stage.write_from(self.as_filled_slice()), t)
     }
 }
 
@@ -441,33 +399,37 @@ mod tests {
     }
 
     /// Launch `PerPoint` over `n` points on a `threads` pool view and
-    /// drain the buffer.
-    fn drained(threads: usize, n: u64, capacity: usize) -> (Vec<(u32, u32)>, usize, usize) {
+    /// read its windows back in block order.
+    fn read_back(threads: usize, n: u64, capacity: usize) -> (Vec<(u32, u32)>, usize, usize) {
         let d = Device::k20c();
         let mut buf = DeviceAppendBuffer::new(&d, capacity).unwrap();
         on_pool(threads, || launch_per_point(&d, &buf, n));
         let (len, rejected) = (buf.len(), buf.rejected());
-        (buf.as_filled_slice().to_vec(), len, rejected)
+        (buf.block_windows().concat(), len, rejected)
     }
 
     #[test]
-    fn multi_block_drain_is_identical_at_every_thread_count() {
+    fn multi_block_windows_are_identical_at_every_thread_count() {
         let n = 16 * 32 - 7;
-        let (serial, len, rejected) = drained(1, n, 4096);
-        assert_eq!(serial, per_point_pairs(n as u32), "drained in block order");
+        let (serial, len, rejected) = read_back(1, n, 4096);
+        assert_eq!(
+            serial,
+            per_point_pairs(n as u32),
+            "read back in block order"
+        );
         assert_eq!((len, rejected), (serial.len(), 0));
         for threads in [2, 4] {
             assert_eq!(
-                drained(threads, n, 4096).0,
+                read_back(threads, n, 4096).0,
                 serial,
-                "{threads}-thread drain differs from the serial one"
+                "{threads}-thread windows differ from the serial ones"
             );
         }
     }
 
     #[test]
-    fn thread_per_point_kernel_drains_with_ascending_keys() {
-        let (pairs, _, _) = drained(4, 24 * 32, 8192);
+    fn thread_per_point_kernel_reads_back_with_ascending_keys() {
+        let (pairs, _, _) = read_back(4, 24 * 32, 8192);
         assert!(!pairs.is_empty());
         assert!(pairs.is_sorted_by_key(|&(k, _)| k));
     }
@@ -477,7 +439,7 @@ mod tests {
         let n = 12 * 32;
         let attempted = per_point_pairs(n as u32).len();
         for threads in [1, 4] {
-            let (kept, len, rejected) = drained(threads, n, attempted / 3);
+            let (kept, len, rejected) = read_back(threads, n, attempted / 3);
             assert_eq!(len, attempted / 3);
             assert_eq!(kept.len(), len);
             assert_eq!(len + rejected, attempted, "{threads} threads");
@@ -485,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn reversed_commits_drain_in_block_order() {
+    fn reversed_commits_read_back_in_block_order_without_moving() {
         let d = Device::k20c();
         let mut buf = DeviceAppendBuffer::new(&d, 64).unwrap();
         let cfg = LaunchConfig::new(4, 32);
@@ -494,11 +456,13 @@ mod tests {
             buf.commit_block(&ctx, &[(block, 0), (block, 1)]).unwrap();
         }
         let expected: Vec<(u32, u32)> = (0..4).flat_map(|b| [(b, 0), (b, 1)]).collect();
-        assert_eq!(buf.as_filled_slice(), expected.as_slice());
+        assert_eq!(buf.block_windows().concat(), expected);
+        let committed: Vec<(u32, u32)> = (0..4).rev().flat_map(|b| [(b, 0), (b, 1)]).collect();
+        assert_eq!(buf.as_filled_slice(), committed.as_slice(), "left in place");
     }
 
     #[test]
-    fn sequential_launches_drain_in_launch_order() {
+    fn sequential_launches_read_back_in_launch_order() {
         let d = Device::k20c();
         let mut buf = DeviceAppendBuffer::new(&d, 4096).unwrap();
         on_pool(4, || {
@@ -507,11 +471,11 @@ mod tests {
         });
         let mut expected = per_point_pairs(100);
         expected.extend(per_point_pairs(60));
-        assert_eq!(buf.as_filled_slice(), expected.as_slice());
-        // A drained prefix stays in place under later launches.
+        assert_eq!(buf.block_windows().concat(), expected);
+        // Reading the windows back does not end the batch.
         on_pool(4, || launch_per_point(&d, &buf, 30));
         expected.extend(per_point_pairs(30));
-        assert_eq!(buf.as_filled_slice(), expected.as_slice());
+        assert_eq!(buf.block_windows().concat(), expected);
     }
 
     #[test]
@@ -523,6 +487,7 @@ mod tests {
         buf.reset();
         assert_eq!(buf.len(), 0);
         assert!(!buf.overflowed());
+        assert!(buf.block_windows().is_empty());
         launch_per_point(&d, &buf, 3);
         assert_eq!(buf.as_filled_slice(), &[(1, 0), (2, 0), (2, 1)]);
         assert_eq!(d.used_bytes(), used, "reset must not reallocate");
@@ -531,28 +496,16 @@ mod tests {
     #[test]
     fn dropped_buffer_storage_is_reused() {
         let d = Device::k20c();
-        let mut buf = DeviceAppendBuffer::<(u32, u32)>::new(&d, 4096).unwrap();
-        let cfg = LaunchConfig::new(2, 32);
-        for block in [1, 0] {
-            buf.commit_block(&BlockCtx::new(&d, cfg, 0, block), &[(block, 0)])
-                .unwrap();
-        }
-        assert_eq!(buf.as_filled_slice(), &[(0, 0), (1, 0)]);
-        // The out-of-order drain took a spare: two blocks to recycle.
-        let mut released = [
-            buf.slots.as_ptr::<u8>().cast_const(),
-            buf.spare.as_ref().unwrap().as_ptr::<u8>().cast_const(),
-        ];
+        let buf = DeviceAppendBuffer::<(u32, u32)>::new(&d, 4096).unwrap();
+        let released = buf.slots.as_ptr::<u8>();
         drop(buf);
+        assert_eq!(d.inner.host_pool.held().0, 1, "one block per buffer");
         let again = DeviceAppendBuffer::<(u32, u32)>::new(&d, 4096).unwrap();
-        let stage = PinnedBuffer::<(u32, u32)>::new(&d, 4096);
-        let mut taken = [
-            again.slots.as_ptr::<u8>().cast_const(),
-            stage.as_slice().as_ptr().cast::<u8>(),
-        ];
-        released.sort();
-        taken.sort();
-        assert_eq!(taken, released, "both blocks were taken again");
+        assert_eq!(
+            again.slots.as_ptr::<u8>(),
+            released,
+            "the block was taken again"
+        );
     }
 
     #[test]
@@ -574,15 +527,12 @@ mod tests {
     #[test]
     fn recycling_leaves_device_accounting_unchanged() {
         // One allocation sequence on a device with an empty pool and on
-        // one whose pool was filled through pinned buffers (host memory
-        // only): availability and peak after every step, and the
-        // out-of-memory report, must not differ.
+        // one whose pool holds host blocks: availability and peak after
+        // every step, and the out-of-memory report, must not differ.
         let run = |d: &Device| {
             let mut seen = Vec::new();
             let mut note = |d: &Device| seen.push((d.available_bytes(), d.peak_bytes()));
             let a = DeviceAppendBuffer::<(u32, u32)>::new(d, 1000).unwrap();
-            note(d);
-            let stage = PinnedBuffer::<(u32, u32)>::new(d, 1000);
             note(d);
             let b = DeviceAppendBuffer::<u64>::new(d, 3000).unwrap();
             note(d);
@@ -595,13 +545,13 @@ mod tests {
             };
             drop(a);
             note(d);
-            drop((b, stage));
+            drop(b);
             note(d);
             (seen, oom)
         };
         let fresh = Device::tiny(1 << 16);
         let warm = Device::tiny(1 << 16);
-        drop([1000, 1000, 3000].map(|items| PinnedBuffer::<u64>::new(&warm, items)));
+        drop([1000, 1000, 3000].map(|items| HostStorage::new::<u64>(&warm, items)));
         assert_eq!(warm.inner.host_pool.held().0, 3);
         let expected = run(&fresh);
         assert_eq!(run(&warm), expected);

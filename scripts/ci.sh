@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass.
 #
-#   scripts/ci.sh            # build + test + fmt + docs (+ clippy, advisory)
-#   CLIPPY_STRICT=1 scripts/ci.sh   # make clippy failures fatal too
+#   scripts/ci.sh            # build + test + fmt + docs + clippy
 #   DIFF_STRICT=1 scripts/ci.sh     # make the long differential sweep fatal
 #   BENCH_STRICT=1 scripts/ci.sh    # make measurement shortfalls fatal:
 #                                   # modeled regressions, speedup floor,
 #                                   # auto-selector rate, trend findings
 #
-# clippy and the 200-case differential sweep are advisory by default —
-# lint sets shift across toolchains, and the sweep is the long randomized
-# tier of a harness whose quick tier already gates fatally; build, tests,
-# formatting and doc links are always fatal.
+# The 200-case differential sweep is advisory by default — it is the long
+# randomized tier of a harness whose quick tier already gates fatally;
+# build, tests, formatting, doc links and clippy are always fatal.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -49,7 +47,7 @@ perfbench_smoke() {
     [[ "$last" == *'"correct": true,'* && "$last" == *'"failed": 0,'* ]]
 }
 # Each workload also runs on a one-thread pool, so the serial presort,
-# drain and sort paths are checked against the oracles too.
+# row pass and sort paths are checked against the oracles too.
 for workload in s2_sweep s3_reuse nd3_lattice; do
     step "perfbench smoke ($workload)" perfbench_smoke "$workload"
     step "perfbench smoke ($workload, RAYON_NUM_THREADS=1)" \
@@ -61,10 +59,10 @@ done
 # labels are still checked against the reference.
 step "perfbench smoke (s3_reuse, RAYON_NUM_THREADS=4)" \
     perfbench_smoke s3_reuse RAYON_NUM_THREADS=4
-# Result, drain and staging storage is recycled through the device's host
-# pool across builds; on an oversubscribed pool the stream workers take
-# and return that storage concurrently, and every request's outputs are
-# still checked against the warm-up's and the oracles.
+# Result buffer storage is recycled through the device's host pool across
+# builds; on an oversubscribed pool the stream workers take and return
+# that storage concurrently, and every request's outputs are still
+# checked against the warm-up's and the oracles.
 step "perfbench smoke (s2_sweep, RAYON_NUM_THREADS=4)" \
     perfbench_smoke s2_sweep RAYON_NUM_THREADS=4
 step "perfbench smoke (nd3_lattice, RAYON_NUM_THREADS=4)" \
@@ -189,15 +187,7 @@ step "fmt" cargo fmt --all --check
 step "docs" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --workspace --no-deps --offline -q
 
-echo "==> clippy: cargo clippy --workspace --all-targets -- -D warnings"
-if cargo clippy --workspace --all-targets -- -D warnings; then
-    echo "==> clippy: OK"
-elif [ "${CLIPPY_STRICT:-0}" = "1" ]; then
-    echo "==> clippy: FAILED (strict)"
-    failed=1
-else
-    echo "==> clippy: FAILED (advisory only; set CLIPPY_STRICT=1 to enforce)"
-fi
+step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> differential sweep: DIFF_CASES=200 cargo test --test differential seeded_sweep"
 if env DIFF_CASES=200 cargo test -p hybrid-dbscan-core --test differential seeded_sweep -q; then

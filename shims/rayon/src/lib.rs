@@ -28,7 +28,7 @@
 //! What the shim *cannot* make deterministic is side-effect interleaving
 //! inside user closures (atomic append order, lock acquisition order) —
 //! consumers of such effects must canonicalize, which in this workspace
-//! means sorting `DeviceAppendBuffer` drains before use.
+//! means sorting `DeviceAppendBuffer` contents before use.
 //!
 //! ## Profiling
 //!

@@ -3,9 +3,11 @@
 //! still cluster correctly, and the scheme's structural promises
 //! (consistent batch sizes, pinned staging reuse) must hold end to end.
 
+use hybrid_dbscan::core::backend::IndexBackend;
 use hybrid_dbscan::core::batch::BatchConfig;
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, HybridError, KernelChoice};
 use hybrid_dbscan::core::reference::ReferenceDbscan;
+use hybrid_dbscan::core::{table_fingerprint, NeighborTable};
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::error::DeviceError;
 use hybrid_dbscan::gpu_sim::{Device, DeviceBuffer};
@@ -232,4 +234,73 @@ fn buffer_growth_releases_the_old_buffers_first() {
     }
     drop(handle);
     assert_eq!(device.used_bytes(), 0);
+}
+
+#[test]
+fn multi_batch_row_pass_builds_the_single_batch_table() {
+    // Tiny buffers force many batches, each sorted from its result buffer
+    // into the table by the row pass: in place for the thread-per-point
+    // kernels, sorted first for the block-per-cell one.
+    let d = data("SDSS1", 0.002);
+    let eps = 0.5;
+    let saved = |t: &NeighborTable| {
+        let mut bytes = Vec::new();
+        t.save(&mut bytes).unwrap();
+        bytes
+    };
+    let one_buffer = HybridConfig {
+        batch: BatchConfig {
+            static_threshold: 0,
+            static_buffer_items: 10_000_000,
+            ..BatchConfig::default()
+        },
+        ..HybridConfig::default()
+    };
+    let single = HybridDbscan::new(&Device::k20c(), one_buffer)
+        .build_table(&d, eps)
+        .unwrap();
+    assert_eq!(single.gpu.n_batches, 1);
+    let want = table_fingerprint(&single.table);
+    let variants = [
+        (KernelChoice::Global, IndexBackend::Grid),
+        (KernelChoice::Global, IndexBackend::Tree),
+        (KernelChoice::Shared, IndexBackend::Grid),
+    ];
+    let build = |threads: usize| -> Vec<Vec<u8>> {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            variants
+                .iter()
+                .map(|&(kernel, backend)| {
+                    let device = Device::k20c();
+                    let before = device.available_bytes();
+                    let cfg = HybridConfig {
+                        kernel,
+                        backend,
+                        batch: BatchConfig {
+                            static_threshold: 0,
+                            static_buffer_items: 3000,
+                            ..BatchConfig::default()
+                        },
+                        ..HybridConfig::default()
+                    };
+                    let handle = HybridDbscan::new(&device, cfg)
+                        .build_table(&d, eps)
+                        .unwrap();
+                    let what = format!("{kernel:?}/{backend:?} at {threads} threads");
+                    assert!(handle.gpu.n_batches > 1, "{what}: one batch");
+                    assert_eq!(table_fingerprint(&handle.table), want, "{what}");
+                    assert_eq!(device.available_bytes(), before, "{what}: memory held");
+                    saved(&handle.table)
+                })
+                .collect()
+        })
+    };
+    assert!(
+        build(1) == build(2),
+        "saved tables differ across thread counts"
+    );
 }

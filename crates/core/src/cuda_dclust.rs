@@ -27,7 +27,7 @@
 //! Hybrid-DBSCAN is conservative.
 
 use crate::dbscan::{Clustering, PointLabel};
-use crate::hybrid::DeviceCells;
+use crate::hybrid::{validate_input, DeviceCells, HybridError};
 use crate::kernels::{scan_stencil, LaneBuf};
 use crate::levels::find;
 use gpu_sim::device::Device;
@@ -194,14 +194,18 @@ pub struct CudaDclustResult {
 }
 
 /// Run CUDA-DClust with up to `max_chains` concurrent chains per launch.
+///
+/// The input is checked first, as the hybrid build checks it: empty data,
+/// ε not positive and finite, or a non-finite coordinate is a
+/// [`HybridError::InvalidInput`], and nothing is uploaded.
 pub fn cuda_dclust(
     device: &Device,
     data: &[Point2],
     eps: f64,
     minpts: usize,
     max_chains: usize,
-) -> Result<CudaDclustResult, DeviceError> {
-    assert!(!data.is_empty(), "cannot cluster an empty database");
+) -> Result<CudaDclustResult, HybridError> {
+    validate_input(eps, data.iter().map(|p| p.coords))?;
     let max_chains = max_chains.clamp(1, 1024);
     let n = data.len();
     let grid = spatial::GridIndex::build(data, eps);

@@ -25,6 +25,7 @@
 //! visit order — the tests compare accordingly).
 
 use crate::dbscan::{Clustering, PointLabel};
+use crate::hybrid::{validate_input, HybridError};
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
@@ -185,13 +186,17 @@ pub struct GDbscanResult {
 }
 
 /// Run G-DBSCAN on the simulated device.
+///
+/// The input is checked first, as the hybrid build checks it: empty data,
+/// ε not positive and finite, or a non-finite coordinate is a
+/// [`HybridError::InvalidInput`], and nothing is uploaded.
 pub fn g_dbscan(
     device: &Device,
     data: &[Point2],
     eps: f64,
     minpts: usize,
-) -> Result<GDbscanResult, DeviceError> {
-    assert!(!data.is_empty(), "cannot cluster an empty database");
+) -> Result<GDbscanResult, HybridError> {
+    validate_input(eps, data.iter().map(|p| p.coords))?;
     let n = data.len();
     let block = 256;
     let mut profile = KernelProfile::new();

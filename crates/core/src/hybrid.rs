@@ -11,9 +11,9 @@
 //! pinned staging buffers (priced)
 //! for each batch l (3 streams):
 //!                                GPUCalcGlobal/Shared (strided)
-//!                                thrust sort_by_key on R_l ┐
-//!            ◀── D2H of R_l's values ──                    │ one row
-//! R_l's values into T                                      ┘ pass
+//!                                sort R_l by key: in place ┐ one row
+//!            ◀── D2H of R_l's values ──   or by a counting │ pass
+//! R_l's values into T                     scatter          ┘
 //! ────────────────────────────────────────────────────────────────
 //! DBSCAN(T, minpts) — possibly many times with different minpts
 //! ```
@@ -888,7 +888,8 @@ impl HybridDbscan {
     /// Execute stage: price one pinned staging buffer and allocate one
     /// device result buffer per stream, run every batch through `launch(batch,
     /// n_batches, result)` (`None`: an empty batch, nothing launched) and,
-    /// on overflow, replan from the exact counted |R| and rerun.
+    /// on overflow, replan from the exact counted |R| and rerun. Buffers
+    /// grown for a retry get grown staging buffers, priced again.
     fn execute<L>(
         &self,
         n: usize,
@@ -910,12 +911,13 @@ impl HybridDbscan {
                 .map(|_| DeviceAppendBuffer::new(&self.device, items))
                 .collect()
         };
+        let pin = |items: usize| -> SimDuration {
+            (0..n_buffers)
+                .map(|_| PinnedBuffer::<NeighborPair>::new(&self.device, items).alloc_time())
+                .sum()
+        };
         let mut dev_buffers = alloc(plan.buffer_items)?;
-        let pinned_alloc_time: SimDuration = (0..n_buffers)
-            .map(|_| {
-                PinnedBuffer::<NeighborPair>::new(&self.device, plan.buffer_items).alloc_time()
-            })
-            .sum();
+        let mut pinned_alloc_time = pin(plan.buffer_items);
 
         let span = self.span("batch_loop");
         let mut retries = 0;
@@ -966,6 +968,8 @@ impl HybridDbscan {
                         // the grown set must not fail for holding both.
                         dev_buffers.clear();
                         dev_buffers = alloc(plan.buffer_items)?;
+                        // The grown set needs grown staging buffers.
+                        pinned_alloc_time += pin(plan.buffer_items);
                     }
                 }
             }

@@ -20,8 +20,9 @@
 //! ascending global-sorted order, and the per-shard pre-sort uses the same
 //! comparator — so the shard's sorted order is the *restriction* of the
 //! global one and the local→global index map is strictly increasing.
-//! `thrust::sort_by_key` canonicalizes every row to ascending ids in both
-//! builds; a monotone map of an ascending row is ascending. An owned row
+//! The batch tail (`thrust::sort_rows_into`) writes every row as its
+//! unique ascending order of ids in both builds, whichever of its paths
+//! ran; a monotone map of an ascending row is ascending. An owned row
 //! therefore maps element-for-element onto the unsharded row.
 //!
 //! ## Execution modes

@@ -77,7 +77,7 @@ pub(crate) struct DeviceInner {
     /// Serializes kernel launches: the simulated compute engine executes
     /// one kernel at a time, like a single-compute-engine GPU. This is
     /// strictly per-engine accounting of *kernel execution* — host-side
-    /// canonicalization work (e.g. `thrust::sort_by_key`) runs outside
+    /// canonicalization work (e.g. `thrust::sort_rows_into`) runs outside
     /// it, and its modeled Compute-engine serialization is enforced on
     /// the `schedule_chains` timeline instead.
     pub compute_lock: Mutex<()>,

@@ -231,18 +231,10 @@ impl<T: Copy + Send> DeviceAppendBuffer<T> {
     /// View of the filled prefix in commit order. Requires `&mut self`,
     /// i.e. no concurrent kernel can still be committing.
     pub fn as_filled_slice(&mut self) -> &[T] {
-        self.as_filled_mut_slice()
-    }
-
-    /// Mutable view of the filled prefix in commit order (device-side
-    /// sorts operate here). Rewriting it leaves
-    /// [`DeviceAppendBuffer::block_windows`] describing the rewritten
-    /// items.
-    pub fn as_filled_mut_slice(&mut self) -> &mut [T] {
         let n = self.len();
         // SAFETY: exclusive access; commits initialized the first `n`
         // slots (their windows tile `0..n`).
-        unsafe { std::slice::from_raw_parts_mut(self.slots.as_ptr::<T>(), n) }
+        unsafe { std::slice::from_raw_parts(self.slots.as_ptr::<T>(), n) }
     }
 
     /// Reset the cursor so the allocation can be reused for the next batch

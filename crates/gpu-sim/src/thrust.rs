@@ -7,13 +7,13 @@
 //! (a modeled device duration derived from radix-sort throughput); the
 //! functional sort runs on the host pool.
 //!
-//! [`sort_by_key`] sorts pairs in place: a counting pass groups dense
-//! keys, LSD radix passes sort the rest. [`sort_rows_into`] is the batch
-//! tail of the pipeline: it sorts a result buffer by key and moves the
-//! values into the neighbor table in one pass over its rows. A
-//! thread-per-point kernel's blocks commit whole rows with ascending keys,
-//! so that pass reads the block windows where they lie; other output is
-//! sorted in place first.
+//! [`sort_rows_into`] is the batch tail of the pipeline: it sorts a result
+//! buffer by key and moves the values into the neighbor table in one pass
+//! over its rows. A thread-per-point kernel's blocks commit whole rows
+//! with ascending keys, so that pass reads the block windows where they
+//! lie. Other output (a block-per-cell kernel's) takes one stable counting
+//! scatter over the key span instead, which puts each key's values in its
+//! run of the output.
 //!
 //! Both sort each equal-key value run last. A run is one neighbor row:
 //! distinct point ids within a narrow span (a few times the row length).
@@ -42,341 +42,6 @@ const SORT_OVERHEAD_US: f64 = 30.0;
 pub fn sort_by_key_time(n: usize) -> SimDuration {
     SimDuration::from_micros(SORT_OVERHEAD_US)
         + SimDuration::from_secs(n as f64 / SORT_PAIRS_PER_SEC)
-}
-
-/// Sort `(key, value)` pairs by key on the device, returning the modeled
-/// device duration.
-///
-/// Ordering is total (`(key, value)` lexicographic): a total order has
-/// exactly one sorted arrangement, so *any* correct sort of the same
-/// pair set produces the same output — whichever kernel or backend
-/// emitted it, in whatever order its blocks committed. This is the
-/// canonicalization step the threading determinism policy (DESIGN.md)
-/// requires before a result set becomes a table. The functional sort
-/// here is an LSD radix sort over the packed
-/// `(key << 32) | value` u64 — the same algorithm Thrust's `sort_by_key`
-/// actually runs, and several times faster on the host than a
-/// comparison sort because the pair comparator never executes.
-///
-/// The host-side sort does **not** hold the device `compute_lock`: its
-/// modeled Compute-engine serialization is enforced where it belongs, on
-/// the `schedule_chains` timeline ("sort" ops occupy `Engine::Compute`),
-/// while the functional sort parallelizes freely on the pool so one
-/// stream's sort can overlap another stream's kernel wall-clock.
-pub fn sort_by_key(_device: &Device, pairs: &mut [(u32, u32)]) -> SimDuration {
-    radix_sort_pairs(pairs);
-    sort_by_key_time(pairs.len())
-}
-
-/// Number of pairs below which the std comparison sort beats the radix
-/// passes' fixed costs (two scratch arrays, four 64 Ki histograms).
-const RADIX_MIN_PAIRS: usize = 1 << 12;
-/// Number of pairs below which the parallel scatter machinery (per-chunk
-/// histograms, offset matrix, pool dispatch) costs more than it saves.
-/// Below it the serial paths run — the output is identical either way
-/// (total order ⇒ every correct sort is bitwise-canonical).
-const RADIX_PAR_MIN_PAIRS: usize = 1 << 16;
-
-/// LSD radix sort of `(u32, u32)` pairs in `(key, value)` lexicographic
-/// order: pack each pair into `(key << 32) | value` (u64 order ≡ pair
-/// order), then four stable counting passes over 16-bit digits, least
-/// significant first. A pass whose digit is constant across the input is
-/// detected from its histogram and skipped — result-set keys/values
-/// rarely fill all 32 bits, so small inputs usually run 2 of 4 passes.
-fn radix_sort_pairs(pairs: &mut [(u32, u32)]) {
-    let n = pairs.len();
-    if n < RADIX_MIN_PAIRS {
-        pairs.sort_unstable();
-        return;
-    }
-    let parallel = n >= RADIX_PAR_MIN_PAIRS && rayon::current_num_threads() > 1;
-    // Dense-key regime (result sets: keys are point ids, so
-    // max_key < |D| ≲ n): one stable counting pass groups the keys, then
-    // each key's value run sorts locally — O(n + Σ r·log r) with
-    // cache-resident run sorts, beating full-width radix passes.
-    let max_key = pairs.iter().map(|&(k, _)| k).max().unwrap_or(0) as usize;
-    if max_key < 4 * n {
-        if parallel {
-            par_counting_sort_by_key(pairs, max_key + 1);
-        } else {
-            counting_sort_by_key(pairs, max_key + 1);
-        }
-        return;
-    }
-    if parallel {
-        par_radix_sort_u64(pairs);
-        return;
-    }
-    let mut src: Vec<u64> = pairs
-        .iter()
-        .map(|&(k, v)| (u64::from(k) << 32) | u64::from(v))
-        .collect();
-    let mut dst: Vec<u64> = vec![0u64; n];
-    for pass in 0..4 {
-        let shift = pass * 16;
-        let mut hist = vec![0u32; 1 << 16];
-        for &x in &src {
-            hist[((x >> shift) & 0xFFFF) as usize] += 1;
-        }
-        // Constant digit ⇒ the scatter would be the identity permutation.
-        if hist[((src[0] >> shift) & 0xFFFF) as usize] as usize == n {
-            continue;
-        }
-        let mut offset = 0u32;
-        for h in hist.iter_mut() {
-            let count = *h;
-            *h = offset;
-            offset += count;
-        }
-        for &x in &src {
-            let d = ((x >> shift) & 0xFFFF) as usize;
-            dst[hist[d] as usize] = x;
-            hist[d] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-    }
-    for (p, &x) in pairs.iter_mut().zip(&src) {
-        *p = ((x >> 32) as u32, x as u32);
-    }
-}
-
-/// Shared mutable base pointer for parallel scatters whose destination
-/// indices are proven disjoint across chunks by the offset construction.
-#[derive(Clone, Copy)]
-struct ScatterPtr<T>(*mut T);
-// SAFETY: every parallel writer targets indices carved out for it alone
-// (digit-major, chunk-minor offset windows / disjoint key runs).
-unsafe impl<T: Send> Send for ScatterPtr<T> {}
-unsafe impl<T: Send> Sync for ScatterPtr<T> {}
-
-impl<T> ScatterPtr<T> {
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-/// Source chunk count for the parallel passes. The output is invariant
-/// to this value — the stable scatter with chunk-major offsets
-/// reproduces exactly the serial left-to-right order — so it may track
-/// the thread count without breaking bitwise thread-equivalence.
-fn par_sort_chunks(n: usize) -> usize {
-    (2 * rayon::current_num_threads())
-        .min(n.div_ceil(1 << 15))
-        .clamp(1, 64)
-}
-
-/// Per-chunk digit histograms: `hists[c][d]` = occurrences of digit `d`
-/// in source chunk `c`. Each chunk's histogram is a pure function of its
-/// slice, so the parallel map is deterministic.
-fn par_digit_histograms<T, D>(
-    src: &[T],
-    n_chunks: usize,
-    n_digits: usize,
-    digit: &D,
-) -> Vec<Vec<u32>>
-where
-    T: Sync,
-    D: Fn(&T) -> usize + Sync,
-{
-    let n = src.len();
-    let chunk_len = n.div_ceil(n_chunks);
-    (0..n_chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk_len;
-            let hi = (lo + chunk_len).min(n);
-            let mut hist = vec![0u32; n_digits];
-            for x in &src[lo..hi] {
-                hist[digit(x)] += 1;
-            }
-            hist
-        })
-        .collect()
-}
-
-/// Turn per-chunk histograms into per-chunk scatter cursors, in place:
-/// `hists[c][d]` becomes the destination index of chunk `c`'s first
-/// element with digit `d`. Digit-major, chunk-minor — precisely the
-/// order a serial stable counting pass emits, so the parallel scatter is
-/// a bit-exact reproduction of it. Returns the exclusive digit starts
-/// (`starts[d]..starts[d+1]` = digit `d`'s run).
-fn offsets_in_place(hists: &mut [Vec<u32>], n_digits: usize) -> Vec<u32> {
-    let mut starts = Vec::with_capacity(n_digits + 1);
-    let mut total = 0u32;
-    for d in 0..n_digits {
-        starts.push(total);
-        for hist in hists.iter_mut() {
-            let count = hist[d];
-            hist[d] = total;
-            total += count;
-        }
-    }
-    starts.push(total);
-    starts
-}
-
-/// One parallel stable counting pass: scatter `src` into `dst` ordered by
-/// `digit`, stable within equal digits. Chunks write disjoint destination
-/// windows (see [`offsets_in_place`]) so the pass is race-free and
-/// byte-identical to the serial scatter.
-fn par_stable_scatter<T, D>(src: &[T], dst: &mut [T], offsets: &mut [Vec<u32>], digit: &D)
-where
-    T: Copy + Send + Sync,
-    D: Fn(&T) -> usize + Sync,
-{
-    let n = src.len();
-    let n_chunks = offsets.len();
-    let chunk_len = n.div_ceil(n_chunks);
-    let base = ScatterPtr(dst.as_mut_ptr());
-    offsets.par_iter_mut().enumerate().for_each(|(c, cursor)| {
-        let lo = c * chunk_len;
-        let hi = (lo + chunk_len).min(n);
-        for x in &src[lo..hi] {
-            let d = digit(x);
-            // SAFETY: cursor[d] walks this chunk's private window for
-            // digit d; windows are disjoint across (chunk, digit).
-            unsafe { base.get().add(cursor[d] as usize).write(*x) };
-            cursor[d] += 1;
-        }
-    });
-}
-
-/// Parallel LSD radix sort over the packed `(key << 32) | value` u64:
-/// four 16-bit passes, each a per-chunk-histogram-partitioned stable
-/// scatter, with the serial path's constant-digit skip. Produces the
-/// unique `(key, value)` total order — bit-identical to the serial sort.
-fn par_radix_sort_u64(pairs: &mut [(u32, u32)]) {
-    let n = pairs.len();
-    let n_chunks = par_sort_chunks(n);
-    let mut src: Vec<u64> = pairs
-        .par_iter()
-        .map(|&(k, v)| (u64::from(k) << 32) | u64::from(v))
-        .collect();
-    let mut dst: Vec<u64> = vec![0u64; n];
-    for pass in 0..4 {
-        let shift = pass * 16;
-        let digit = |x: &u64| ((x >> shift) & 0xFFFF) as usize;
-        let mut hists = par_digit_histograms(&src, n_chunks, 1 << 16, &digit);
-        // Constant digit ⇒ the scatter would be the identity permutation.
-        let d0 = digit(&src[0]);
-        let d0_total: u32 = hists.iter().map(|h| h[d0]).sum();
-        if d0_total as usize == n {
-            continue;
-        }
-        offsets_in_place(&mut hists, 1 << 16);
-        par_stable_scatter(&src, &mut dst, &mut hists, &digit);
-        std::mem::swap(&mut src, &mut dst);
-    }
-    let base = ScatterPtr(pairs.as_mut_ptr());
-    let chunk_len = n.div_ceil(n_chunks);
-    (0..n_chunks).into_par_iter().for_each(|c| {
-        let lo = c * chunk_len;
-        let hi = (lo + chunk_len).min(n);
-        for (i, &x) in src[lo..hi].iter().enumerate() {
-            // SAFETY: chunks unpack disjoint index ranges.
-            unsafe { base.get().add(lo + i).write(((x >> 32) as u32, x as u32)) };
-        }
-    });
-}
-
-/// Parallel counting sort on the key: a histogram-partitioned stable
-/// scatter of the values into per-key runs, parallel in-run value sorts
-/// (runs are disjoint), and a parallel key write-back over disjoint run
-/// ranges. Same structure — and bit-identical output — as the serial
-/// [`counting_sort_by_key`].
-fn par_counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
-    let n = pairs.len();
-    let n_chunks = par_sort_chunks(n)
-        // Keep the per-chunk histograms (n_chunks × n_keys u32) bounded
-        // by the input's own footprint.
-        .min((2 * n).div_ceil(n_keys))
-        .max(1);
-    if n_chunks < 2 {
-        counting_sort_by_key(pairs, n_keys);
-        return;
-    }
-    let digit = |p: &(u32, u32)| p.0 as usize;
-    let mut hists = par_digit_histograms(pairs, n_chunks, n_keys, &digit);
-    let starts = offsets_in_place(&mut hists, n_keys);
-
-    // Stable scatter of the values into their key runs.
-    let mut values = vec![0u32; n];
-    {
-        let base = ScatterPtr(values.as_mut_ptr());
-        let chunk_len = n.div_ceil(n_chunks);
-        hists.par_iter_mut().enumerate().for_each(|(c, cursor)| {
-            let lo = c * chunk_len;
-            let hi = (lo + chunk_len).min(n);
-            for &(k, v) in &pairs[lo..hi] {
-                // SAFETY: disjoint (chunk, key) windows, as above.
-                unsafe { base.get().add(cursor[k as usize] as usize).write(v) };
-                cursor[k as usize] += 1;
-            }
-        });
-    }
-
-    // Sort each key's value run and write the keys back; key ranges are
-    // chunked so both loops touch disjoint regions of `values`/`pairs`.
-    let key_chunks = (8 * rayon::current_num_threads()).clamp(1, 256);
-    let keys_per_chunk = n_keys.div_ceil(key_chunks);
-    let vals = ScatterPtr(values.as_mut_ptr());
-    let out = ScatterPtr(pairs.as_mut_ptr());
-    (0..key_chunks).into_par_iter().for_each(|kc| {
-        let k_lo = kc * keys_per_chunk;
-        let k_hi = (k_lo + keys_per_chunk).min(n_keys);
-        for k in k_lo..k_hi {
-            let (s, e) = (starts[k] as usize, starts[k + 1] as usize);
-            if e == s {
-                continue;
-            }
-            // SAFETY: key runs are disjoint slices of `values`, and the
-            // write-back covers the same disjoint range of `pairs`.
-            let run = unsafe { std::slice::from_raw_parts_mut(vals.get().add(s), e - s) };
-            sort_run(run);
-            for (i, &v) in run.iter().enumerate() {
-                unsafe { out.get().add(s + i).write((k as u32, v)) };
-            }
-        }
-    });
-}
-
-/// Counting sort on the key (one stable scatter of the values into
-/// per-key runs), then an in-place [`sort_run`] of each run. Requires
-/// keys in `0..n_keys`.
-fn counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
-    let n = pairs.len();
-    // ends[k] = cursor for key k during the scatter; afterwards the
-    // exclusive end of k's run.
-    let mut ends = vec![0u32; n_keys + 1];
-    for &(k, _) in pairs.iter() {
-        ends[k as usize + 1] += 1;
-    }
-    for k in 0..n_keys {
-        ends[k + 1] += ends[k];
-    }
-    let mut values = vec![0u32; n];
-    for &(k, v) in pairs.iter() {
-        let slot = ends[k as usize];
-        values[slot as usize] = v;
-        ends[k as usize] = slot + 1;
-    }
-    let mut rest: &mut [u32] = &mut values;
-    let mut consumed = 0usize;
-    for &end in ends.iter().take(n_keys) {
-        let end = end as usize;
-        let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - consumed);
-        sort_run(run);
-        rest = tail;
-        consumed = end;
-    }
-    let mut i = 0usize;
-    for (k, &end) in ends.iter().take(n_keys).enumerate() {
-        let end = end as usize;
-        while i < end {
-            pairs[i] = (k as u32, values[i]);
-            i += 1;
-        }
-    }
 }
 
 /// Runs shorter than this go straight to the comparison sort (insertion
@@ -458,7 +123,7 @@ type Row = (u32, usize);
 /// values into `values` in one pass over the rows: `values` receives the
 /// values in that total order, and `row(key, range)` is called once per
 /// key with the range of its values. Returns the modeled device duration,
-/// that of a [`sort_by_key`] over the same pairs.
+/// that of a device `sort_by_key` over the same pairs ([`sort_by_key_time`]).
 ///
 /// A thread-per-point kernel commits whole rows per block, with keys
 /// ascending in launch and block order. Such output is read where it
@@ -466,15 +131,13 @@ type Row = (u32, usize);
 /// values the bitmap run sort (see the module docs) sorts straight into
 /// `values`. If some run's key is not above the previous run's — a
 /// block-per-cell kernel's output, or a key split across two windows —
-/// the pairs are first sorted in place by [`sort_by_key`]'s sort and then
-/// read the same way. A total order has one sorted arrangement, so both
-/// give the same bytes.
+/// one stable counting scatter over the key span puts the values in
+/// their rows instead, and each row is sorted the same way. A total order
+/// has one sorted arrangement, so both give the same bytes.
 ///
-/// A large result set is cut into contiguous groups of windows that run
-/// on the pool, each writing at the prefix sum of the window lengths
-/// before it; the bytes do not depend on the cut. `row` is called only
-/// once every group has read back with ascending keys, so it sees each
-/// key once.
+/// A large result set is cut into contiguous groups of rows that run on
+/// the pool; the bytes do not depend on the cut. `row` is called only
+/// once every group has been read, so it sees each key once.
 pub fn sort_rows_into(
     result: &mut DeviceAppendBuffer<(u32, u32)>,
     values: &mut [MaybeUninit<u32>],
@@ -482,13 +145,10 @@ pub fn sort_rows_into(
 ) -> SimDuration {
     let n = result.len();
     assert_eq!(values.len(), n, "one value slot per committed pair");
-    let mut groups = row_pass(&result.block_windows(), values);
-    if groups.is_none() {
-        let pairs = result.as_filled_mut_slice();
-        radix_sort_pairs(pairs);
-        groups = row_pass(&cut_at_keys(pairs, row_groups(n)), values);
-    }
-    let groups = groups.expect("sorted pairs hold one run per key");
+    let groups = match row_pass(&result.block_windows(), values) {
+        Some(groups) => groups,
+        None => scatter_rows(result.as_filled_slice(), values),
+    };
     let claim = |(start, rows): &(usize, Vec<Row>)| {
         let mut start = *start;
         for &(key, end) in rows {
@@ -504,31 +164,14 @@ pub fn sort_rows_into(
     sort_by_key_time(n)
 }
 
-/// Number of groups a row pass over `n` pairs cuts its windows into.
+/// Number of groups a row pass over `n` pairs cuts its windows (or, in
+/// the scatter, its rows) into.
 fn row_groups(n: usize) -> usize {
     let threads = rayon::current_num_threads();
     if threads < 2 {
         return 1;
     }
     (n / ROW_GROUP_MIN_PAIRS).clamp(1, 4 * threads)
-}
-
-/// Cut key-sorted `pairs` into about `pieces` windows, each ending where
-/// the key changes.
-fn cut_at_keys(pairs: &[(u32, u32)], pieces: usize) -> Vec<&[(u32, u32)]> {
-    let step = pairs.len().div_ceil(pieces).max(1);
-    let mut windows = Vec::with_capacity(pieces);
-    let mut rest = pairs;
-    while !rest.is_empty() {
-        let mut at = step.min(rest.len());
-        while at < rest.len() && rest[at].0 == rest[at - 1].0 {
-            at += 1;
-        }
-        let (head, tail) = rest.split_at(at);
-        windows.push(head);
-        rest = tail;
-    }
-    windows
 }
 
 /// Read `windows` in order into `values` (their total length), one row
@@ -608,6 +251,66 @@ fn group_rows(
     Some(rows)
 }
 
+/// Sort `pairs` by `(key, value)` into `values` (their length), whatever
+/// their order: one stable counting scatter over the key span
+/// `[min, max]` puts each key's values in its run, then the runs are
+/// sorted by [`sort_run`] in groups on the pool. Returns each group's
+/// output offset and rows, as [`row_pass`] does. Takes O(n + span) time
+/// and one `u32` per key of the span; keys are point ids, so the span is
+/// at most the point count.
+fn scatter_rows(pairs: &[(u32, u32)], values: &mut [MaybeUninit<u32>]) -> Vec<(usize, Vec<Row>)> {
+    let n = values.len();
+    assert!(n <= u32::MAX as usize, "run ends fit the u32 cursors");
+    let (lo, hi) = pairs
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &(k, _)| (lo.min(k), hi.max(k)));
+    // cursor[k - lo]: where key k's next value goes; after the scatter,
+    // the end of its run.
+    let mut cursor = vec![0u32; hi.saturating_sub(lo) as usize + 1];
+    for &(k, _) in pairs {
+        cursor[(k - lo) as usize] += 1;
+    }
+    let mut start = 0;
+    for c in &mut cursor {
+        (*c, start) = (start, start + *c);
+    }
+    for &(k, v) in pairs {
+        let c = &mut cursor[(k - lo) as usize];
+        values[*c as usize].write(v);
+        *c += 1;
+    }
+    let per_group = n.div_ceil(row_groups(n));
+    let mut jobs = Vec::new();
+    let (mut rest, mut rows, mut at, mut last) = (values, Vec::new(), 0, 0);
+    for (k, &end) in cursor.iter().enumerate() {
+        let end = end as usize;
+        if end > last {
+            rows.push((lo + k as u32, end));
+            if end >= (jobs.len() + 1) * per_group || end == n {
+                let (out, tail) = std::mem::take(&mut rest).split_at_mut(end - at);
+                jobs.push((at, std::mem::take(&mut rows), out));
+                (rest, at) = (tail, end);
+            }
+            last = end;
+        }
+    }
+    let sort_group = |(at, rows, out): &mut (usize, Vec<Row>, &mut [MaybeUninit<u32>])| {
+        // SAFETY: the scatter wrote every slot of `out`.
+        let out = unsafe { &mut *(*out as *mut [MaybeUninit<u32>] as *mut [u32]) };
+        let mut start = *at;
+        for &(_, end) in rows.iter() {
+            sort_run(&mut out[start - *at..end - *at]);
+            start = end;
+        }
+    };
+    if jobs.len() > 1 {
+        jobs.par_iter_mut().for_each(sort_group);
+    } else {
+        jobs.iter_mut().for_each(sort_group);
+    }
+    jobs.into_iter().map(|(at, rows, _)| (at, rows)).collect()
+}
+
 /// Device-side exclusive prefix scan, with a modeled duration.
 pub fn exclusive_scan(device: &Device, values: &[u32]) -> (Vec<u32>, SimDuration) {
     let mut out = Vec::with_capacity(values.len());
@@ -628,70 +331,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn radix_sort_matches_comparison_sort() {
-        // Pseudo-random pairs exercising all four digit passes, plus a
-        // small-key regime where the upper passes are constant and skipped.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for (n, mask) in [
-            (100_000usize, u64::MAX),
-            (100_000, 0x0000_FFFF_0000_FFFF),
-            (5000, 0x0000_0FFF_0000_0FFF),
-            (100, u64::MAX), // below RADIX_MIN_PAIRS: std-sort path
-            (0, u64::MAX),
-        ] {
-            let mut pairs: Vec<(u32, u32)> = (0..n)
-                .map(|_| {
-                    let r = step() & mask;
-                    ((r >> 32) as u32, r as u32)
-                })
-                .collect();
-            let mut expect = pairs.clone();
-            expect.sort_unstable();
-            radix_sort_pairs(&mut pairs);
-            assert_eq!(pairs, expect, "n = {n}, mask = {mask:#x}");
-        }
-    }
-
-    #[test]
-    fn presorted_keys_with_shuffled_values_match_comparison_sort() {
-        // Keys already non-decreasing (as a block-sequential kernel
-        // appends them), values scrambled within runs. Large enough to
-        // clear RADIX_MIN_PAIRS.
-        let mut x = 0xDEAD_BEEF_CAFE_F00Du64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let n = 50_000usize;
-        let mut pairs: Vec<(u32, u32)> = (0..n).map(|i| ((i / 13) as u32, step() as u32)).collect();
-        let mut expect = pairs.clone();
-        expect.sort_unstable();
-        radix_sort_pairs(&mut pairs);
-        assert_eq!(pairs, expect);
-    }
-
-    #[test]
-    fn sort_groups_identical_keys() {
-        let d = Device::k20c();
-        let mut pairs = vec![(3, 1), (1, 9), (3, 0), (2, 5), (1, 2), (3, 7)];
-        let t = sort_by_key(&d, &mut pairs);
-        assert!(t > SimDuration::ZERO);
-        assert_eq!(pairs, vec![(1, 2), (1, 9), (2, 5), (3, 0), (3, 1), (3, 7)]);
-        // Keys are grouped (the property neighbor-table construction needs).
-        for w in pairs.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
-    }
-
-    #[test]
     fn sort_time_scales_with_input() {
         assert!(sort_by_key_time(10_000_000) > sort_by_key_time(10_000));
         // ~500M pairs/s: 500M pairs should take about a second.
@@ -706,20 +345,6 @@ mod tests {
         assert_eq!(scan, vec![0, 3, 4, 8, 9]);
         let (empty, _) = exclusive_scan(&d, &[]);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn large_parallel_sort_is_correct() {
-        let d = Device::k20c();
-        let n = 100_000u32;
-        let mut pairs: Vec<(u32, u32)> = (0..n)
-            .map(|i| ((i.wrapping_mul(2654435761)) % 1000, i))
-            .collect();
-        sort_by_key(&d, &mut pairs);
-        for w in pairs.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        assert_eq!(pairs.len(), n as usize);
     }
 
     // ---- the row pass -------------------------------------------------
@@ -759,7 +384,7 @@ mod tests {
 
     /// Commit `windows[b]` as block `b` of one launch, in `order`, then run
     /// the row pass on a `threads` pool view. Also returns whether the
-    /// pass left the buffer as committed (false: it sorted it first).
+    /// pass read the windows in place (false: it took the scatter).
     fn row_pass_of(windows: &[Vec<(u32, u32)>], order: &[usize], threads: usize) -> (Rows, bool) {
         let d = Device::k20c();
         let n = windows.iter().map(Vec::len).sum();
@@ -769,12 +394,12 @@ mod tests {
             let ctx = BlockCtx::new(&d, cfg, 0, b as u32);
             buf.commit_block(&ctx, &windows[b]).unwrap();
         }
-        let committed = buf.as_filled_slice().to_vec();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         let mut values = vec![MaybeUninit::uninit(); n];
+        let in_place = pool.install(|| row_pass(&buf.block_windows(), &mut values).is_some());
         let rows = Mutex::new(Vec::new());
         let t = pool.install(|| {
             sort_rows_into(&mut buf, &mut values, |key, range| {
@@ -789,13 +414,12 @@ mod tests {
             .collect();
         let mut rows = rows.into_inner();
         rows.sort_by_key(|r| r.0);
-        let in_place = buf.as_filled_slice() == committed.as_slice();
         ((values, rows), in_place)
     }
 
     /// Assert that the row pass gives `expected(windows)` for forward,
     /// reversed and shuffled commits at 1, 2 and 4 threads, and whether
-    /// it read the windows in place (`true`) or sorted them first.
+    /// it read the windows in place (`true`) or took the scatter.
     fn assert_row_pass(windows: &[Vec<(u32, u32)>], in_place: bool) {
         let want = expected(windows);
         let forward: Vec<usize> = (0..windows.len()).collect();
@@ -945,13 +569,15 @@ mod tests {
     }
 
     #[test]
-    fn row_pass_sorts_first_when_a_key_spans_two_windows() {
+    fn row_pass_scatters_when_a_key_spans_two_windows() {
         let windows = vec![
             vec![(0, 1), (1, 4), (1, 2)],
             vec![(1, 3), (2, 0)],
             vec![(3, 3)],
         ];
         assert_row_pass(&windows, false);
+        // A single-key result set.
+        assert_row_pass(&[vec![(9, 8), (9, 1)], vec![(9, 3)]], false);
         // Equal windows of one group each, every boundary splitting a key:
         // at 2 and 4 threads only the group boundaries see the splits.
         let row = |k: u32| (0..10).rev().map(move |i| (k, k + i));
@@ -969,9 +595,16 @@ mod tests {
     }
 
     #[test]
-    fn row_pass_sorts_first_when_keys_are_out_of_order() {
+    fn row_pass_scatters_when_keys_are_out_of_order() {
         // Within a window, as a block-per-cell kernel commits.
         assert_row_pass(&[vec![(2, 1), (0, 0), (1, 5), (0, 2)], vec![(3, 3)]], false);
+        // Keys 0 and ~10^6 with nothing between: only non-empty keys of
+        // the span become rows.
+        let windows = vec![
+            vec![(1_000_000, 5), (0, 9), (1_000_000, 2)],
+            vec![(0, 1), (1_000_000, 7), (0, 4)],
+        ];
+        assert_row_pass(&windows, false);
         // Across windows: each window ascending, the windows descending,
         // in several groups at 2 and 4 threads.
         let windows = rows(

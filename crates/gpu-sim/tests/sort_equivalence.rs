@@ -1,60 +1,137 @@
-//! Parallel-vs-serial sort equivalence: `thrust::sort_by_key` sorts in
-//! total `(key, value)` lexicographic order, whose sorted arrangement is
-//! unique — so the parallel radix/counting/run paths (engaged on large
-//! inputs when the pool has > 1 thread) must produce output *bytewise
-//! identical* to the serial paths and to a std reference sort, on every
-//! input. These tests drive both code paths over the same data via
-//! explicit pool views and compare the bytes.
+//! Sort equivalence of the batch tail: `thrust::sort_rows_into` sorts a
+//! result buffer in total `(key, value)` lexicographic order, whose sorted
+//! arrangement is unique — so its output must be *bytewise identical* to a
+//! std reference sort at every thread count, on every input. These tests
+//! commit pairs through a kernel launch, one window per block, run the
+//! batch tail on explicit pool views and compare the bytes and the rows.
 //!
-//! Sizes are chosen to cross the internal dispatch thresholds:
-//! `RADIX_MIN_PAIRS = 2^12` (std sort below, radix at and above) and
-//! `RADIX_PAR_MIN_PAIRS = 2^16` (serial radix below, parallel at and
-//! above). Key distributions cover the three radix regimes: presorted
-//! keys (value-run repair), dense keys (counting sort), and sparse keys
-//! (full-width 4×16-bit passes). Neighbor-row-shaped inputs drive the
-//! per-run bitmap sort and its comparison-sort fallbacks on both the
-//! presorted and the counting path.
+//! Nearly every input here is one the row pass cannot read in place: some
+//! run of equal keys is not above the previous run's (a key split across
+//! two windows, or keys out of order), as a block-per-cell kernel
+//! commits. Those inputs take the counting-scatter fallback. Sizes span
+//! one row group and several at 2 and 4 threads; key distributions cover
+//! long equal-key runs, mid-width keys and a wide, sparse key span.
+//! Neighbor-row-shaped inputs drive the per-run bitmap sort and its
+//! comparison-sort fallbacks.
 
-use gpu_sim::thrust::sort_by_key;
-use gpu_sim::Device;
+use gpu_sim::thrust::sort_rows_into;
+use gpu_sim::{BlockCtx, BlockKernel, Device, DeviceAppendBuffer, DeviceError, LaunchConfig};
+use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
-/// Keep in sync with `thrust::RADIX_MIN_PAIRS` (private; asserted only
-/// as a size landmark, not imported).
-const RADIX_MIN_PAIRS: usize = 1 << 12;
-/// Keep in sync with `thrust::RADIX_PAR_MIN_PAIRS`.
-const RADIX_PAR_MIN_PAIRS: usize = 1 << 16;
+/// Keep in sync with `thrust::ROW_GROUP_MIN_PAIRS`.
+const ROW_GROUP_MIN_PAIRS: usize = 1 << 15;
 /// Keep in sync with `thrust::BITMAP_BITS_PER_ITEM`.
 const BITMAP_BITS_PER_ITEM: u64 = 64;
 /// Keep in sync with `thrust::BITMAP_MAX_BITS`.
 const BITMAP_MAX_BITS: u64 = 1 << 18;
 
-/// Sort a copy of `pairs` on a `threads`-wide pool view; the modeled
-/// duration depends only on the length, so only bytes are compared.
-fn sort_with_threads(pairs: &[(u32, u32)], threads: usize) -> Vec<(u32, u32)> {
+/// Values and `(key, range)` rows, rows ordered by key.
+type Rows = (Vec<u32>, Vec<(u32, Range<usize>)>);
+
+/// Commits `windows[b]` as block `b`'s window.
+struct CommitWindows<'a> {
+    windows: &'a [Vec<(u32, u32)>],
+    out: &'a DeviceAppendBuffer<(u32, u32)>,
+}
+
+impl BlockKernel for CommitWindows<'_> {
+    fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
+        self.out
+            .commit_block(ctx, &self.windows[ctx.block_idx as usize])
+    }
+}
+
+/// Commit `windows` in one launch and run the batch tail on a
+/// `threads`-wide pool view.
+fn sort_with_threads(windows: &[Vec<(u32, u32)>], threads: usize) -> Rows {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("pool view");
     pool.install(|| {
         let device = Device::k20c();
-        let mut out = pairs.to_vec();
-        sort_by_key(&device, &mut out);
-        out
+        let n = windows.iter().map(Vec::len).sum();
+        let mut buf = DeviceAppendBuffer::new(&device, n).unwrap();
+        if !windows.is_empty() {
+            let cfg = LaunchConfig::new(windows.len() as u32, 32);
+            let kernel = CommitWindows { windows, out: &buf };
+            device.launch(cfg, &kernel).unwrap();
+        }
+        let mut values = vec![MaybeUninit::uninit(); n];
+        let rows = Mutex::new(Vec::new());
+        sort_rows_into(&mut buf, &mut values, |key, range| {
+            rows.lock().push((key, range))
+        });
+        // SAFETY: the batch tail writes every value.
+        let values = values
+            .into_iter()
+            .map(|v| unsafe { v.assume_init() })
+            .collect();
+        let mut rows = rows.into_inner();
+        rows.sort_by_key(|r| r.0);
+        (values, rows)
     })
 }
 
-/// Assert the sort on 1, 2 and 4 threads and std agree exactly.
-fn assert_canonical(pairs: &[(u32, u32)]) {
-    let mut reference = pairs.to_vec();
-    reference.sort_unstable();
+/// What a std sort of the windows' pairs gives.
+fn reference(windows: &[Vec<(u32, u32)>]) -> Rows {
+    let mut pairs = windows.concat();
+    pairs.sort_unstable();
+    let values = pairs.iter().map(|p| p.1).collect();
+    let mut rows: Vec<(u32, Range<usize>)> = Vec::new();
+    for (i, &(key, _)) in pairs.iter().enumerate() {
+        match rows.last_mut() {
+            Some((k, r)) if *k == key => r.end = i + 1,
+            _ => rows.push((key, i..i + 1)),
+        }
+    }
+    (values, rows)
+}
+
+/// Whether every run of equal keys, read in window order, is above the
+/// previous run: the input the row pass reads in place.
+fn runs_ascend(windows: &[Vec<(u32, u32)>]) -> bool {
+    let mut last: Option<u32> = None;
+    for w in windows {
+        for (i, &(key, _)) in w.iter().enumerate() {
+            if i == 0 || key != w[i - 1].0 {
+                if last.is_some_and(|prev| key <= prev) {
+                    return false;
+                }
+                last = Some(key);
+            }
+        }
+    }
+    true
+}
+
+/// Assert the batch tail on 1, 2 and 4 threads and std agree exactly.
+fn assert_canonical(windows: &[Vec<(u32, u32)>]) {
+    let want = reference(windows);
     for threads in [1, 2, 4] {
-        assert_eq!(
-            sort_with_threads(pairs, threads),
-            reference,
-            "{threads}-thread sort is not the canonical order"
+        let got = sort_with_threads(windows, threads);
+        assert!(
+            got == want,
+            "{threads}-thread batch tail is not the canonical order"
         );
     }
+}
+
+/// [`assert_canonical`] for an input that takes the fallback.
+fn assert_fallback_canonical(windows: &[Vec<(u32, u32)>]) {
+    assert!(
+        !runs_ascend(windows),
+        "the row pass would read this in place"
+    );
+    assert_canonical(windows);
+}
+
+/// `pairs` cut into windows of `len` (the last may be shorter).
+fn windows_of(pairs: &[(u32, u32)], len: usize) -> Vec<Vec<(u32, u32)>> {
+    pairs.chunks(len).map(<[_]>::to_vec).collect()
 }
 
 // ---- adversarial fixed cases -------------------------------------------
@@ -69,12 +146,12 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `n` pairs with keys of `key_bits` bits and full-width values. Key
+/// widths stay at most 20 bits: the fallback takes one counter per key of
+/// the span, and result-set keys are point ids.
 fn random_pairs(n: usize, key_bits: u32, seed: u64) -> Vec<(u32, u32)> {
-    let mask = if key_bits >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << key_bits) - 1
-    };
+    assert!(key_bits <= 20, "a key span of at most 2^20");
+    let mask = (1u32 << key_bits) - 1;
     let mut s = seed;
     (0..n)
         .map(|_| {
@@ -84,113 +161,129 @@ fn random_pairs(n: usize, key_bits: u32, seed: u64) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// Enough pairs for several row groups at 2 and 4 threads, the size of
+/// the large fixed cases.
+const SEVERAL_GROUPS: usize = 2 * ROW_GROUP_MIN_PAIRS + 17;
+
 #[test]
 fn empty_and_single_element() {
+    // The row pass reads these in place; the fallback's smallest inputs
+    // are one key split across two windows, and two keys out of order.
     assert_canonical(&[]);
-    assert_canonical(&[(7, 3)]);
+    assert_canonical(&[vec![(7, 3)]]);
+    assert_fallback_canonical(&[vec![(7, 3)], vec![(7, 1)]]);
+    assert_fallback_canonical(&[vec![(7, 3), (2, 9)]]);
 }
 
 #[test]
-fn all_equal_keys_large() {
-    // One giant equal-key run at parallel size: exercises the presorted
-    // path's run repair and the counting sort's single bucket.
-    let n = RADIX_PAR_MIN_PAIRS + 17;
+fn single_key_result_sets() {
+    // One key, split across windows: a single row, so a single group at
+    // every thread count. Random values (the comparison sort), and
+    // distinct narrow values committed high first (the bitmap run sort).
     let mut s = 42u64;
-    let pairs: Vec<(u32, u32)> = (0..n).map(|_| (5, splitmix(&mut s) as u32)).collect();
-    assert_canonical(&pairs);
+    let random: Vec<(u32, u32)> = (0..SEVERAL_GROUPS)
+        .map(|_| (5, splitmix(&mut s) as u32))
+        .collect();
+    assert_fallback_canonical(&windows_of(&random, 1000));
+    let narrow: Vec<(u32, u32)> = (0..5000).rev().map(|v| (123_456, v * 3)).collect();
+    assert_fallback_canonical(&windows_of(&narrow, 700));
 }
 
 #[test]
 fn presorted_input_large() {
-    // Already fully sorted: every path must be the identity.
-    let mut pairs = random_pairs(RADIX_PAR_MIN_PAIRS + 3, 32, 1);
+    // Already fully sorted, cut mid-row: the fallback must be the identity.
+    let mut pairs = random_pairs(SEVERAL_GROUPS, 14, 1);
     pairs.sort_unstable();
-    assert_canonical(&pairs);
+    assert_fallback_canonical(&windows_of(&pairs, 1009));
 }
 
 #[test]
 fn presorted_keys_random_values_large() {
-    // Non-decreasing keys with scrambled values: the is_sorted_by_key
-    // fast path with real run-repair work, serial vs parallel.
-    let mut pairs = random_pairs(RADIX_PAR_MIN_PAIRS + 9, 8, 2);
+    // Non-decreasing keys with scrambled values: real run-sort work.
+    let mut pairs = random_pairs(SEVERAL_GROUPS, 8, 2);
     pairs.sort_unstable_by_key(|&(k, _)| k);
-    assert_canonical(&pairs);
+    assert_fallback_canonical(&windows_of(&pairs, 1009));
 }
 
 #[test]
 fn reverse_sorted_large() {
-    let mut pairs = random_pairs(RADIX_PAR_MIN_PAIRS + 5, 32, 3);
+    let mut pairs = random_pairs(SEVERAL_GROUPS, 20, 3);
     pairs.sort_unstable();
     pairs.reverse();
-    assert_canonical(&pairs);
+    assert_fallback_canonical(&windows_of(&pairs, 1000));
 }
 
 #[test]
-fn radix_threshold_boundary() {
-    // One below, at, and above the std-sort/radix dispatch boundary.
-    for n in [RADIX_MIN_PAIRS - 1, RADIX_MIN_PAIRS, RADIX_MIN_PAIRS + 1] {
-        assert_canonical(&random_pairs(n, 16, n as u64));
+fn wide_sparse_key_span() {
+    // Keys 0 and ~10^6 with nothing between: the scatter's counters
+    // cover the whole span, and only the two non-empty keys become rows.
+    let pairs: Vec<(u32, u32)> = (0..3000u32)
+        .map(|i| {
+            (
+                if i % 3 == 0 { 1_000_003 } else { 0 },
+                i.wrapping_mul(2654435761),
+            )
+        })
+        .collect();
+    assert_fallback_canonical(&windows_of(&pairs, 256));
+}
+
+#[test]
+fn group_threshold_boundary() {
+    // One below, at, and above the size where 2 and 4 threads cut a
+    // second row group.
+    let at = 2 * ROW_GROUP_MIN_PAIRS;
+    for n in [at - 1, at, at + 1] {
+        assert_fallback_canonical(&windows_of(&random_pairs(n, 14, n as u64), 1000));
     }
 }
 
 #[test]
-fn parallel_threshold_boundary() {
-    // One below, at, and above the serial/parallel dispatch boundary —
-    // dense keys (counting regime) and sparse keys (full radix regime).
-    for n in [
-        RADIX_PAR_MIN_PAIRS - 1,
-        RADIX_PAR_MIN_PAIRS,
-        RADIX_PAR_MIN_PAIRS + 1,
-    ] {
-        assert_canonical(&random_pairs(n, 14, n as u64)); // dense
-        assert_canonical(&random_pairs(n, 32, n as u64 ^ 0xDEAD)); // sparse
-    }
-}
-
-#[test]
-fn parallel_output_is_thread_count_invariant() {
-    // The chunk count tracks the thread count; the output must not.
-    let pairs = random_pairs(RADIX_PAR_MIN_PAIRS + 1234, 20, 7);
-    let two = sort_with_threads(&pairs, 2);
-    let four = sort_with_threads(&pairs, 4);
-    let eight = sort_with_threads(&pairs, 8);
-    assert_eq!(two, four);
-    assert_eq!(four, eight);
+fn output_is_thread_count_invariant() {
+    // The group count tracks the thread count; the output must not.
+    let windows = windows_of(&random_pairs(SEVERAL_GROUPS + 1234, 20, 7), 999);
+    let two = sort_with_threads(&windows, 2);
+    let four = sort_with_threads(&windows, 4);
+    let eight = sort_with_threads(&windows, 8);
+    assert!(two == four, "2 and 4 threads differ");
+    assert!(four == eight, "4 and 8 threads differ");
 }
 
 // ---- randomized property sweep -----------------------------------------
 
 proptest! {
     // Small-to-medium inputs get many cases cheaply. The regime selector
-    // spans the three key distributions: tiny dense keys (long equal
-    // runs), mid-width keys, and full-width sparse keys.
+    // spans the key widths: tiny dense keys (long equal runs), mid-width
+    // keys, and wide keys over a 2^20 span.
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn sort_matches_reference_small(
         regime in 0u8..3,
         seed in 0u64..u64::MAX,
-        len in 0usize..6000,
+        len in 2usize..6000,
+        window in 1usize..300,
     ) {
-        let key_bits = match regime { 0 => 6, 1 => 12, _ => 32 };
-        assert_canonical(&random_pairs(len, key_bits, seed));
+        let key_bits = match regime { 0 => 6, 1 => 12, _ => 20 };
+        let windows = windows_of(&random_pairs(len, key_bits, seed), window);
+        assert_canonical(&windows);
     }
 }
 
 proptest! {
-    // Parallel-sized inputs are expensive; a few cases suffice because
-    // the fixed adversarial tests above pin the boundary behavior.
+    // Inputs of several groups are expensive; a few cases suffice because
+    // the fixed tests above pin the group boundaries.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn sort_matches_reference_parallel_sized(
+    fn sort_matches_reference_several_groups(
         regime in 0u8..3,
         seed in 0u64..u64::MAX,
         extra in 0usize..4096,
     ) {
-        let key_bits = match regime { 0 => 12, 1 => 20, _ => 32 };
-        let pairs = random_pairs(RADIX_PAR_MIN_PAIRS + extra, key_bits, seed);
-        assert_canonical(&pairs);
+        let key_bits = match regime { 0 => 12, 1 => 16, _ => 20 };
+        let pairs = random_pairs(SEVERAL_GROUPS + extra, key_bits, seed);
+        assert_fallback_canonical(&windows_of(&pairs, 1000));
     }
 }
 
@@ -237,21 +330,20 @@ fn rows_filling(
     rows
 }
 
-/// Pairs of `rows` (row index = key) with keys ascending — the presorted
-/// path — and with rows in reverse key order — the counting path (keys
-/// are dense) — each sorted at 1, 2 and 4 threads against std.
+/// Pairs of `rows` (row index = key) with keys ascending, cut mid-row
+/// into windows, and with rows in reverse key order — both fallback
+/// inputs — each run at 1, 2 and 4 threads against std.
 fn assert_rows_canonical(rows: &[Vec<u32>]) {
     let pairs = |keys: &mut dyn Iterator<Item = usize>| -> Vec<(u32, u32)> {
         keys.flat_map(|k| rows[k].iter().map(move |&v| (k as u32, v)))
             .collect()
     };
-    assert_canonical(&pairs(&mut (0..rows.len())));
-    assert_canonical(&pairs(&mut (0..rows.len()).rev()));
+    assert_fallback_canonical(&windows_of(&pairs(&mut (0..rows.len())), 1009));
+    assert_fallback_canonical(&windows_of(&pairs(&mut (0..rows.len()).rev()), 1009));
 }
 
-/// Serial-sized (radix path, below the parallel threshold) and
-/// parallel-sized value totals.
-const ROW_TOTALS: [usize; 2] = [RADIX_MIN_PAIRS * 3, RADIX_PAR_MIN_PAIRS + 1000];
+/// Value totals of one row group and of several at 2 and 4 threads.
+const ROW_TOTALS: [usize; 2] = [12_000, SEVERAL_GROUPS];
 
 #[test]
 fn neighbor_rows_with_distinct_clustered_values() {

@@ -10,6 +10,8 @@ use hybrid_dbscan::core::reference::ReferenceDbscan;
 use hybrid_dbscan::core::{table_fingerprint, NeighborTable};
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::error::DeviceError;
+use hybrid_dbscan::gpu_sim::hostmem::PinnedBuffer;
+use hybrid_dbscan::gpu_sim::time::SimDuration;
 use hybrid_dbscan::gpu_sim::{Device, DeviceBuffer};
 use hybrid_dbscan::spatial::Point2;
 
@@ -229,6 +231,16 @@ fn buffer_growth_releases_the_old_buffers_first() {
         .expect("the grown buffer set alone fits");
     assert!(handle.gpu.retries > 0, "the buffers must overflow");
     assert_eq!(device.peak_bytes(), needed);
+    // Both staging sets are priced: the first plan's and the grown one.
+    let staging = |items| -> SimDuration {
+        (0..n_streams)
+            .map(|_| PinnedBuffer::<(u32, u32)>::new(&device, items).alloc_time())
+            .sum()
+    };
+    assert_eq!(
+        handle.gpu.breakdown.pinned_alloc_time,
+        staging(largest - 1) + staging(largest)
+    );
     for id in 0..d.len() as u32 {
         assert_eq!(handle.table.neighbors(id), reference.table.neighbors(id));
     }

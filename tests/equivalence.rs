@@ -7,7 +7,7 @@ use hybrid_dbscan::core::batch::BatchConfig;
 use hybrid_dbscan::core::dbscan::{
     dbscan_algorithm1, Clustering, Dbscan, GridSource, KdTreeSource,
 };
-use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
+use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, HybridError, KernelChoice};
 use hybrid_dbscan::core::pipeline::{MultiClusterPipeline, PipelineConfig};
 use hybrid_dbscan::core::reference::ReferenceDbscan;
 use hybrid_dbscan::core::reuse::cluster_variants;
@@ -186,6 +186,41 @@ fn gdbscan_comparator_agrees_with_reference_structure() {
     let r = ReferenceDbscan::new(eps, minpts).run(&data);
     assert_eq!(g.clustering.num_clusters(), r.clustering.num_clusters());
     assert_eq!(g.clustering.noise_count(), r.clustering.noise_count());
+}
+
+/// The `InvalidInput` reason of a run that must be rejected.
+fn rejection<T>(run: Result<T, HybridError>, who: &str) -> String {
+    match run {
+        Err(HybridError::InvalidInput(why)) => why,
+        Err(e) => panic!("{who}: expected InvalidInput, got {e}"),
+        Ok(_) => panic!("{who}: a bad input was accepted"),
+    }
+}
+
+#[test]
+fn on_gpu_baselines_reject_bad_input_like_the_hybrid_build() {
+    use hybrid_dbscan::core::cuda_dclust::cuda_dclust;
+    use hybrid_dbscan::core::gdbscan::g_dbscan;
+    let good: Vec<Point2> = small("SW1").into_iter().take(50).collect();
+    let mut nan_x = good.clone();
+    nan_x[17] = Point2::new(f64::NAN, nan_x[17].y());
+    let cases: [(&str, &[Point2], f64); 4] = [
+        ("empty data", &[], 0.4),
+        ("eps 0", &good, 0.0),
+        ("eps NaN", &good, f64::NAN),
+        ("NaN x", &nan_x, 0.4),
+    ];
+    let device = Device::k20c();
+    let free = device.available_bytes();
+    let hybrid = HybridDbscan::new(&device, HybridConfig::default());
+    for (name, data, eps) in cases {
+        let want = rejection(hybrid.build_table(data, eps), name);
+        let g = rejection(g_dbscan(&device, data, eps, 4), name);
+        assert_eq!(g, want, "g-dbscan, {name}");
+        let c = rejection(cuda_dclust(&device, data, eps, 4, 8), name);
+        assert_eq!(c, want, "cuda-dclust, {name}");
+        assert_eq!(device.available_bytes(), free, "{name}");
+    }
 }
 
 #[test]
